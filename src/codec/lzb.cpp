@@ -15,6 +15,8 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr std::size_t kHashBits = 16;
+// Output bytes one payload byte can produce at most (a 255 extension).
+constexpr std::uint64_t kMaxExpansion = 255;
 
 std::uint32_t hash4(const std::uint8_t* p) {
   std::uint32_t v;
@@ -195,27 +197,37 @@ void lzb_decompress_into(std::span<const std::uint8_t> compressed,
   out.clear();
   BytesReader in(compressed);
   const std::uint64_t raw_size = in.get_varint();
-  out.reserve(raw_size);
+  // A claim the payload cannot expand to is rejected before allocating.
+  if (raw_size > kMaxExpansion * in.remaining())
+    throw CorruptStream("lzb: raw size exceeds what the payload can expand to");
+  out.resize(static_cast<std::size_t>(raw_size));
+  std::uint8_t* const dst = out.data();
+  std::size_t pos = 0;
 
-  while (out.size() < raw_size) {
+  while (pos < raw_size) {
     const auto token = in.get<std::uint8_t>();
     const std::size_t lit_len = get_length(in, token >> 4);
+    if (lit_len > raw_size - pos) throw CorruptStream("lzb: literal overflow");
     const auto lits = in.get_bytes(lit_len);
-    out.insert(out.end(), lits.begin(), lits.end());
-    if (out.size() > raw_size) throw CorruptStream("lzb: literal overflow");
-    if (out.size() == raw_size) break;
+    if (lit_len > 0) std::memcpy(dst + pos, lits.data(), lit_len);
+    pos += lit_len;
+    if (pos == raw_size) break;
 
     const auto lo = in.get<std::uint8_t>();
     const auto hi = in.get<std::uint8_t>();
     const std::size_t offset = lo | (static_cast<std::size_t>(hi) << 8);
-    if (offset == 0 || offset > out.size())
+    if (offset == 0 || offset > pos)
       throw CorruptStream("lzb: bad match offset");
     const std::size_t match_len = get_length(in, token & 0xF) + kMinMatch;
-    if (out.size() + match_len > raw_size)
-      throw CorruptStream("lzb: match overflow");
-    // Byte-by-byte copy: overlapping matches (offset < len) replicate.
-    std::size_t src = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) out.push_back(out[src + i]);
+    if (match_len > raw_size - pos) throw CorruptStream("lzb: match overflow");
+    const std::size_t src = pos - offset;
+    if (offset >= match_len) {
+      std::memcpy(dst + pos, dst + src, match_len);
+    } else {
+      // Overlapping match (offset < length) replicates byte by byte.
+      for (std::size_t i = 0; i < match_len; ++i) dst[pos + i] = dst[src + i];
+    }
+    pos += match_len;
   }
 }
 

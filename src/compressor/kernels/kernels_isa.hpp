@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "compressor/kernels/quant_common.hpp"
+#include "compressor/quantizer.hpp"
 
 namespace ocelot::kernels::scalar {
 void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo_out,
@@ -18,6 +19,12 @@ void encode_line(const float* orig, float* recon, std::size_t base,
 void encode_line(const double* orig, double* recon, std::size_t base,
                  std::size_t estep, std::size_t cnt, std::size_t eoff,
                  int mode, FusedQuant<double>& q);
+void decode_line(float* recon, std::size_t base, std::size_t estep,
+                 std::size_t cnt, std::size_t eoff, int mode,
+                 QuantDecoder<float>& q);
+void decode_line(double* recon, std::size_t base, std::size_t estep,
+                 std::size_t cnt, std::size_t eoff, int mode,
+                 QuantDecoder<double>& q);
 }  // namespace ocelot::kernels::scalar
 
 #ifdef OCELOT_HAVE_AVX2_TU
@@ -30,5 +37,11 @@ void encode_line(const float* orig, float* recon, std::size_t base,
 void encode_line(const double* orig, double* recon, std::size_t base,
                  std::size_t estep, std::size_t cnt, std::size_t eoff,
                  int mode, FusedQuant<double>& q);
+void decode_line(float* recon, std::size_t base, std::size_t estep,
+                 std::size_t cnt, std::size_t eoff, int mode,
+                 QuantDecoder<float>& q);
+void decode_line(double* recon, std::size_t base, std::size_t estep,
+                 std::size_t cnt, std::size_t eoff, int mode,
+                 QuantDecoder<double>& q);
 }  // namespace ocelot::kernels::avx2
 #endif

@@ -10,6 +10,7 @@
 #include "compressor/kernels/quant_common.hpp"
 
 #define OCELOT_SIMD_LOOP
+#define OCELOT_SIMD_COUNT
 #define OCELOT_SIMD_MINMAX
 
 namespace ocelot::kernels::scalar {

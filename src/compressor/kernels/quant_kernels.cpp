@@ -10,35 +10,41 @@ namespace ocelot::kernels {
 namespace {
 
 template <typename T>
-using LineFn = void (*)(const T*, T*, std::size_t, std::size_t, std::size_t,
-                        std::size_t, int, FusedQuant<T>&);
+using EncodeLineFn = void (*)(const T*, T*, std::size_t, std::size_t,
+                              std::size_t, std::size_t, int, FusedQuant<T>&);
+template <typename T>
+using DecodeLineFn = void (*)(T*, std::size_t, std::size_t, std::size_t,
+                              std::size_t, int, QuantDecoder<T>&);
 
 template <typename T>
-LineFn<T> pick_line() {
+EncodeLineFn<T> pick_encode_line() {
 #ifdef OCELOT_HAVE_AVX2_TU
   if (active_simd_level() == SimdLevel::kAvx2)
-    return static_cast<LineFn<T>>(&avx2::encode_line);
+    return static_cast<EncodeLineFn<T>>(&avx2::encode_line);
 #endif
-  return static_cast<LineFn<T>>(&scalar::encode_line);
-}
-
-}  // namespace
-
-void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo,
-                 std::uint32_t& hi) {
-#ifdef OCELOT_HAVE_AVX2_TU
-  if (active_simd_level() == SimdLevel::kAvx2) {
-    avx2::u32_min_max(v, n, lo, hi);
-    return;
-  }
-#endif
-  scalar::u32_min_max(v, n, lo, hi);
+  return static_cast<EncodeLineFn<T>>(&scalar::encode_line);
 }
 
 template <typename T>
-void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
-                      std::size_t anchor_stride, bool cubic,
-                      FusedQuant<T>& fine, FusedQuant<T>* coarse) {
+DecodeLineFn<T> pick_decode_line() {
+#ifdef OCELOT_HAVE_AVX2_TU
+  if (active_simd_level() == SimdLevel::kAvx2)
+    return static_cast<DecodeLineFn<T>>(&avx2::decode_line);
+#endif
+  return static_cast<DecodeLineFn<T>>(&scalar::decode_line);
+}
+
+/// The hierarchy_traverse visit order, shared by encode and decode.
+/// `anchor(q, idx, pred)` codes one stride-S anchor and stores its
+/// reconstruction into rec[idx]; `line(q, base, estep, cnt, eoff,
+/// mode)` codes one run of a refinement line under a single predictor
+/// mode. Q is the per-level quantizer state (FusedQuant on encode,
+/// QuantDecoder on decode): stride-1 passes (and stride-1 anchors) use
+/// `fine`, coarser levels `coarse` when given, else `fine`.
+template <typename T, typename Q, typename Anchor, typename Line>
+void hierarchy_walk(const Shape& shape, const T* rec,
+                    std::size_t anchor_stride, bool cubic, Q& fine, Q* coarse,
+                    Anchor&& anchor, Line&& line) {
   const int rank = shape.rank();
   const std::array<std::size_t, 3> n = {shape.dim(0),
                                         rank >= 2 ? shape.dim(1) : 1,
@@ -46,13 +52,12 @@ void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
   const std::size_t s1 = n[1] * n[2];
   const std::size_t s2 = n[2];
   const std::array<std::size_t, 3> estride = {s1, s2, 1};
-  T* rec = recon.data();
   auto val = [&](std::size_t i, std::size_t j, std::size_t k) -> double {
     return static_cast<double>(rec[i * s1 + j * s2 + k]);
   };
 
   const std::size_t S = anchor_stride;
-  FusedQuant<T>& anchor_q = (S == 1 || coarse == nullptr) ? fine : *coarse;
+  Q& anchor_q = (S == 1 || coarse == nullptr) ? fine : *coarse;
 
   // Phase 1: anchors at stride S, Lorenzo over already-coded anchors
   // (serial — the prediction reads reconstructions this loop writes).
@@ -74,14 +79,12 @@ void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
                  (bj && bk ? val(i, j - S, k - S) : 0.0) +
                  (bi && bj && bk ? val(i - S, j - S, k - S) : 0.0);
         }
-        const std::size_t idx = i * s1 + j * s2 + k;
-        rec[idx] = anchor_q.encode1(pred, orig[idx]);
+        anchor(anchor_q, i * s1 + j * s2 + k, pred);
       }
     }
   }
   if (S == 1) return;
 
-  const LineFn<T> line = pick_line<T>();
   // The line axis: the last dimension with more than one grid point.
   // Later dimensions are singletons, so fusing the innermost loops
   // along it preserves the exact raster visit order (and therefore the
@@ -92,7 +95,7 @@ void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
 
   // Phase 2: refinement passes, dimension by dimension per level.
   for (std::size_t s = S / 2; s >= 1; s /= 2) {
-    FusedQuant<T>& q = (s == 1 || coarse == nullptr) ? fine : *coarse;
+    Q& q = (s == 1 || coarse == nullptr) ? fine : *coarse;
     for (int d = 0; d < rank; ++d) {
       const auto du = static_cast<std::size_t>(d);
       std::array<std::size_t, 3> start{};
@@ -140,29 +143,73 @@ void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
             int mode = 0;
             if (x + s < nd)
               mode = (cubic && x >= 3 * s && x + 3 * s < nd) ? 2 : 1;
-            line(orig, rec, base, estep, cnt, s * estride[du], mode, q);
+            line(q, base, estep, cnt, s * estride[du], mode);
           } else {
             const std::size_t eoff = s * estride[ld];
             const std::size_t c_beg = std::min<std::size_t>(1, t_copy);
             if (c_end > c_beg) {
-              line(orig, rec, base, estep, c_beg, eoff, 1, q);
-              line(orig, rec, base + c_beg * estep, estep, c_end - c_beg,
-                   eoff, 2, q);
+              line(q, base, estep, c_beg, eoff, 1);
+              line(q, base + c_beg * estep, estep, c_end - c_beg, eoff, 2);
               if (t_copy > c_end)
-                line(orig, rec, base + c_end * estep, estep, t_copy - c_end,
-                     eoff, 1, q);
+                line(q, base + c_end * estep, estep, t_copy - c_end, eoff, 1);
             } else if (t_copy > 0) {
-              line(orig, rec, base, estep, t_copy, eoff, 1, q);
+              line(q, base, estep, t_copy, eoff, 1);
             }
             if (cnt > t_copy)
-              line(orig, rec, base + t_copy * estep, estep, cnt - t_copy,
-                   eoff, 0, q);
+              line(q, base + t_copy * estep, estep, cnt - t_copy, eoff, 0);
           }
         }
       }
     }
     if (s == 1) break;
   }
+}
+
+}  // namespace
+
+void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo,
+                 std::uint32_t& hi) {
+#ifdef OCELOT_HAVE_AVX2_TU
+  if (active_simd_level() == SimdLevel::kAvx2) {
+    avx2::u32_min_max(v, n, lo, hi);
+    return;
+  }
+#endif
+  scalar::u32_min_max(v, n, lo, hi);
+}
+
+template <typename T>
+void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
+                      std::size_t anchor_stride, bool cubic,
+                      FusedQuant<T>& fine, FusedQuant<T>* coarse) {
+  T* rec = recon.data();
+  const EncodeLineFn<T> encode_line = pick_encode_line<T>();
+  hierarchy_walk(
+      shape, rec, anchor_stride, cubic, fine, coarse,
+      [&](FusedQuant<T>& q, std::size_t idx, double pred) {
+        rec[idx] = q.encode1(pred, orig[idx]);
+      },
+      [&](FusedQuant<T>& q, std::size_t base, std::size_t estep,
+          std::size_t cnt, std::size_t eoff, int mode) {
+        encode_line(orig, rec, base, estep, cnt, eoff, mode, q);
+      });
+}
+
+template <typename T>
+void hierarchy_decode(const Shape& shape, std::span<T> recon,
+                      std::size_t anchor_stride, bool cubic,
+                      QuantDecoder<T>& fine, QuantDecoder<T>* coarse) {
+  T* rec = recon.data();
+  const DecodeLineFn<T> decode_line = pick_decode_line<T>();
+  hierarchy_walk(
+      shape, rec, anchor_stride, cubic, fine, coarse,
+      [&](QuantDecoder<T>& q, std::size_t idx, double pred) {
+        rec[idx] = q.decode(pred);
+      },
+      [&](QuantDecoder<T>& q, std::size_t base, std::size_t estep,
+          std::size_t cnt, std::size_t eoff, int mode) {
+        decode_line(rec, base, estep, cnt, eoff, mode, q);
+      });
 }
 
 template void hierarchy_encode<float>(const Shape&, const float*,
@@ -172,5 +219,12 @@ template void hierarchy_encode<double>(const Shape&, const double*,
                                        std::span<double>, std::size_t, bool,
                                        FusedQuant<double>&,
                                        FusedQuant<double>*);
+template void hierarchy_decode<float>(const Shape&, std::span<float>,
+                                      std::size_t, bool, QuantDecoder<float>&,
+                                      QuantDecoder<float>*);
+template void hierarchy_decode<double>(const Shape&, std::span<double>,
+                                       std::size_t, bool,
+                                       QuantDecoder<double>&,
+                                       QuantDecoder<double>*);
 
 }  // namespace ocelot::kernels

@@ -1,17 +1,20 @@
 #pragma once
-// Dispatched fused encode kernels.
+// Dispatched fused hierarchy kernels.
 //
-// hierarchy_encode is the SIMD-dispatched, fused replacement for
-// hierarchy_traverse + QuantEncoder on the compress side: same visit
-// order, same predictions, same quantization — vectorized along each
-// refinement line, since within a pass every point's neighbors come
-// from earlier passes (no loop-carried dependency). The Lorenzo and
-// block-regression traversals carry a serial dependency through the
-// reconstruction feedback, so they fuse through FusedQuant::encode1
-// inside the existing traversal templates instead.
+// hierarchy_encode / hierarchy_decode are the SIMD-dispatched, fused
+// replacements for hierarchy_traverse + QuantEncoder / QuantDecoder:
+// same visit order, same predictions, same (de)quantization —
+// vectorized along each refinement line, since within a pass every
+// point's neighbors come from earlier passes (no loop-carried
+// dependency). Both walk one shared visit-order template, so encode
+// and decode cannot drift apart. The Lorenzo and block-regression
+// traversals carry a serial dependency through the reconstruction
+// feedback, so they stay on the traversal templates (fused through
+// FusedQuant::encode1 on encode, QuantDecoder on decode).
 //
-// Decode stays on the reference traversals + QuantDecoder: it is the
-// correctness anchor the property tests compare against.
+// hierarchy_traverse remains the reference: golden blobs pin the
+// encode bytes, and tests/test_kernels.cpp checks hierarchy_decode
+// against it + QuantDecoder on every dispatch level.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include "common/ndarray.hpp"
 #include "compressor/kernels/dispatch.hpp"
 #include "compressor/kernels/quant_common.hpp"
+#include "compressor/quantizer.hpp"
 
 namespace ocelot::kernels {
 
@@ -34,5 +38,16 @@ template <typename T>
 void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
                       std::size_t anchor_stride, bool cubic,
                       FusedQuant<T>& fine, FusedQuant<T>* coarse = nullptr);
+
+/// Fused multilevel hierarchy decode: replays the code/raw streams of
+/// `fine` (and `coarse`, split by level exactly as in
+/// hierarchy_encode) into `recon`, whose layout `shape` gives.
+/// Bit-identical to hierarchy_traverse + QuantDecoder on every
+/// dispatch level, including which hostile streams throw: running out
+/// of codes or raw values raises CorruptStream.
+template <typename T>
+void hierarchy_decode(const Shape& shape, std::span<T> recon,
+                      std::size_t anchor_stride, bool cubic,
+                      QuantDecoder<T>& fine, QuantDecoder<T>* coarse = nullptr);
 
 }  // namespace ocelot::kernels

@@ -14,11 +14,11 @@ namespace ocelot {
 
 namespace {
 
-/// The coarsen/correct order is the shared hierarchy traversal with
+/// The coarsen/correct order is the shared hierarchy visit order with
 /// linear (order-1) interpolation only: coarsest nodal grid first,
-/// then per-level linear corrections. The level stride the callback
-/// receives picks the quantizer — corrections at the finest level
-/// (s == 1) use the full bound, every coarser level the tightened one.
+/// then per-level linear corrections. The level picks the quantizer —
+/// corrections at the finest level (s == 1) use the full bound, every
+/// coarser level the tightened one.
 class MultigridBackend final : public TypedBackend<MultigridBackend> {
  public:
   [[nodiscard]] std::string name() const override { return "multigrid"; }
@@ -89,11 +89,8 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
                            header.quant_radius, *coarse_codes, *coarse_raw);
     QuantDecoder<T> fine(header.abs_eb, header.quant_radius, *fine_codes,
                          *fine_raw);
-    hierarchy_traverse<T>(
-        header.shape, out.values(), stride, /*cubic=*/false,
-        [&](std::size_t, double pred, std::size_t level) {
-          return (level == 1 ? fine : coarse).decode(pred);
-        });
+    kernels::hierarchy_decode<T>(header.shape, out.values(), stride,
+                                 /*cubic=*/false, fine, &coarse);
   }
 };
 

@@ -12,6 +12,7 @@
 // whose share is the paper's p0 feature).
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -86,7 +87,9 @@ class QuantEncoder {
 };
 
 /// Replays a code stream during decompression, reproducing exactly the
-/// reconstructed values the encoder computed.
+/// reconstructed values the encoder computed. Besides decode(), it
+/// serves the fused hierarchy kernels as a cursor: they claim a line's
+/// codes in bulk and pop raw values in stream order.
 template <typename T>
 class QuantDecoder {
  public:
@@ -96,18 +99,32 @@ class QuantDecoder {
 
   /// Reconstructs the next value given the (symmetric) prediction.
   T decode(double pred) {
-    if (code_pos_ >= codes_.size())
-      throw CorruptStream("QuantDecoder: code stream exhausted");
-    const std::uint32_t code = codes_[code_pos_++];
-    if (code == 0) {
-      if (raw_pos_ >= raw_.size())
-        throw CorruptStream("QuantDecoder: raw stream exhausted");
-      return raw_[raw_pos_++];
-    }
+    const std::uint32_t code = *take_codes(1);
+    if (code == 0) return next_raw();
     const auto q = static_cast<std::int64_t>(code) -
                    static_cast<std::int64_t>(radius_);
     return static_cast<T>(pred + static_cast<double>(q) * bin_);
   }
+
+  /// Claims the next `n` codes; throws CorruptStream if fewer remain.
+  const std::uint32_t* take_codes(std::size_t n) {
+    if (n > codes_.size() - code_pos_)
+      throw CorruptStream("QuantDecoder: code stream exhausted");
+    const std::uint32_t* out = codes_.data() + code_pos_;
+    code_pos_ += n;
+    return out;
+  }
+
+  /// The next unpredictable value; throws CorruptStream when none is
+  /// left.
+  T next_raw() {
+    if (raw_pos_ >= raw_.size())
+      throw CorruptStream("QuantDecoder: raw stream exhausted");
+    return raw_[raw_pos_++];
+  }
+
+  [[nodiscard]] double bin() const { return bin_; }
+  [[nodiscard]] std::uint32_t radius() const { return radius_; }
 
   [[nodiscard]] bool exhausted() const {
     return code_pos_ == codes_.size() && raw_pos_ == raw_.size();

@@ -59,13 +59,13 @@ void quantized_encode(const NdArray<T>& data, double abs_eb,
   });
 }
 
-/// Replays the "codes"/"raw" sections through `traverse(values, fn)`.
-/// Decode stays on the reference traversals + QuantDecoder — the
-/// correctness anchor the SIMD property tests compare against — with
-/// pooled scratch for the unpacked streams.
-template <typename T, typename Traverse>
+/// Unpacks the shared "codes"/"raw" sections into pooled scratch,
+/// checks the code count against the shape, and hands a QuantDecoder
+/// over them to `run(quant)` — the common head of every SZ-style
+/// decode.
+template <typename T, typename Run>
 void quantized_decode(const BlobHeader& header, const SectionReader& in,
-                      NdArray<T>& out, Traverse&& traverse) {
+                      Run&& run) {
   ScratchLease<std::uint32_t> codes(ScratchPool<std::uint32_t>::shared());
   unpack_codes_into(in.get("codes"), *codes);
   ScratchLease<T> raw(ScratchPool<T>::shared());
@@ -73,8 +73,18 @@ void quantized_decode(const BlobHeader& header, const SectionReader& in,
   if (codes->size() != header.shape.size())
     throw CorruptStream("blob: code count does not match shape");
   QuantDecoder<T> quant(header.abs_eb, header.quant_radius, *codes, *raw);
-  traverse(out.values(),
-           [&](std::size_t, double pred) { return quant.decode(pred); });
+  run(quant);
+}
+
+/// Decode through a serial traversal `traverse(values, fn)` (the
+/// Lorenzo family and SZ2, whose predictions feed on each other).
+template <typename T, typename Traverse>
+void traversal_decode(const BlobHeader& header, const SectionReader& in,
+                      NdArray<T>& out, Traverse&& traverse) {
+  quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
+    traverse(out.values(),
+             [&](std::size_t, double pred) { return quant.decode(pred); });
+  });
 }
 
 class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
@@ -102,7 +112,7 @@ class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
                    NdArray<T>& out) const {
-    quantized_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
+    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
       lorenzo_traverse<T>(header.shape, values, fn);
     });
   }
@@ -133,7 +143,7 @@ class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
                    NdArray<T>& out) const {
-    quantized_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
+    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
       lorenzo2_traverse<T>(header.shape, values, fn);
     });
   }
@@ -169,8 +179,9 @@ class Sz3InterpBackend final : public TypedBackend<Sz3InterpBackend> {
                    NdArray<T>& out) const {
     const std::size_t stride =
         choose_anchor_stride(header.shape, header.anchor_stride);
-    quantized_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
-      interp_traverse<T>(header.shape, values, stride, fn);
+    quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
+      kernels::hierarchy_decode<T>(header.shape, out.values(), stride,
+                                   /*cubic=*/true, quant);
     });
   }
 };
@@ -336,14 +347,6 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
                    NdArray<T>& out) const {
-    ScratchLease<std::uint32_t> codes(ScratchPool<std::uint32_t>::shared());
-    unpack_codes_into(in.get("codes"), *codes);
-    ScratchLease<T> raw(ScratchPool<T>::shared());
-    unpack_raw_values_into(in.get("raw"), *raw);
-    if (codes->size() != header.shape.size())
-      throw CorruptStream("blob: code count does not match shape");
-    QuantDecoder<T> quant(header.abs_eb, header.quant_radius, *codes, *raw);
-
     PooledBuffer choice_bytes(BufferPool::shared());
     lossless_decompress_into(in.get("choices"), *choice_bytes);
     ScratchLease<std::uint32_t> coef_codes(
@@ -371,10 +374,9 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
       coef_pred.update(c);
       return {true, c};
     };
-    block_traverse<T>(header.shape, out.values(), header.block_size, oracle,
-                      [&](std::size_t, double pred) {
-                        return quant.decode(pred);
-                      });
+    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
+      block_traverse<T>(header.shape, values, header.block_size, oracle, fn);
+    });
   }
 };
 

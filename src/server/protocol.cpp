@@ -1,5 +1,6 @@
 #include "server/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -32,10 +33,13 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n) {
   return true;
 }
 
+/// Writes all `n` bytes to socket `fd`. MSG_NOSIGNAL turns a vanished
+/// peer into an EPIPE error (thrown as Error) instead of a SIGPIPE that
+/// would kill the whole process.
 void write_all(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
-    const ssize_t r = ::write(fd, data + sent, n - sent);
+    const ssize_t r = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
     if (r > 0) {
       sent += static_cast<std::size_t>(r);
       continue;

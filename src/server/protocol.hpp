@@ -80,14 +80,15 @@ struct Frame {
 /// bytes.
 [[nodiscard]] Frame decode_frame(std::span<const std::uint8_t> body);
 
-/// Writes one frame to `fd`, handling short writes; throws Error when
-/// the peer is gone and InvalidArgument when the frame exceeds
-/// `max_frame_bytes`.
+/// Writes one frame to socket `fd`, handling short writes; throws Error
+/// when the peer is gone (never raises SIGPIPE) and InvalidArgument
+/// when the frame exceeds `max_frame_bytes`.
 void write_frame(int fd, const Frame& frame,
                  std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
 
-/// Writes pre-encoded wire bytes (from encode_frame) to `fd`, handling
-/// short writes; throws Error when the peer is gone. Lets callers
+/// Writes pre-encoded wire bytes (from encode_frame) to socket `fd`,
+/// handling short writes; throws Error when the peer is gone (never
+/// raises SIGPIPE). Lets callers
 /// size-check the encoded frame themselves before committing to send.
 void write_wire(int fd, std::span<const std::uint8_t> wire);
 

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -321,6 +322,46 @@ TEST(Daemon, GarbageFrameGetsErrorThenClose) {
   EXPECT_FALSE(read_frame(fd, kDefaultMaxFrameBytes).has_value());
   ::close(fd);
   daemon.shutdown();
+}
+
+TEST(Daemon, ClientHangingUpBeforeItsResponseDoesNotKillTheDaemon) {
+  const std::string path = test_socket_path("hangup");
+  DaemonConfig config;
+  config.unix_path = path;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+
+  // Each client sends a compress request and closes without reading.
+  // The ~1 MB field takes milliseconds to compress while close()
+  // follows the write within microseconds, so every response goes to
+  // a vanished peer. A plain write() there raises SIGPIPE and kills
+  // this whole process.
+  std::vector<float> values(64 * 64 * 64);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
+  }
+  const Bytes big_field = save_field(
+      "hangup/sine", FloatArray(Shape(64, 64, 64), std::move(values)));
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const int fd = raw_unix_connect(path);
+    Frame request;
+    request.type = FrameType::kCompress;
+    request.id = id;
+    request.tenant = "hangup";
+    request.options = "eb=1e-3 backend=sz3";
+    request.payload = big_field;
+    write_frame(fd, request);
+    ::close(fd);
+  }
+
+  // The daemon survives and still serves the next client.
+  const Bytes field_bytes = small_field_bytes();
+  Client client = Client::connect_unix(path);
+  EXPECT_EQ(client.compress("tenant-b", field_bytes, "eb=1e-3 backend=sz3"),
+            engine_reference_compress(field_bytes, "eb=1e-3 backend=sz3"));
+  daemon.shutdown();  // drains the hung-up requests' responses too
+  EXPECT_EQ(daemon.stats().requests_ok, 3u);
 }
 
 TEST(Daemon, OversizedFrameRejectedBeforeBuffering) {

@@ -6,13 +6,18 @@
 // path. These tests pin the level with force_simd_level() and compare
 // whole compressed blobs across all registered backends, dtypes, and
 // ranks, then cover the arena and wide-symbol Huffman edges the fused
-// path leans on.
+// path leans on. The hierarchy decode kernel is checked directly
+// against the reference traversal + QuantDecoder, on honest streams
+// and on hostile ones.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "codec/huffman.hpp"
@@ -20,7 +25,11 @@
 #include "common/rng.hpp"
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
+#include "compressor/interpolation.hpp"
 #include "compressor/kernels/dispatch.hpp"
+#include "compressor/kernels/quant_kernels.hpp"
+#include "compressor/multigrid.hpp"
+#include "compressor/quantizer.hpp"
 
 namespace ocelot {
 namespace {
@@ -242,6 +251,270 @@ TEST(Kernels, ArenaScopeComposesWithNestedScopes) {
   // The outer allocation survives the inner scope's rewind.
   EXPECT_EQ(keep[63], 0x5C);
   (void)arena;
+}
+
+
+// ------------------------------------------------------ hierarchy decode
+
+/// Code and raw streams of one quantizer (the fine or coarse level).
+template <typename T>
+struct Streams {
+  std::vector<std::uint32_t> codes;
+  std::vector<T> raw;
+};
+
+/// One hierarchy stream set: sz3-interp (cubic, fine only) or
+/// multigrid (linear, coarse levels under a tightened bound).
+template <typename T>
+struct HierarchyCase {
+  Shape shape;
+  std::size_t stride = 2;
+  bool multigrid = false;
+  double eb = 1e-3;
+  std::uint32_t radius = kDefaultQuantRadius;
+  Streams<T> fine;
+  Streams<T> coarse;
+};
+
+template <typename T>
+double coarse_eb(const HierarchyCase<T>& c) {
+  return c.eb / kMultigridCoarseTighten;
+}
+
+/// Encodes `field` with the fused kernel to get realistic streams.
+template <typename T>
+HierarchyCase<T> encode_case(const Shape& shape, const std::vector<T>& field,
+                             std::size_t stride_cap, bool multigrid,
+                             std::uint32_t radius) {
+  HierarchyCase<T> c;
+  c.shape = shape;
+  c.stride = choose_anchor_stride(shape, stride_cap);
+  c.multigrid = multigrid;
+  c.radius = radius;
+  ArenaScope scope;
+  std::span<T> recon = scope.arena().alloc<T>(field.size());
+  std::fill(recon.begin(), recon.end(), T{});
+  auto fine = kernels::FusedQuant<T>::make(c.eb, radius, field.size(),
+                                           scope.arena(),
+                                           ScratchArena::Slot::kHistA);
+  auto coarse = kernels::FusedQuant<T>::make(coarse_eb(c), radius,
+                                             field.size(), scope.arena(),
+                                             ScratchArena::Slot::kHistB);
+  kernels::hierarchy_encode<T>(shape, field.data(), recon, c.stride,
+                               /*cubic=*/!multigrid, fine,
+                               multigrid ? &coarse : nullptr);
+  // Drain the persistent histogram windows back to all-zero.
+  (void)fine.hist_view(scope.arena());
+  (void)coarse.hist_view(scope.arena());
+  c.fine.codes.assign(fine.codes_view().begin(), fine.codes_view().end());
+  c.fine.raw.assign(fine.raw_view().begin(), fine.raw_view().end());
+  c.coarse.codes.assign(coarse.codes_view().begin(),
+                        coarse.codes_view().end());
+  c.coarse.raw.assign(coarse.raw_view().begin(), coarse.raw_view().end());
+  return c;
+}
+
+/// Reference decode: hierarchy_traverse + QuantDecoder. nullopt when
+/// the streams are rejected.
+template <typename T>
+std::optional<std::vector<T>> reference_decode(const HierarchyCase<T>& c) {
+  std::vector<T> out(c.shape.size(), T{});
+  QuantDecoder<T> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
+  QuantDecoder<T> coarse(coarse_eb(c), c.radius, c.coarse.codes,
+                         c.coarse.raw);
+  try {
+    hierarchy_traverse<T>(c.shape, std::span<T>(out), c.stride,
+                          /*cubic=*/!c.multigrid,
+                          [&](std::size_t, double pred, std::size_t level) {
+                            return (level == 1 || !c.multigrid ? fine : coarse)
+                                .decode(pred);
+                          });
+  } catch (const CorruptStream&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// Kernel decode at a pinned dispatch level; nullopt when rejected.
+template <typename T>
+std::optional<std::vector<T>> kernel_decode(const HierarchyCase<T>& c,
+                                            SimdLevel level) {
+  ForcedLevel forced(level);
+  std::vector<T> out(c.shape.size(), T{});
+  QuantDecoder<T> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
+  QuantDecoder<T> coarse(coarse_eb(c), c.radius, c.coarse.codes,
+                                  c.coarse.raw);
+  try {
+    kernels::hierarchy_decode<T>(c.shape, std::span<T>(out), c.stride,
+                                 /*cubic=*/!c.multigrid, fine,
+                                 c.multigrid ? &coarse : nullptr);
+  } catch (const CorruptStream&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// Bitwise equality (NaN payloads included).
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Both kernel builds agree with the reference: identical arrays, or
+/// all three reject the streams. Returns whether the reference decoded.
+template <typename T>
+bool expect_decoders_agree(const HierarchyCase<T>& c, const char* what) {
+  const auto want = reference_decode(c);
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    const auto got = kernel_decode(c, level);
+    EXPECT_EQ(got.has_value(), want.has_value())
+        << what << " " << kernels::simd_level_name(level)
+        << ": kernel and reference disagree on rejecting the streams";
+    if (got.has_value() && want.has_value()) {
+      EXPECT_TRUE(same_bits(*got, *want))
+          << what << " " << kernels::simd_level_name(level)
+          << ": decoded arrays differ";
+    }
+  }
+  return want.has_value();
+}
+
+std::vector<Shape> decode_shapes() {
+  std::vector<Shape> shapes;
+  const std::size_t dims[] = {1, 2, 3, 5, 65};
+  for (const std::size_t a : dims) shapes.emplace_back(a);
+  for (const std::size_t a : dims) {
+    for (const std::size_t b : dims) shapes.emplace_back(a, b);
+  }
+  for (const auto& [a, b, c] : std::vector<std::array<std::size_t, 3>>{
+           {1, 1, 1}, {2, 3, 5}, {5, 2, 3}, {3, 5, 65}, {65, 3, 2},
+           {1, 65, 1}, {5, 5, 5}, {2, 1, 65}, {17, 9, 6}}) {
+    shapes.emplace_back(a, b, c);
+  }
+  return shapes;
+}
+
+template <typename T>
+std::vector<T> decode_field(const Shape& shape, std::uint64_t seed) {
+  const NdArray<T> smooth = make_field<T>(shape, seed);
+  std::vector<T> v(smooth.values().begin(), smooth.values().end());
+  // Non-finite islands exercise the raw sweep (including raw values
+  // that then feed later predictions).
+  Rng rng(seed + 1);
+  for (std::size_t k = 0; k < 1 + v.size() / 40; ++k) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1));
+    switch (k % 4) {
+      case 0: v[i] = std::numeric_limits<T>::quiet_NaN(); break;
+      case 1: v[i] = std::numeric_limits<T>::infinity(); break;
+      case 2: v[i] = -std::numeric_limits<T>::infinity(); break;
+      default: v[i] = static_cast<T>(1e30); break;
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void sweep_honest_streams() {
+  std::uint64_t seed = 500;
+  for (const Shape& shape : decode_shapes()) {
+    for (const bool multigrid : {false, true}) {
+      for (const std::size_t cap : {std::size_t{4}, std::size_t{64}}) {
+        // A tiny radius pushes many residuals onto the raw path.
+        for (const std::uint32_t radius : {kDefaultQuantRadius, 3u}) {
+          const std::vector<T> field = decode_field<T>(shape, ++seed);
+          const HierarchyCase<T> c =
+              encode_case<T>(shape, field, cap, multigrid, radius);
+          EXPECT_TRUE(expect_decoders_agree(c, multigrid ? "multigrid"
+                                                         : "sz3-interp"))
+              << "honest streams must decode";
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, HierarchyDecodeMatchesReferenceFloat) {
+  sweep_honest_streams<float>();
+}
+
+TEST(Kernels, HierarchyDecodeMatchesReferenceDouble) {
+  sweep_honest_streams<double>();
+}
+
+/// Random codes (0, in-range, and >= 2*radius), a raw section that may
+/// run short, and for multigrid a random fine/coarse split.
+template <typename T>
+HierarchyCase<T> hostile_case(const Shape& shape, bool multigrid,
+                              Rng& rng) {
+  HierarchyCase<T> c;
+  c.shape = shape;
+  c.stride = choose_anchor_stride(shape, 8);
+  c.multigrid = multigrid;
+  c.radius = 16;
+  const std::size_t n = shape.size();
+  std::vector<std::uint32_t> codes(n);
+  std::size_t zeros = 0;
+  for (auto& code : codes) {
+    switch (rng.uniform_int(0, 5)) {
+      case 0: code = 0; break;
+      case 1:
+        code = static_cast<std::uint32_t>(rng.uniform_int(32, 1 << 20));
+        break;
+      case 2: code = 0xffffffffu; break;
+      default: code = static_cast<std::uint32_t>(rng.uniform_int(1, 31)); break;
+    }
+    zeros += code == 0 ? 1 : 0;
+  }
+  std::vector<T> raw(static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(zeros))));
+  for (auto& r : raw) r = static_cast<T>(rng.normal(0.0, 1e3));
+  const std::size_t split =
+      multigrid ? static_cast<std::size_t>(
+                      rng.uniform_int(0, static_cast<std::int64_t>(n)))
+                : n;
+  const std::size_t raw_split =
+      multigrid ? static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(raw.size())))
+                : raw.size();
+  const auto at = [](auto& v, std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  c.fine.codes.assign(codes.begin(), at(codes, split));
+  c.coarse.codes.assign(at(codes, split), codes.end());
+  c.fine.raw.assign(raw.begin(), at(raw, raw_split));
+  c.coarse.raw.assign(at(raw, raw_split), raw.end());
+  return c;
+}
+
+template <typename T>
+void sweep_hostile_streams() {
+  Rng rng(0xdec0de);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const Shape& shape : decode_shapes()) {
+      for (const bool multigrid : {false, true}) {
+        const HierarchyCase<T> c = hostile_case<T>(shape, multigrid, rng);
+        (expect_decoders_agree(c, multigrid ? "hostile multigrid"
+                                            : "hostile sz3-interp")
+             ? accepted
+             : rejected)++;
+      }
+    }
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Kernels, HierarchyDecodeHostileStreamsMatchOrThrowFloat) {
+  sweep_hostile_streams<float>();
+}
+
+TEST(Kernels, HierarchyDecodeHostileStreamsMatchOrThrowDouble) {
+  sweep_hostile_streams<double>();
 }
 
 }  // namespace

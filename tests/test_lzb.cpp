@@ -113,6 +113,36 @@ TEST(Lzb, TruncatedStreamThrows) {
   EXPECT_THROW((void)unpack(packed), CorruptStream);
 }
 
+TEST(Lzb, HostileRawSizeIsRejectedBeforeAllocating) {
+  // Ten bytes claiming 2^40 output: lzb expands one payload byte to at
+  // most 255, so the claim is rejected instead of reserved.
+  BytesWriter w;
+  w.put_varint(std::uint64_t{1} << 40);
+  for (int i = 0; i < 4; ++i) w.put<std::uint8_t>(0xFF);
+  EXPECT_THROW((void)unpack(w.bytes()), CorruptStream);
+
+  // Just past the expansion bound for a one-byte payload.
+  BytesWriter tight;
+  tight.put_varint(256);
+  tight.put<std::uint8_t>(0x00);
+  EXPECT_THROW((void)unpack(tight.bytes()), CorruptStream);
+}
+
+TEST(Lzb, NonOverlappingMatchCopiesExactly) {
+  // A random block repeated at a distance equal to its length: the
+  // matches never overlap their source, taking the bulk-copy path.
+  Rng rng(12);
+  Bytes block(3000);
+  for (auto& b : block) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  Bytes input;
+  for (int i = 0; i < 3; ++i) {
+    input.insert(input.end(), block.begin(), block.end());
+  }
+  const Bytes packed = pack(input);
+  EXPECT_LT(packed.size(), input.size() / 2);
+  EXPECT_EQ(unpack(packed), input);
+}
+
 /// Property sweep over sizes and repetitiveness.
 class LzbSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
