@@ -1,37 +1,34 @@
-// Fleet-scale simulation bench: orchestration throughput and the
-// event-engine A/B at 10/100/1000 campaigns.
+// Fleet-scale simulation bench: orchestration throughput at 10/100/1000
+// campaigns and a queue-isolated calendar-vs-heap A/B.
 //
 // Usage: bench_sim_scaling [--smoke]
 //   --smoke  fewer repetitions + shorter queue replay for the CI gate;
 //            same campaign counts, so every gated metric exists in
 //            both modes.
 //
-// Three configurations run the same seeded corridor fleet
-// (datagen::generate_campaign_set):
-//   reference  heap queue + reference full-recompute fair share — the
-//              pre-fleet-engine implementation, the baseline row;
-//   heap       heap queue + incremental fair share;
-//   calendar   calendar queue + incremental fair share (the default).
-//
-// Wall times are the minimum over interleaved repetitions (the three
-// configurations alternate inside each rep), which strips scheduler
-// noise the way the min of repeated medians cannot. The fleet rows
-// yield speedup_vs_reference_1000 and events_per_sec_1000.
+// Every count runs the same seeded corridor fleet
+// (datagen::generate_campaign_set). Wall times are the minimum over
+// repetitions, which strips scheduler noise the way the min of
+// repeated medians cannot. The fleet rows yield events_per_sec_1000
+// and fleet_allocs_per_event_1000.
 //
 // The calendar_vs_heap_1000 gate is measured on a queue-isolated
 // replay of the fleet's per-event op mix (arrival push + completion
 // rearm cancel/push + pop) scaled to ~10x the 1000-campaign event
-// count: in the full simulation the fair-share passes dominate wall
-// time and the two queues differ by well under the run-to-run noise
-// floor, so a whole-sim ratio would gate noise, not the schedulers.
-// The replay keeps both queues at fleet-like occupancy and measures
-// only schedule/cancel/pop, which is the regression the gate exists
-// to catch. Full-sim walls for both queues are still reported per row.
+// count, against the binary-heap oracle in tests/support/: in the full
+// simulation the fair-share passes dominate wall time and the two
+// queues differ by well under the run-to-run noise floor, so a
+// whole-sim ratio would gate noise, not the schedulers. The replay
+// keeps both queues at fleet-like occupancy and measures only
+// schedule/cancel/pop, which is the regression the gate exists to
+// catch.
 //
-// Determinism is asserted, not sampled: every configuration's report
-// rendering must be byte-identical at every campaign count or the
-// bench exits non-zero (sim_identical = 0 would also fail the CI
-// floor).
+// Determinism is asserted, not sampled: every run's report fingerprint
+// must equal the value pinned for its campaign count, or the bench
+// exits non-zero (sim_identical = 0 would also fail the CI floor).
+// The pinned values are what every queue/fair-share combination of
+// the engine printed back when it still shipped the heap queue and the
+// full-recompute fair share as selectable references.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -46,27 +43,26 @@
 #include "datagen/campaigns.hpp"
 #include "orchestrator/orchestrator.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/tuning.hpp"
+#include "support/heap_queue.hpp"
 
 using namespace ocelot;
 
 namespace {
 
-struct ModeSpec {
-  const char* name;
-  sim::QueueKind queue;
-  bool reference_fair_share;
+struct FleetCount {
+  std::size_t campaigns;
+  std::uint64_t fingerprint;  ///< pinned report fingerprint
 };
 
-constexpr ModeSpec kModes[] = {
-    {"reference", sim::QueueKind::kHeap, true},
-    {"heap", sim::QueueKind::kHeap, false},
-    {"calendar", sim::QueueKind::kCalendar, false},
+constexpr FleetCount kCounts[] = {
+    {10, 0xed02f6a3b2e6bb39ull},
+    {100, 0xa02216bc2ac3af6eull},
+    {1000, 0x3adb4262f21e192cull},
 };
 
-/// The fleet every configuration simulates: maximum WAN contention
-/// (single corridor), arrivals packed into one minute, inventories
-/// strided so per-campaign prep stays small next to contention cost.
+/// The fleet every count simulates: maximum WAN contention (single
+/// corridor), arrivals packed into one minute, inventories strided so
+/// per-campaign prep stays small next to contention cost.
 CampaignSetConfig fleet_config(std::size_t count) {
   CampaignSetConfig config;
   config.count = count;
@@ -81,34 +77,30 @@ struct FleetResult {
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t allocs = 0;
-  std::string rendering;
+  std::uint64_t fingerprint = 0;
 };
 
 /// One timed fleet run. Spec generation happens outside the timed
-/// region (it is identical datagen work in every configuration); the
-/// timer covers orchestrator construction, registration, and run().
-FleetResult run_fleet(std::size_t count, const ModeSpec& mode) {
+/// region; the timer covers orchestrator construction, registration,
+/// and run().
+FleetResult run_fleet(std::size_t count) {
   std::vector<CampaignSpec> specs = generate_campaign_set(fleet_config(count));
-  sim::set_reference_fair_share(mode.reference_fair_share);
-  OrchestratorOptions options = fleet_pool_options();
-  options.queue_kind = mode.queue;
 
   const bench::AllocCounters before = bench::alloc_counters();
   const Timer wall;
-  Orchestrator orch(std::move(options));
+  Orchestrator orch(fleet_pool_options());
   for (CampaignSpec& spec : specs) {
     orch.add_campaign(std::move(spec));
   }
   const OrchestratorReport report = orch.run();
   const double seconds = wall.seconds();
   const bench::AllocCounters after = bench::alloc_counters();
-  sim::set_reference_fair_share(false);
 
   FleetResult result;
   result.wall_seconds = seconds;
   result.events = report.events_executed;
   result.allocs = after.allocs - before.allocs;
-  result.rendering = to_string(report);
+  result.fingerprint = fingerprint(report);
   return result;
 }
 
@@ -123,7 +115,8 @@ struct ChurnResult {
 /// FairShareChannel reschedules next_completion_ on every flow
 /// change), and one pop. Occupancy is held at fleet scale by the
 /// pre-seeded live set.
-ChurnResult run_queue_churn(sim::QueueKind kind, std::size_t rounds) {
+template <typename Queue>
+ChurnResult run_queue_churn(std::size_t rounds) {
   Rng rng(17);
   std::vector<double> arrival_draw(rounds), rearm_draw(rounds);
   for (std::size_t i = 0; i < rounds; ++i) {
@@ -133,9 +126,9 @@ ChurnResult run_queue_churn(sim::QueueKind kind, std::size_t rounds) {
 
   const bench::AllocCounters before = bench::alloc_counters();
   const Timer wall;
-  sim::EventQueue queue(kind);
+  Queue queue;
   double now = 0.0;
-  sim::EventHandle completion;
+  typename Queue::Handle completion;
   for (int i = 0; i < 64; ++i) {
     queue.push(static_cast<double>(i) * 0.25, [] {});
   }
@@ -167,63 +160,47 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const int reps = smoke ? 3 : 5;
   const std::size_t churn_rounds = smoke ? 20000 : 200000;
-  const std::vector<std::size_t> counts = {10, 100, 1000};
+  const std::size_t n_counts = std::size(kCounts);
 
   bench::BenchReport report("sim_scaling");
 
-  // ---- Fleet rows: interleaved min-of-reps per (count, mode). ----
-  const std::size_t n_modes = std::size(kModes);
-  std::vector<std::vector<FleetResult>> best(
-      counts.size(), std::vector<FleetResult>(n_modes));
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      for (std::size_t m = 0; m < n_modes; ++m) {
-        FleetResult result = run_fleet(counts[c], kModes[m]);
-        FleetResult& slot = best[c][m];
-        if (rep == 0 || result.wall_seconds < slot.wall_seconds) {
-          slot = std::move(result);
-        }
-      }
-    }
-  }
-
-  // Determinism across configurations is a hard failure, not a metric
-  // shaded by noise: the calendar queue and the incremental fair share
-  // are drop-in replacements or they are wrong.
+  // ---- Fleet rows: min-of-reps per count, every run fingerprinted. ----
+  std::vector<FleetResult> best(n_counts);
   bool identical = true;
-  for (std::size_t c = 0; c < counts.size(); ++c) {
-    for (std::size_t m = 1; m < n_modes; ++m) {
-      if (best[c][m].rendering != best[c][0].rendering) {
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t c = 0; c < n_counts; ++c) {
+      const FleetResult result = run_fleet(kCounts[c].campaigns);
+      if (result.fingerprint != kCounts[c].fingerprint) {
         identical = false;
-        std::cerr << "DETERMINISM MISMATCH: campaigns=" << counts[c]
-                  << " mode=" << kModes[m].name
-                  << " diverges from reference\n";
+        std::cerr << "DETERMINISM MISMATCH: campaigns="
+                  << kCounts[c].campaigns << " fingerprint " << std::hex
+                  << result.fingerprint << " != pinned "
+                  << kCounts[c].fingerprint << std::dec << "\n";
+      }
+      if (rep == 0 || result.wall_seconds < best[c].wall_seconds) {
+        best[c] = result;
       }
     }
   }
 
-  for (std::size_t c = 0; c < counts.size(); ++c) {
-    for (std::size_t m = 0; m < n_modes; ++m) {
-      const FleetResult& r = best[c][m];
-      const double events = static_cast<double>(r.events);
-      report.add_row(
-          "campaigns=" + std::to_string(counts[c]) + " mode=" +
-              kModes[m].name,
-          {{"campaigns", static_cast<double>(counts[c])},
-           {"wall_seconds", r.wall_seconds},
-           {"events", events},
-           {"events_per_sec", events / r.wall_seconds},
-           {"allocs", static_cast<double>(r.allocs)},
-           {"allocs_per_event", static_cast<double>(r.allocs) / events}});
-    }
+  for (std::size_t c = 0; c < n_counts; ++c) {
+    const FleetResult& r = best[c];
+    const double events = static_cast<double>(r.events);
+    report.add_row(
+        "campaigns=" + std::to_string(kCounts[c].campaigns),
+        {{"campaigns", static_cast<double>(kCounts[c].campaigns)},
+         {"wall_seconds", r.wall_seconds},
+         {"events", events},
+         {"events_per_sec", events / r.wall_seconds},
+         {"allocs", static_cast<double>(r.allocs)},
+         {"allocs_per_event", static_cast<double>(r.allocs) / events}});
   }
 
-  // ---- Queue-isolated A/B rows, same interleaved-min protocol. ----
+  // ---- Queue-isolated A/B rows, interleaved min-of-reps. ----
   ChurnResult churn_heap, churn_calendar;
   for (int rep = 0; rep < reps; ++rep) {
-    ChurnResult h = run_queue_churn(sim::QueueKind::kHeap, churn_rounds);
-    ChurnResult cal =
-        run_queue_churn(sim::QueueKind::kCalendar, churn_rounds);
+    const ChurnResult h = run_queue_churn<sim::HeapQueue>(churn_rounds);
+    const ChurnResult cal = run_queue_churn<sim::EventQueue>(churn_rounds);
     if (rep == 0 || h.wall_seconds < churn_heap.wall_seconds) churn_heap = h;
     if (rep == 0 || cal.wall_seconds < churn_calendar.wall_seconds) {
       churn_calendar = cal;
@@ -245,46 +222,35 @@ int main(int argc, char** argv) {
   }
 
   // ---- Headline metrics. ----
-  const std::size_t c100 = 1, c1000 = 2;
-  const FleetResult& ref1000 = best[c1000][0];
-  const FleetResult& cal100 = best[c100][2];
-  const FleetResult& cal1000 = best[c1000][2];
-
-  const double events1000 = static_cast<double>(cal1000.events);
-  report.set_metric("events_per_sec_1000", events1000 / cal1000.wall_seconds);
-  report.set_metric("speedup_vs_reference_1000",
-                    ref1000.wall_seconds / cal1000.wall_seconds);
-  report.set_metric("calendar_vs_heap_1000",
-                    churn_heap.wall_seconds / churn_calendar.wall_seconds);
+  const FleetResult& fleet100 = best[1];
+  const FleetResult& fleet1000 = best[2];
+  const double events_per_sec_1000 =
+      static_cast<double>(fleet1000.events) / fleet1000.wall_seconds;
+  const double calendar_vs_heap_1000 =
+      churn_heap.wall_seconds / churn_calendar.wall_seconds;
+  report.set_metric("events_per_sec_1000", events_per_sec_1000);
+  report.set_metric("calendar_vs_heap_1000", calendar_vs_heap_1000);
   // Steady-state allocations per event *of the event engine* (the
   // pooled-records guarantee): measured on the queue-isolated replay,
   // where every op is an engine op. The fleet-level marginal below
   // also charges per-campaign bookkeeping (outcome records, task
   // bookkeeping — ~50 allocations per campaign regardless of engine)
   // to the ~6.6 events each campaign generates, so it measures the
-  // orchestrator, not the engine, and is reported separately.
+  // orchestrator, not the engine, and is reported separately. Both
+  // are deterministic counts.
   report.set_metric("allocs_per_event_1000",
                     static_cast<double>(churn_calendar.allocs) /
                         static_cast<double>(churn_calendar.ops));
   report.set_metric(
       "fleet_allocs_per_event_1000",
-      static_cast<double>(cal1000.allocs - cal100.allocs) /
-          static_cast<double>(cal1000.events - cal100.events));
-  // Machine-portable ratio for the --baseline trend gate: total
-  // allocations of the reference configuration over the optimized one
-  // at 1000 campaigns (both counts are deterministic).
-  report.set_metric("alloc_reduction",
-                    static_cast<double>(ref1000.allocs) /
-                        static_cast<double>(cal1000.allocs));
+      static_cast<double>(fleet1000.allocs - fleet100.allocs) /
+          static_cast<double>(fleet1000.events - fleet100.events));
   report.set_metric("sim_identical", identical ? 1.0 : 0.0);
 
   const std::string path = report.write();
   std::cout << "wrote " << path << "\n"
-            << "speedup_vs_reference_1000 = "
-            << ref1000.wall_seconds / cal1000.wall_seconds
-            << "  events_per_sec_1000 = "
-            << events1000 / cal1000.wall_seconds
-            << "  calendar_vs_heap_1000 = "
-            << churn_heap.wall_seconds / churn_calendar.wall_seconds << "\n";
+            << "events_per_sec_1000 = " << events_per_sec_1000
+            << "  calendar_vs_heap_1000 = " << calendar_vs_heap_1000
+            << "  sim_identical = " << (identical ? 1 : 0) << "\n";
   return identical ? 0 : 1;
 }

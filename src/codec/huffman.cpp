@@ -373,12 +373,6 @@ void huffman_encode(
   encode_with_hist(symbols, hist, scope.arena(), out);
 }
 
-Bytes huffman_encode(std::span<const std::uint32_t> symbols) {
-  BytesWriter out;
-  huffman_encode(symbols, out);
-  return out.take();
-}
-
 void huffman_decode_into(std::span<const std::uint8_t> data,
                          std::vector<std::uint32_t>& out) {
   out.clear();
@@ -511,12 +505,6 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
       }
     }
   }
-}
-
-std::vector<std::uint32_t> huffman_decode(std::span<const std::uint8_t> data) {
-  std::vector<std::uint32_t> out;
-  huffman_decode_into(data, out);
-  return out;
 }
 
 }  // namespace ocelot

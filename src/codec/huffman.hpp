@@ -83,17 +83,9 @@ void huffman_encode(
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     ByteSink& out);
 
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use huffman_encode(symbols, sink)")]] Bytes huffman_encode(
-    std::span<const std::uint32_t> symbols);
-
 /// Decodes a stream produced by huffman_encode into `out` (cleared
 /// first; capacity is reused). Throws CorruptStream on malformed input.
 void huffman_decode_into(std::span<const std::uint8_t> data,
                          std::vector<std::uint32_t>& out);
-
-/// Convenience wrapper returning a fresh vector.
-[[deprecated("use huffman_decode_into(data, out)")]] std::vector<std::uint32_t>
-huffman_decode(std::span<const std::uint8_t> data);
 
 }  // namespace ocelot

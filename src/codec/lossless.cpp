@@ -41,13 +41,6 @@ void lossless_compress(std::span<const std::uint8_t> raw,
   }
 }
 
-Bytes lossless_compress(std::span<const std::uint8_t> raw,
-                        LosslessBackend backend) {
-  BytesWriter out;
-  lossless_compress(raw, backend, out);
-  return out.take();
-}
-
 void lossless_decompress_into(std::span<const std::uint8_t> compressed,
                               Bytes& out) {
   BytesReader in(compressed);
@@ -68,12 +61,6 @@ void lossless_decompress_into(std::span<const std::uint8_t> compressed,
     }
   }
   throw CorruptStream("lossless_decompress: unknown backend id");
-}
-
-Bytes lossless_decompress(std::span<const std::uint8_t> compressed) {
-  Bytes out;
-  lossless_decompress_into(compressed, out);
-  return out;
 }
 
 }  // namespace ocelot

@@ -33,18 +33,10 @@ std::string to_string(LosslessBackend backend);
 void lossless_compress(std::span<const std::uint8_t> raw,
                        LosslessBackend backend, ByteSink& out);
 
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lossless_compress(raw, backend, sink)")]] Bytes
-lossless_compress(std::span<const std::uint8_t> raw, LosslessBackend backend);
-
 /// Inverts lossless_compress into `out` (cleared first; capacity is
 /// reused), dispatching on the embedded backend id.
 /// Throws CorruptStream on malformed input.
 void lossless_decompress_into(std::span<const std::uint8_t> compressed,
                               Bytes& out);
-
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lossless_decompress_into(compressed, out)")]] Bytes
-lossless_decompress(std::span<const std::uint8_t> compressed);
 
 }  // namespace ocelot

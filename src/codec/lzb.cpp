@@ -186,12 +186,6 @@ void lzb_compress(std::span<const std::uint8_t> raw, ByteSink& sink) {
   compress_core(raw, out, EpochTable{ScratchArena::current()});
 }
 
-Bytes lzb_compress(std::span<const std::uint8_t> raw) {
-  BytesWriter out;
-  lzb_compress(raw, out);
-  return out.take();
-}
-
 void lzb_decompress_into(std::span<const std::uint8_t> compressed,
                          Bytes& out) {
   out.clear();
@@ -229,12 +223,6 @@ void lzb_decompress_into(std::span<const std::uint8_t> compressed,
     }
     pos += match_len;
   }
-}
-
-Bytes lzb_decompress(std::span<const std::uint8_t> compressed) {
-  Bytes out;
-  lzb_decompress_into(compressed, out);
-  return out;
 }
 
 }  // namespace ocelot

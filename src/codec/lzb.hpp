@@ -25,16 +25,8 @@ namespace ocelot {
 /// nothing.
 void lzb_compress(std::span<const std::uint8_t> raw, ByteSink& out);
 
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lzb_compress(raw, sink)")]] Bytes lzb_compress(
-    std::span<const std::uint8_t> raw);
-
 /// Decompresses a stream produced by lzb_compress into `out` (cleared
 /// first; capacity is reused). Throws CorruptStream on malformed input.
 void lzb_decompress_into(std::span<const std::uint8_t> compressed, Bytes& out);
-
-/// Convenience wrapper returning a fresh buffer.
-[[deprecated("use lzb_decompress_into(compressed, out)")]] Bytes lzb_decompress(
-    std::span<const std::uint8_t> compressed);
 
 }  // namespace ocelot

@@ -17,20 +17,28 @@ double parse_double_option(const std::string& key, const std::string& value) {
   }
 }
 
-std::size_t parse_count_option(const std::string& key,
-                               const std::string& value) {
+std::uint64_t parse_uint_option(const std::string& key,
+                                const std::string& value) {
   try {
-    // stoull accepts and wraps a leading sign; a count never has one.
-    if (value.empty() || value[0] == '-' || value[0] == '+') {
+    // stoull accepts and wraps a leading sign (and skips leading
+    // whitespace); an unsigned option value never has either.
+    if (value.empty() || value[0] < '0' || value[0] > '9') {
       throw std::invalid_argument(value);
     }
     std::size_t consumed = 0;
     const unsigned long long v = std::stoull(value, &consumed);
-    if (consumed != value.size() || v == 0) throw std::invalid_argument(value);
-    return static_cast<std::size_t>(v);
+    if (consumed != value.size()) throw std::invalid_argument(value);
+    return v;
   } catch (const std::exception&) {
     throw InvalidArgument("bad " + key + " value: " + value);
   }
+}
+
+std::size_t parse_count_option(const std::string& key,
+                               const std::string& value) {
+  const std::uint64_t v = parse_uint_option(key, value);
+  if (v == 0) throw InvalidArgument("bad " + key + " value: " + value);
+  return static_cast<std::size_t>(v);
 }
 
 OptionSet OptionSet::from_args(const std::vector<std::string>& args,
@@ -101,6 +109,11 @@ double OptionSet::get_double(const std::string& key, double def) {
 std::size_t OptionSet::get_count(const std::string& key, std::size_t def) {
   const auto v = take(key);
   return v.has_value() ? parse_count_option(key, *v) : def;
+}
+
+std::uint64_t OptionSet::get_uint(const std::string& key, std::uint64_t def) {
+  const auto v = take(key);
+  return v.has_value() ? parse_uint_option(key, *v) : def;
 }
 
 bool OptionSet::get_flag(const std::string& key, bool def) {

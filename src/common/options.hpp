@@ -17,6 +17,7 @@
 // nobody claimed, in the order the user wrote them.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +59,8 @@ class OptionSet {
   double get_double(const std::string& key, double def);
   /// Positive integer ("bad <key> value" on 0, sign, or trailing junk).
   std::size_t get_count(const std::string& key, std::size_t def);
+  /// Non-negative integer: like get_count, but 0 is allowed (seeds).
+  std::uint64_t get_uint(const std::string& key, std::uint64_t def);
   /// "0" or "1" only ("bad <key> value: <v> (expected 0|1)").
   bool get_flag(const std::string& key, bool def);
   /// One of `choices`; `label` names the option in the error message
@@ -98,6 +101,8 @@ class OptionSet {
 /// Standalone value parsers behind the typed getters, shared with call
 /// sites that validate values from other sources (campaign specs).
 double parse_double_option(const std::string& key, const std::string& value);
+std::uint64_t parse_uint_option(const std::string& key,
+                                const std::string& value);
 std::size_t parse_count_option(const std::string& key,
                                const std::string& value);
 

@@ -11,17 +11,6 @@
 
 namespace ocelot {
 
-void pack_codes(std::span<const std::uint32_t> codes,
-                const CompressionConfig& config, ByteSink& out) {
-  OCELOT_SPAN("codec.entropy.codes");
-  const std::size_t out_before = out.size();
-  const EntropyStage& stage =
-      EntropyRegistry::instance().by_name(config.entropy);
-  entropy_encode_codes(codes, stage, config.lossless, out);
-  OCELOT_COUNT("codec.entropy_in_bytes", codes.size_bytes());
-  OCELOT_COUNT("codec.entropy_out_bytes", out.size() - out_before);
-}
-
 void pack_codes_hist(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
@@ -35,33 +24,10 @@ void pack_codes_hist(
   OCELOT_COUNT("codec.entropy_out_bytes", out.size() - out_before);
 }
 
-void pack_codes(std::span<const std::uint32_t> codes, LosslessBackend lossless,
-                ByteSink& out) {
-  OCELOT_SPAN("codec.entropy.codes");
-  const std::size_t out_before = out.size();
-  entropy_encode_codes(codes, EntropyRegistry::instance().by_name("huffman"),
-                       lossless, out);
-  OCELOT_COUNT("codec.entropy_in_bytes", codes.size_bytes());
-  OCELOT_COUNT("codec.entropy_out_bytes", out.size() - out_before);
-}
-
-Bytes pack_codes(std::span<const std::uint32_t> codes,
-                 LosslessBackend lossless) {
-  BytesWriter out;
-  pack_codes(codes, lossless, out);
-  return out.take();
-}
-
 void unpack_codes_into(std::span<const std::uint8_t> packed,
                        std::vector<std::uint32_t>& out) {
   OCELOT_SPAN("codec.entropy.decode");
   entropy_decode_codes_into(packed, out);
-}
-
-std::vector<std::uint32_t> unpack_codes(std::span<const std::uint8_t> packed) {
-  std::vector<std::uint32_t> out;
-  unpack_codes_into(packed, out);
-  return out;
 }
 
 template <typename T>
@@ -83,18 +49,6 @@ template void pack_raw_values<double>(std::span<const double>, LosslessBackend,
                                       ByteSink&);
 
 template <typename T>
-Bytes pack_raw_values(const std::vector<T>& values, LosslessBackend lossless) {
-  BytesWriter out;
-  pack_raw_values(std::span<const T>(values), lossless, out);
-  return out.take();
-}
-
-template Bytes pack_raw_values<float>(const std::vector<float>&,
-                                      LosslessBackend);
-template Bytes pack_raw_values<double>(const std::vector<double>&,
-                                       LosslessBackend);
-
-template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
                             std::vector<T>& out) {
   PooledBuffer bytes(BufferPool::shared());
@@ -109,18 +63,6 @@ template void unpack_raw_values_into<float>(std::span<const std::uint8_t>,
                                             std::vector<float>&);
 template void unpack_raw_values_into<double>(std::span<const std::uint8_t>,
                                              std::vector<double>&);
-
-template <typename T>
-std::vector<T> unpack_raw_values(std::span<const std::uint8_t> packed) {
-  std::vector<T> values;
-  unpack_raw_values_into(packed, values);
-  return values;
-}
-
-template std::vector<float> unpack_raw_values<float>(
-    std::span<const std::uint8_t>);
-template std::vector<double> unpack_raw_values<double>(
-    std::span<const std::uint8_t>);
 
 BackendRegistry::BackendRegistry() {
   for (auto& backend : make_sz_backends()) add(std::move(backend));

@@ -143,43 +143,26 @@ class SectionReader {
 
 /// Shared entropy stage for quantized-code sections. Every backend
 /// funnels its quantizer output through these so ratios stay
-/// comparable across families. The config form resolves the stage from
+/// comparable across families. pack_codes_hist resolves the stage from
 /// CompressionConfig::entropy via the EntropyRegistry and writes a
 /// self-describing packed section (the decoder dispatches on the
-/// section's leading byte, so unpack needs no config); with the
-/// default "huffman" stage the bytes match the legacy chain exactly.
-void pack_codes(std::span<const std::uint32_t> codes,
-                const CompressionConfig& config, ByteSink& out);
-/// Histogram-aware form for the fused encode path: `hist` must be the
-/// exact symbol-sorted histogram of `codes` (FusedQuant::hist_view),
-/// letting the huffman stage skip its counting pass. Bytes identical
-/// to pack_codes.
+/// section's leading byte, so unpack needs no config). `hist` must be
+/// the exact symbol-sorted histogram of `codes`
+/// (FusedQuant::hist_view), letting the huffman stage skip its
+/// counting pass.
 void pack_codes_hist(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     const CompressionConfig& config, ByteSink& out);
-/// Deprecated legacy forms, fixed to the Huffman+`lossless` chain.
-/// Kept for wire-format tests and out-of-tree callers; new code should
-/// pass the config (sink form) so the entropy stage stays pluggable.
-void pack_codes(std::span<const std::uint32_t> codes, LosslessBackend lossless,
-                ByteSink& out);
-Bytes pack_codes(std::span<const std::uint32_t> codes,
-                 LosslessBackend lossless);
 void unpack_codes_into(std::span<const std::uint8_t> packed,
                        std::vector<std::uint32_t>& out);
-/// Deprecated Bytes-returning wrapper; prefer unpack_codes_into.
-std::vector<std::uint32_t> unpack_codes(std::span<const std::uint8_t> packed);
 
 template <typename T>
 void pack_raw_values(std::span<const T> values, LosslessBackend lossless,
                      ByteSink& out);
 template <typename T>
-Bytes pack_raw_values(const std::vector<T>& values, LosslessBackend lossless);
-template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
                             std::vector<T>& out);
-template <typename T>
-std::vector<T> unpack_raw_values(std::span<const std::uint8_t> packed);
 
 /// One tunable knob of a backend, for `ocelot backends` and docs.
 /// `field` names the CompressionConfig member that carries the value.

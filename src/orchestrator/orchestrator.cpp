@@ -38,7 +38,7 @@ struct Orchestrator::Runtime {
 };
 
 Orchestrator::Orchestrator(OrchestratorOptions options)
-    : options_(std::move(options)), engine_(options_.queue_kind) {
+    : options_(std::move(options)) {
   faas_ = std::make_unique<FuncXService>(engine_);
   globus_ =
       std::make_unique<GlobusService>(engine_, options_.endpoint_settings);

@@ -31,7 +31,6 @@
 #include "sim/engine.hpp"
 #include "sim/fair_share.hpp"
 #include "sim/link_flap.hpp"
-#include "sim/tuning.hpp"
 #include "transfer/globus.hpp"
 
 namespace ocelot {
@@ -95,9 +94,6 @@ struct OrchestratorOptions {
   std::map<std::string, int> pool_nodes;
   /// GridFTP endpoint-pair tuning shared by all campaigns.
   EndpointSettings endpoint_settings;
-  /// Event-queue implementation for the engine (calendar by default;
-  /// heap for differential runs).
-  sim::QueueKind queue_kind = sim::default_queue_kind();
 };
 
 class Orchestrator {

@@ -10,11 +10,9 @@
 // workloads contend for shared resources instead of living in
 // separate, closed-form timelines.
 //
-// Fleet scale: the default calendar-queue scheduler plus pooled event
-// records and pooled process handles make the schedule→fire→drop
-// cycle allocation-free in steady state; pass QueueKind::kHeap (or
-// set OCELOT_SIM_QUEUE=heap) to run on the reference binary heap
-// instead — results are bit-identical either way.
+// Fleet scale: the calendar-queue scheduler plus pooled event records
+// and pooled process handles make the schedule→fire→drop cycle
+// allocation-free in steady state.
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +26,6 @@
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
-#include "sim/tuning.hpp"
 
 namespace ocelot::sim {
 
@@ -36,8 +33,7 @@ class Engine {
  public:
   using Callback = EventQueue::Callback;
 
-  explicit Engine(QueueKind queue_kind = default_queue_kind())
-      : queue_(queue_kind), pool_(std::make_shared<ChunkPool>()) {}
+  Engine() : pool_(std::make_shared<ChunkPool>()) {}
 
   /// Current virtual time in seconds.
   [[nodiscard]] double now() const { return clock_.now(); }
@@ -79,10 +75,6 @@ class Engine {
   [[nodiscard]] bool idle() { return queue_.empty(); }
   [[nodiscard]] std::size_t pending() const { return queue_.live(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
-  [[nodiscard]] QueueKind queue_kind() const { return queue_.kind(); }
-
-  /// The queue's tombstone sweeps so far (purge-rate observability).
-  [[nodiscard]] std::uint64_t queue_purges() const { return queue_.purges(); }
 
   /// Spawns a named process starting at the current virtual time.
   ProcessHandle spawn(std::string name) {

@@ -7,15 +7,10 @@
 // cancelling after it fired is a no-op. Handles are cheap to copy and
 // may outlive the engine safely.
 //
-// Two storage models back a handle, matching the two EventQueue
-// implementations:
-//   * calendar (default): the event lives in a slot of the queue's
-//     EventPool — a free-listed record array with generation counters,
-//     so scheduling allocates nothing in steady state. The handle
-//     holds (weak pool, slot, generation); a stale generation means
-//     the event already fired.
-//   * heap (reference): one shared EventState per event, exactly the
-//     original allocation behaviour, kept for differential testing.
+// The event lives in a slot of the queue's EventPool — a free-listed
+// record array with generation counters, so scheduling allocates
+// nothing in steady state. The handle holds (weak pool, slot,
+// generation); a stale generation means the event already fired.
 
 #include <cstdint>
 #include <memory>
@@ -34,21 +29,7 @@ namespace detail {
 /// larger captures still work via the heap fallback.
 using EventCallback = InlineFunction<void(), 128>;
 
-/// Live-event bookkeeping shared between the heap queue and its
-/// handles.
-struct QueueCounters {
-  std::size_t live = 0;
-};
-
-/// Reference (heap-queue) per-event record.
-struct EventState {
-  bool cancelled = false;
-  bool fired = false;
-  std::weak_ptr<QueueCounters> counters;
-  EventCallback cb;
-};
-
-/// Slot pool for calendar-queue event records: a vector of reusable
+/// Slot pool for event-queue records: a vector of reusable
 /// slots threaded on a LIFO free list. Generations disambiguate
 /// handles to recycled slots; cancelled slots stay allocated (as
 /// tombstones the queue sweeps) until collected.
@@ -140,7 +121,6 @@ class EventHandle {
 
   /// True while the event is scheduled and not cancelled.
   [[nodiscard]] bool active() const {
-    if (state_) return !state_->cancelled && !state_->fired;
     if (auto pool = pool_.lock()) return pool->handle_active(slot_, gen_);
     return false;
   }
@@ -148,31 +128,19 @@ class EventHandle {
   /// Cancels the event; returns false if it already fired or was
   /// already cancelled (or the handle is empty).
   bool cancel() {
-    if (state_) {
-      if (state_->cancelled || state_->fired) return false;
-      state_->cancelled = true;
-      state_->cb = nullptr;  // free captures immediately
-      if (auto counters = state_->counters.lock()) --counters->live;
-      return true;
-    }
     if (auto pool = pool_.lock()) return pool->cancel(slot_, gen_);
     return false;
   }
 
  private:
-  friend class HeapQueue;
-  friend class CalendarQueue;
-  explicit EventHandle(std::shared_ptr<detail::EventState> state)
-      : state_(std::move(state)) {}
+  friend class EventQueue;
   EventHandle(const std::shared_ptr<detail::EventPool>& pool,
               std::uint32_t slot, std::uint32_t gen)
       : pool_(pool), slot_(slot), gen_(gen) {}
 
-  // Heap (reference) mode: shared per-event state.
-  std::shared_ptr<detail::EventState> state_;
-  // Calendar mode: (pool, slot, generation). The pool reference is
-  // weak so a callback capturing its own handle (task objects do)
-  // cannot keep the whole pool — and thus itself — alive in a cycle.
+  // The pool reference is weak so a callback capturing its own handle
+  // (task objects do) cannot keep the whole pool — and thus itself —
+  // alive in a cycle.
   std::weak_ptr<detail::EventPool> pool_;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
-#include "sim/tuning.hpp"
 
 namespace ocelot::sim {
 
@@ -46,7 +45,7 @@ std::vector<double> max_min_allocation(double capacity,
 FairShareChannel::FairShareChannel(Engine& engine, std::string name,
                                    double capacity)
     : engine_(engine), name_(std::move(name)), capacity_(capacity),
-      reference_(reference_fair_share()), last_update_(engine.now()) {
+      last_update_(engine.now()) {
   require(capacity > 0.0, "FairShareChannel: capacity must be positive");
 }
 
@@ -69,7 +68,6 @@ FairShareChannel::FlowId FairShareChannel::open_flow(double demand,
   flow.opened_at = engine_.now();
   flow.on_complete = std::move(on_complete);
   active_.push_back(id);
-  if (reference_) reference_index_.emplace(id, id);
   sorted_.insert(
       std::upper_bound(sorted_.begin(), sorted_.end(),
                        std::make_pair(demand, id)),
@@ -168,7 +166,7 @@ void FairShareChannel::sync_progress() {
   if (dt > 0.0) {
     double rate_units = 0.0;
     for (const FlowId id : active_) {
-      Hot& hot = hot_[slot_of(id)];
+      Hot& hot = hot_[id];
       hot.progress = std::min(hot.work, hot.progress + hot.fraction * dt);
       rate_units += hot.fraction * hot.stat_rate;
     }
@@ -179,14 +177,14 @@ void FairShareChannel::sync_progress() {
   last_update_ = now;
 }
 
-void FairShareChannel::apply_fraction(std::size_t slot, double fraction,
-                                      double now, double& earliest) {
-  Hot& hot = hot_[slot];
+void FairShareChannel::apply_fraction(FlowId id, double fraction, double now,
+                                      double& earliest) {
+  Hot& hot = hot_[id];
   // hot.fraction mirrors segments.back().fraction (and is -1 while the
   // history is empty), so an unchanged rate skips the cold record
   // entirely.
   if (hot.fraction != fraction) {
-    SegmentVec& segments = segments_[slot];
+    SegmentVec& segments = segments_[id];
     if (!segments.empty() && segments.back().wall == now) {
       // Batch same-timestamp rate updates: no virtual time has passed
       // since the last segment began, so overwrite its rate in place
@@ -217,36 +215,20 @@ void FairShareChannel::reallocate() {
   OCELOT_COUNT("sim.fairshare.reallocs", 1);
   OCELOT_HIST("sim.fairshare.flows", static_cast<double>(active_.size()));
 
+  // sorted_ already holds (demand, id) ascending — the same order
+  // max_min_allocation sorts into (ids ascend in active_-position
+  // order) — so one sequential pass performs the identical
+  // floating-point operations and yields bit-identical rates with zero
+  // allocations.
   double earliest = kNever;
-  if (reference_) {
-    // Reference path: full max-min recompute with scratch vectors and
-    // an internal sort, exactly the original implementation.
-    std::vector<double> demands;
-    demands.reserve(active_.size());
-    for (const FlowId id : active_) {
-      demands.push_back(hot_[slot_of(id)].demand);
-    }
-    const std::vector<double> alloc = max_min_allocation(capacity_, demands);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const std::size_t slot = slot_of(active_[i]);
-      apply_fraction(slot, alloc[i] / hot_[slot].demand, now, earliest);
-    }
-  } else {
-    // Incremental path: sorted_ already holds (demand, id) ascending —
-    // the same order max_min_allocation sorts into (ids ascend in
-    // active_-position order) — so one sequential pass performs the
-    // identical floating-point operations and yields bit-identical
-    // rates with zero allocations.
-    double remaining = capacity_;
-    std::size_t unmet = sorted_.size();
-    for (const auto& [demand, id] : sorted_) {
-      const double fair = remaining / static_cast<double>(unmet);
-      const double alloc = std::min(demand, fair);
-      remaining -= alloc;
-      --unmet;
-      apply_fraction(static_cast<std::size_t>(id), alloc / demand, now,
-                     earliest);
-    }
+  double remaining = capacity_;
+  std::size_t unmet = sorted_.size();
+  for (const auto& [demand, id] : sorted_) {
+    const double fair = remaining / static_cast<double>(unmet);
+    const double alloc = std::min(demand, fair);
+    remaining -= alloc;
+    --unmet;
+    apply_fraction(id, alloc / demand, now, earliest);
   }
 
   next_completion_.cancel();
@@ -262,16 +244,15 @@ void FairShareChannel::on_completion_event() {
   // ids are assigned monotonically, so this is deterministic.
   done_scratch_.clear();
   for (const FlowId id : active_) {
-    const Hot& hot = hot_[slot_of(id)];
+    const Hot& hot = hot_[id];
     if (hot.progress >= hot.work - eps_for(hot.work)) {
       done_scratch_.push_back(id);
     }
   }
   callbacks_scratch_.clear();
   for (const FlowId id : done_scratch_) {
-    const std::size_t slot = slot_of(id);
-    Hot& hot = hot_[slot];
-    Flow& flow = flows_[slot];
+    Hot& hot = hot_[id];
+    Flow& flow = flows_[id];
     hot.progress = hot.work;  // pin exact completion
     flow.active = false;
     flow.completed = true;

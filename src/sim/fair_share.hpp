@@ -18,19 +18,16 @@
 // delivered s seconds of service?") — the sentinel uses that to learn
 // which files already moved when it cancels a transfer mid-flight.
 //
-// Fleet scale: the default implementation maintains flows in a sorted
-// (demand, id) structure across add/remove, so each reallocation is a
-// single allocation-free sequential pass instead of a fresh
-// sort + scratch vectors. The floating-point operations are performed
-// in exactly the order of the reference max_min_allocation path, so
-// results are bit-identical; set OCELOT_SIM_REFERENCE=1 (or
-// set_reference_fair_share) to run the original full-recompute path
-// for differential testing. Same-timestamp rate updates are batched
-// into a single rate segment in both modes.
+// Fleet scale: the channel maintains flows in a sorted (demand, id)
+// structure across add/remove, so each reallocation is a single
+// allocation-free sequential pass instead of a fresh sort + scratch
+// vectors. The floating-point operations are performed in exactly the
+// order of max_min_allocation, so rates are bit-identical to that
+// oracle (tests/test_sim_engine.cpp checks it with exact equality).
+// Same-timestamp rate updates are batched into a single rate segment.
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -96,7 +93,6 @@ class FairShareChannel {
   [[nodiscard]] double capacity() const { return capacity_; }
   [[nodiscard]] std::size_t active_flows() const { return active_.size(); }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] bool reference_mode() const { return reference_; }
   [[nodiscard]] std::uint64_t reallocations() const { return reallocs_; }
 
  private:
@@ -137,25 +133,16 @@ class FairShareChannel {
 
   const Flow& flow_ref(FlowId id) const;
   const Hot& hot_ref(FlowId id) const;
-  /// Hot-path slot resolution: the identity normally; one map lookup
-  /// per access in reference mode, reproducing the original map-backed
-  /// flow table so the A/B bench row carries the true pre-incremental
-  /// cost (conservatively — the original's map also owned the Flow
-  /// nodes, scattering them across the heap).
-  [[nodiscard]] std::size_t slot_of(FlowId id) const {
-    return reference_ ? reference_index_.find(id)->second
-                      : static_cast<std::size_t>(id);
-  }
   /// Advances all active flows' progress (and the stats integrals) to
   /// the current virtual time.
   void sync_progress();
   /// Recomputes fair-share rates and reschedules the next completion.
   void reallocate();
-  /// Records `fraction` for the flow in `slot` at `now` (batching
+  /// Records `fraction` for flow `id` at `now` (batching
   /// same-timestamp updates into one segment) and folds its finish
   /// time into `earliest`. Touches the cold record only when the
   /// fraction actually changed.
-  void apply_fraction(std::size_t slot, double fraction, double now,
+  void apply_fraction(FlowId id, double fraction, double now,
                       double& earliest);
   /// Drops `id` from active_ and from the sorted demand structure.
   void remove_active(FlowId id, double demand);
@@ -164,7 +151,6 @@ class FairShareChannel {
   Engine& engine_;
   std::string name_;
   double capacity_;
-  const bool reference_;  ///< full-recompute reference path?
   std::vector<Hot> hot_;        ///< indexed by FlowId; dense hot state
   std::vector<Flow> flows_;     ///< indexed by FlowId
   std::vector<SegmentVec> segments_;  ///< indexed by FlowId; rate history
@@ -172,9 +158,6 @@ class FairShareChannel {
   /// Active flows sorted ascending by (demand, id) — maintained across
   /// add/remove so reallocation is one sequential pass.
   std::vector<std::pair<double, FlowId>> sorted_;
-  /// Reference mode only: FlowId -> flows_ position, consulted on
-  /// every hot-path access like the original std::map<FlowId, Flow>.
-  std::map<FlowId, std::size_t> reference_index_;
   std::vector<FlowId> done_scratch_;
   std::vector<FlowCallback> callbacks_scratch_;
   EventHandle next_completion_;

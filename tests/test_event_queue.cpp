@@ -1,25 +1,28 @@
-// Differential and regression tests for the event-queue pair: the
-// calendar queue must pop the exact (time, seq, payload) sequence the
-// reference binary heap pops on any workload, both must keep memory
-// O(live) under schedule/cancel churn, and the supporting pieces
-// (InlineFunction, ChunkPool) must behave as advertised.
+// Differential and regression tests for the event queue: the calendar
+// queue must pop the exact (time, seq, payload) sequence the binary-heap
+// oracle (tests/support/heap_queue.hpp) pops on any workload, both must
+// keep memory O(live) under schedule/cancel churn, and the supporting
+// pieces (InlineFunction, ChunkPool) must behave as advertised.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/inline_function.hpp"
 #include "common/pool_alloc.hpp"
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/event_queue.hpp"
+#include "support/heap_queue.hpp"
 
 namespace ocelot::sim {
 namespace {
 
 /// One scripted queue operation, generated once and replayed against
-/// both implementations.
+/// both queues.
 struct Op {
   enum Kind { kPush, kPop, kCancel } kind;
   double time_draw = 0.0;   ///< for kPush: offset factor over `now`
@@ -56,14 +59,14 @@ std::vector<Op> make_script(std::uint64_t seed, std::size_t n) {
   return ops;
 }
 
-/// Replays `ops` on a queue of `kind`; returns the popped
-/// (time, payload) sequence. Push times honour the engine contract
-/// (>= last popped time).
-std::vector<std::pair<double, int>> replay(QueueKind kind,
-                                           const std::vector<Op>& ops) {
-  EventQueue queue(kind);
+/// Replays `ops` on a fresh `Queue`; returns the popped (time, payload)
+/// sequence. Push times honour the engine contract (>= last popped
+/// time).
+template <typename Queue>
+std::vector<std::pair<double, int>> replay(const std::vector<Op>& ops) {
+  Queue queue;
   std::vector<std::pair<double, int>> popped;
-  std::vector<EventHandle> handles;
+  std::vector<typename Queue::Handle> handles;
   double now = 0.0;
   int payload = 0;
   for (const Op& op : ops) {
@@ -102,8 +105,8 @@ std::vector<std::pair<double, int>> replay(QueueKind kind,
 TEST(EventQueueDifferential, CalendarMatchesHeapOnRandomWorkloads) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull, 99999ull}) {
     const std::vector<Op> ops = make_script(seed, 4000);
-    const auto heap = replay(QueueKind::kHeap, ops);
-    const auto calendar = replay(QueueKind::kCalendar, ops);
+    const auto heap = replay<HeapQueue>(ops);
+    const auto calendar = replay<EventQueue>(ops);
     ASSERT_EQ(heap.size(), calendar.size()) << "seed " << seed;
     for (std::size_t i = 0; i < heap.size(); ++i) {
       EXPECT_EQ(heap[i].first, calendar[i].first)
@@ -114,100 +117,107 @@ TEST(EventQueueDifferential, CalendarMatchesHeapOnRandomWorkloads) {
   }
 }
 
-TEST(EventQueueDifferential, TiesPopInSubmissionOrder) {
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
-    std::vector<int> order;
-    for (int i = 0; i < 100; ++i) {
-      queue.push(3.25, [&order, i] { order.push_back(i); });
-    }
-    while (!queue.empty()) queue.pop().second();
-    ASSERT_EQ(order.size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+/// Contract tests run against both the calendar queue and the heap
+/// oracle: a replacement queue must pass them too.
+template <typename Queue>
+class QueueContract : public ::testing::Test {};
+using QueueTypes = ::testing::Types<EventQueue, HeapQueue>;
+TYPED_TEST_SUITE(QueueContract, QueueTypes);
+
+TYPED_TEST(QueueContract, TiesPopInSubmissionOrder) {
+  TypeParam queue;
+  std::vector<int> order;
+  for (int i = 0; i < 100; ++i) {
+    queue.push(3.25, [&order, i] { order.push_back(i); });
   }
+  while (!queue.empty()) queue.pop().second();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueDifferential, NearPastPushAfterFarFuturePop) {
+TYPED_TEST(QueueContract, NearPastPushAfterFarFuturePop) {
   // Events scheduled behind the scan frontier (but >= the last popped
   // time) must still come out in order — the calendar rewinds.
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
-    queue.push(1e6, [] {});
-    ASSERT_FALSE(queue.empty());
-    EXPECT_EQ(queue.pop().first, 1e6);
-    queue.push(1e6 + 1.0, [] {});
-    queue.push(1e6, [] {});  // == last popped time: near past
-    EXPECT_EQ(queue.pop().first, 1e6);
-    EXPECT_EQ(queue.pop().first, 1e6 + 1.0);
-    EXPECT_TRUE(queue.empty());
-  }
+  TypeParam queue;
+  queue.push(1e6, [] {});
+  ASSERT_FALSE(queue.empty());
+  EXPECT_EQ(queue.pop().first, 1e6);
+  queue.push(1e6 + 1.0, [] {});
+  queue.push(1e6, [] {});  // == last popped time: near past
+  EXPECT_EQ(queue.pop().first, 1e6);
+  EXPECT_EQ(queue.pop().first, 1e6 + 1.0);
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueueChurn, MemoryStaysProportionalToLiveEvents) {
+TYPED_TEST(QueueContract, MemoryStaysProportionalToLiveEvents) {
   // Schedule/cancel churn: every round adds two events and cancels
-  // one; tombstone sweeps must keep physical storage O(live) for both
-  // implementations.
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
-    Rng rng(5);
-    double now = 0.0;
-    for (int round = 0; round < 20000; ++round) {
-      // The timeout-rearm pattern that used to leak: each round arms
-      // two far-future timeouts, retracts them (they never reach the
-      // pop frontier, so only the threshold sweep can reclaim them),
-      // and executes one near event.
-      EventHandle a = queue.push(now + rng.uniform(1e5, 2e5), [] {});
-      EventHandle b = queue.push(now + rng.uniform(1e5, 2e5), [] {});
-      queue.push(now + rng.uniform(0.0, 10.0), [] {});
-      a.cancel();
-      b.cancel();
-      if (!queue.empty()) now = queue.pop().first;
-      const std::size_t bound = 4 * (queue.live() + 1) + 64;
-      ASSERT_LE(queue.physical_entries(), bound)
-          << "kind " << static_cast<int>(kind) << " round " << round;
-    }
-    // The heap can only reclaim deep tombstones through compaction;
-    // the calendar's bucket-head pruning alone keeps this workload at
-    // a handful of physical entries (the bound above proves it).
-    if (kind == QueueKind::kHeap) EXPECT_GT(queue.purges(), 0u);
+  // one; tombstone sweeps must keep physical storage O(live).
+  TypeParam queue;
+  Rng rng(5);
+  double now = 0.0;
+  for (int round = 0; round < 20000; ++round) {
+    // The timeout-rearm pattern that used to leak: each round arms
+    // two far-future timeouts, retracts them (they never reach the
+    // pop frontier, so only the threshold sweep can reclaim them),
+    // and executes one near event.
+    auto a = queue.push(now + rng.uniform(1e5, 2e5), [] {});
+    auto b = queue.push(now + rng.uniform(1e5, 2e5), [] {});
+    queue.push(now + rng.uniform(0.0, 10.0), [] {});
+    a.cancel();
+    b.cancel();
+    if (!queue.empty()) now = queue.pop().first;
+    const std::size_t bound = 4 * (queue.live() + 1) + 64;
+    ASSERT_LE(queue.physical_entries(), bound) << "round " << round;
   }
-}
-
-TEST(EventQueueChurn, MassCancellationIsSweptPromptly) {
-  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kHeap}) {
-    EventQueue queue(kind);
-    std::vector<EventHandle> handles;
-    for (int i = 0; i < 10000; ++i) {
-      handles.push_back(queue.push(static_cast<double>(i), [] {}));
-    }
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (i % 100 != 0) handles[i].cancel();
-    }
-    // A few pushes after the mass cancel trigger the sweep threshold.
-    for (int i = 0; i < 100; ++i) {
-      queue.push(20000.0 + i, [] {});
-    }
-    EXPECT_EQ(queue.live(), 200u);
-    EXPECT_LE(queue.physical_entries(), 4 * (queue.live() + 1) + 64);
+  // The heap can only reclaim deep tombstones through compaction; the
+  // calendar's bucket-head pruning alone keeps this workload at a
+  // handful of physical entries (the bound above proves it).
+  if constexpr (std::is_same_v<TypeParam, HeapQueue>) {
     EXPECT_GT(queue.purges(), 0u);
   }
 }
 
-TEST(CalendarQueue, EagerPurgeSweepsTombstonesBehindLiveHeads) {
+TYPED_TEST(QueueContract, MassCancellationIsSweptPromptly) {
+  TypeParam queue;
+  std::vector<typename TypeParam::Handle> handles;
+  for (int i = 0; i < 10000; ++i) {
+    handles.push_back(queue.push(static_cast<double>(i), [] {}));
+  }
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    if (i % 100 != 0) handles[i].cancel();
+  }
+  // A few pushes after the mass cancel trigger the sweep threshold.
+  for (int i = 0; i < 100; ++i) {
+    queue.push(20000.0 + i, [] {});
+  }
+  EXPECT_EQ(queue.live(), 200u);
+  EXPECT_LE(queue.physical_entries(), 4 * (queue.live() + 1) + 64);
+  EXPECT_GT(queue.purges(), 0u);
+}
+
+TEST(EventQueue, RejectsNonFiniteTimes) {
+  EventQueue queue;
+  EXPECT_THROW(queue.push(std::numeric_limits<double>::infinity(), [] {}),
+               InvalidArgument);
+  EXPECT_THROW(queue.push(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               InvalidArgument);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, EagerPurgeSweepsTombstonesBehindLiveHeads) {
   // Tombstones sitting behind a live bucket head are invisible to the
   // lazy head pruning; only the eager whole-calendar purge reclaims
   // them once they outnumber live events.
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
+  EventQueue queue;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 1000; ++i) {
-    queue.push(static_cast<double>(i), seq++, [] {});  // live head
-    doomed.push_back(queue.push(i + 0.3, seq++, [] {}));
-    doomed.push_back(queue.push(i + 0.6, seq++, [] {}));
+    queue.push(static_cast<double>(i), [] {});  // live head
+    doomed.push_back(queue.push(i + 0.3, [] {}));
+    doomed.push_back(queue.push(i + 0.6, [] {}));
   }
   for (EventHandle& h : doomed) h.cancel();
   EXPECT_EQ(queue.purges(), 0u);
-  queue.push(1000.0, seq++, [] {});  // trips the tombstones > live check
+  queue.push(1000.0, [] {});  // trips the tombstones > live check
   EXPECT_GT(queue.purges(), 0u);
   EXPECT_EQ(queue.live(), 1001u);
   EXPECT_EQ(queue.physical_entries(), 1001u);
@@ -219,13 +229,12 @@ TEST(CalendarQueue, EagerPurgeSweepsTombstonesBehindLiveHeads) {
   EXPECT_EQ(popped, 1001u);
 }
 
-TEST(CalendarQueue, BucketArrayGrowsAndShrinksWithLoad) {
-  CalendarQueue queue;
+TEST(EventQueue, BucketArrayGrowsAndShrinksWithLoad) {
+  EventQueue queue;
   Rng rng(11);
   const std::size_t initial_buckets = queue.bucket_count();
-  std::uint64_t seq = 0;
   for (int i = 0; i < 10000; ++i) {
-    queue.push(rng.uniform(0.0, 1000.0), seq++, [] {});
+    queue.push(rng.uniform(0.0, 1000.0), [] {});
   }
   EXPECT_GT(queue.bucket_count(), initial_buckets);
   EXPECT_GT(queue.resizes(), 0u);

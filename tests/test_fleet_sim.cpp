@@ -1,7 +1,6 @@
 // Fleet-scale simulation tests: deterministic campaign-set generation,
-// thousand-campaign fingerprint stability, cross-mode equivalence
-// (calendar vs heap queue, incremental vs reference fair share), and
-// the LinkFlap failure-injection hook.
+// thousand-campaign fingerprint stability, pinned fleet fingerprints,
+// and the LinkFlap failure-injection hook.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,32 +8,15 @@
 
 #include "datagen/campaigns.hpp"
 #include "orchestrator/orchestrator.hpp"
-#include "sim/tuning.hpp"
 
 namespace ocelot {
 namespace {
 
-/// Restores the global reference-fair-share flag on scope exit so a
-/// failing test cannot leak mode state into later tests.
-class ReferenceModeGuard {
- public:
-  explicit ReferenceModeGuard(bool value) : saved_(sim::reference_fair_share()) {
-    sim::set_reference_fair_share(value);
-  }
-  ~ReferenceModeGuard() { sim::set_reference_fair_share(saved_); }
-
- private:
-  bool saved_;
-};
-
-OrchestratorReport run_fleet(std::size_t count, std::uint64_t seed,
-                             sim::QueueKind kind) {
+OrchestratorReport run_fleet(std::size_t count, std::uint64_t seed) {
   CampaignSetConfig config;
   config.count = count;
   config.seed = seed;
-  OrchestratorOptions options = fleet_pool_options();
-  options.queue_kind = kind;
-  Orchestrator orch(std::move(options));
+  Orchestrator orch(fleet_pool_options());
   for (CampaignSpec& spec : generate_campaign_set(config)) {
     orch.add_campaign(std::move(spec));
   }
@@ -96,27 +78,31 @@ TEST(CampaignGenerator, CorridorProfilePinsTheRoute) {
 }
 
 TEST(FleetSim, ThousandCampaignsAreDeterministic) {
-  const auto first = run_fleet(1000, 42, sim::QueueKind::kCalendar);
-  const auto second = run_fleet(1000, 42, sim::QueueKind::kCalendar);
+  const auto first = run_fleet(1000, 42);
+  const auto second = run_fleet(1000, 42);
   ASSERT_EQ(first.campaigns.size(), 1000u);
   EXPECT_EQ(fingerprint(first), fingerprint(second));
   EXPECT_EQ(to_string(first), to_string(second));
 }
 
-TEST(FleetSim, CalendarQueueMatchesHeapAtScale) {
-  const auto calendar = run_fleet(300, 9, sim::QueueKind::kCalendar);
-  const auto heap = run_fleet(300, 9, sim::QueueKind::kHeap);
-  EXPECT_EQ(to_string(calendar), to_string(heap));
-}
-
-TEST(FleetSim, IncrementalFairShareMatchesReference) {
-  const auto incremental = run_fleet(300, 13, sim::QueueKind::kCalendar);
-  std::string reference_rendering;
-  {
-    ReferenceModeGuard guard(true);
-    reference_rendering = to_string(run_fleet(300, 13, sim::QueueKind::kHeap));
+TEST(FleetSim, FingerprintsMatchPinnedValues) {
+  // Pinned from the engine that still carried the binary-heap queue and
+  // the full-recompute fair share: every heap/calendar x
+  // reference/incremental combination printed these same values
+  // (`ocelot simulate campaigns=N seed=S`), so a change to the queue,
+  // the fair-share arithmetic or anything they schedule shows up here.
+  struct Pinned {
+    std::size_t campaigns;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+  };
+  for (const Pinned& pin : {Pinned{1000, 42, 0xec0f26153e14ddb7ull},
+                            Pinned{300, 9, 0x7c166fd8063acb57ull},
+                            Pinned{300, 13, 0x75c8cf25281f121cull}}) {
+    EXPECT_EQ(fingerprint(run_fleet(pin.campaigns, pin.seed)),
+              pin.fingerprint)
+        << "campaigns=" << pin.campaigns << " seed=" << pin.seed;
   }
-  EXPECT_EQ(to_string(incremental), reference_rendering);
 }
 
 TEST(FleetSim, LinkFlapSlowsTransfersDeterministically) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -108,6 +109,28 @@ TEST(OptionSet, StandaloneParsersShareErrorShape) {
   }
   EXPECT_THROW((void)parse_double_option("eb", "1x"), InvalidArgument);
   EXPECT_THROW((void)parse_count_option("workers", "-3"), InvalidArgument);
+}
+
+TEST(OptionSet, UnsignedGetterAcceptsZeroButNoSignOrJunk) {
+  OptionSet options = OptionSet::from_line(
+      "zero=0 big=18446744073709551615 neg=-2 plus=+2 junk=5x", "fleet");
+  EXPECT_EQ(options.get_uint("zero", 7), 0u);
+  EXPECT_EQ(options.get_uint("big", 0), 18446744073709551615ull);
+  EXPECT_EQ(options.get_uint("absent", 42), 42u);
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"neg", "-2"}, {"plus", "+2"}, {"junk", "5x"}}) {
+    try {
+      (void)options.get_uint(key, 0);
+      FAIL() << "expected InvalidArgument for " << key;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), "bad " + key + " value: " + value);
+    }
+  }
+  EXPECT_THROW((void)parse_uint_option("seed", "18446744073709551616"),
+               InvalidArgument);  // out of range
+  EXPECT_THROW((void)parse_uint_option("seed", ""), InvalidArgument);
+  EXPECT_THROW((void)parse_uint_option("seed", " 5"), InvalidArgument);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // `Simulation` alias.)
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/fair_share.hpp"
 
@@ -148,6 +150,50 @@ TEST(FairShare, ProgressHistoryInvertsCorrectly) {
   EXPECT_DOUBLE_EQ(channel.delivery_time(a, 7.5), 10.0);
   EXPECT_DOUBLE_EQ(channel.delivery_time(a, 10.0), 15.0);
   EXPECT_EQ(channel.delivery_time(a, 10.5), FairShareChannel::kNever);
+}
+
+TEST(FairShare, IncrementalRatesEqualMaxMinOracleExactly) {
+  // Every op runs at t=0, so each active flow has a single rate segment
+  // starting at service 0 and progress_at(id, 1.0) is exactly its
+  // current rate fraction. The channel's incremental pass promises
+  // max_min_allocation's floating-point operation order, not just its
+  // math, so the comparison is exact ==. Coarse demands make ties
+  // common; capacities are arbitrary reals so the fair-share divisions
+  // round.
+  std::size_t checks = 0;
+  for (const std::uint64_t seed : {3ull, 17ull, 2024ull}) {
+    Engine engine;
+    double capacity = 1000.0;
+    FairShareChannel channel(engine, "wan", capacity);
+    Rng rng(seed);
+    std::vector<FairShareChannel::FlowId> ids;  // active, ascending
+    std::vector<double> demands;                // parallel to ids
+    for (int op = 0; op < 300; ++op) {
+      const double r = rng.uniform();
+      if (r < 0.55 || ids.empty()) {
+        const double demand =
+            25.0 * static_cast<double>(rng.uniform_int(1, 16));
+        ids.push_back(channel.open_flow(demand, 1e6, {}));
+        demands.push_back(demand);
+      } else if (r < 0.85) {
+        const auto victim =
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1);
+        channel.cancel_flow(ids[victim]);
+        ids.erase(ids.begin() + victim);
+        demands.erase(demands.begin() + victim);
+      } else {
+        capacity = rng.uniform(100.0, 2000.0);
+        channel.set_capacity(capacity);
+      }
+      const std::vector<double> alloc = max_min_allocation(capacity, demands);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(channel.progress_at(ids[i], 1.0), alloc[i] / demands[i])
+            << "seed " << seed << " op " << op << " flow " << ids[i];
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 10000u);
 }
 
 TEST(FairShare, StatsIntegrateUtilization) {

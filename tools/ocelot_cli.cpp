@@ -56,7 +56,6 @@
 #include "core/workload.hpp"
 #include "datagen/campaigns.hpp"
 #include "datagen/datasets.hpp"
-#include "sim/tuning.hpp"
 #include "exec/parallel_codec.hpp"
 #include "io/block_container.hpp"
 #include "io/dataset_file.hpp"
@@ -772,54 +771,20 @@ CampaignSpec parse_campaign(const std::string& arg) {
 /// orchestrator at scale (no isolated baseline — at thousands of
 /// campaigns the per-campaign baseline is the scaling bench's job).
 int cmd_simulate_fleet(const std::vector<std::string>& args) {
+  OptionSet options = OptionSet::from_args(args, "fleet");
   CampaignSetConfig config;
-  OrchestratorOptions options = fleet_pool_options();
-  bool flap = false;
-  for (const std::string& arg : args) {
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("bad fleet option: " + arg);
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "campaigns") {
-      config.count = std::stoul(value);
-    } else if (key == "seed") {
-      config.seed = std::stoull(value);
-    } else if (key == "window") {
-      config.arrival_window_s = std::stod(value);
-    } else if (key == "profile") {
-      config.profile = value;
-    } else if (key == "stride") {
-      config.inventory_stride = std::stoul(value);
-    } else if (key == "queue") {
-      if (value == "heap") {
-        options.queue_kind = sim::QueueKind::kHeap;
-      } else if (value == "calendar") {
-        options.queue_kind = sim::QueueKind::kCalendar;
-      } else {
-        throw InvalidArgument("queue must be calendar|heap, got " + value);
-      }
-    } else if (key == "fairshare") {
-      if (value == "reference") {
-        sim::set_reference_fair_share(true);
-      } else if (value == "incremental") {
-        sim::set_reference_fair_share(false);
-      } else {
-        throw InvalidArgument(
-            "fairshare must be incremental|reference, got " + value);
-      }
-    } else if (key == "flap") {
-      if (value != "0" && value != "1")
-        throw InvalidArgument("bad flap value: " + value + " (expected 0|1)");
-      flap = value == "1";
-    } else {
-      throw InvalidArgument("unknown fleet key: " + key);
-    }
-  }
+  config.count = options.get_count("campaigns", config.count);
+  config.seed = options.get_uint("seed", config.seed);
+  config.arrival_window_s =
+      options.get_double("window", config.arrival_window_s);
+  config.profile = options.get_string("profile", config.profile);
+  config.inventory_stride =
+      options.get_count("stride", config.inventory_stride);
+  const bool flap = options.get_flag("flap", false);
+  options.reject_unknown("fleet", "key");
 
   std::vector<CampaignSpec> specs = generate_campaign_set(config);
-  Orchestrator orch(options);
+  Orchestrator orch(fleet_pool_options());
   for (CampaignSpec& spec : specs) orch.add_campaign(std::move(spec));
   if (flap) {
     sim::LinkFlapConfig flap_config;
@@ -835,12 +800,7 @@ int cmd_simulate_fleet(const std::vector<std::string>& args) {
   const double wall = timer.seconds();
 
   std::cout << "fleet " << report.campaigns.size() << " campaigns seed "
-            << config.seed << " profile " << config.profile << " queue "
-            << (options.queue_kind == sim::QueueKind::kHeap ? "heap"
-                                                            : "calendar")
-            << " fairshare "
-            << (sim::reference_fair_share() ? "reference" : "incremental")
-            << "\n";
+            << config.seed << " profile " << config.profile << "\n";
   std::cout << "makespan " << fmt_seconds(report.makespan) << ", "
             << report.events_executed << " events\n";
   // Wall-clock timing goes to stderr: stdout of the same invocation
@@ -905,9 +865,7 @@ int cmd_simulate(const std::vector<std::string>& raw_args) {
            "[,mode=np|cp|op][,at=0][,prio=0][,ratio=10][,nodes=16]"
            "[,adaptive=1] ...\n"
         << "       ocelot simulate campaigns=N [seed=42] [window=120]"
-           " [profile=corridor|mixed] [stride=16]"
-           " [queue=calendar|heap] [fairshare=incremental|reference]"
-           " [flap=0|1]\n"
+           " [profile=corridor|mixed] [stride=16] [flap=0|1]\n"
         << "Runs the campaigns concurrently over shared links, node\n"
         << "pools and funcX endpoints, then compares against isolated\n"
         << "runs of the same campaigns.\n"
@@ -962,18 +920,12 @@ int cmd_simulate(const std::vector<std::string>& raw_args) {
   return 0;
 }
 
-/// Parses "port=N" by hand: 0 is a valid value (ephemeral bind), which
+/// Parses a port number: 0 is a valid value (ephemeral bind), which
 /// get_count rejects by design.
 int parse_port(const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const unsigned long v = std::stoul(value, &consumed);
-    if (consumed != value.size() || v > 65535)
-      throw std::invalid_argument(value);
-    return static_cast<int>(v);
-  } catch (const std::exception&) {
-    throw InvalidArgument("bad port value: " + value);
-  }
+  const std::uint64_t v = parse_uint_option("port", value);
+  if (v > 65535) throw InvalidArgument("bad port value: " + value);
+  return static_cast<int>(v);
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
