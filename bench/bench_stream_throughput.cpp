@@ -9,7 +9,10 @@
 // gated in CI), plus a "legacy_buffered" baseline that rebuilds the
 // pre-streaming data path — fresh vectors per block, buffered section
 // assembly, per-block Bytes payloads — for an apples-to-apples
-// alloc/throughput comparison on identical container bytes.
+// alloc/throughput comparison on identical container bytes. A
+// "decompress_w1" row times block_decompress of the same container at
+// one worker (decompress_mb_s_w1, gated in CI) and checks that 2 and 4
+// workers decode the identical field.
 //
 // Usage: bench_stream_throughput [--smoke]
 //   --smoke  tiny field + short sweep for the CI gate. Both modes emit
@@ -186,6 +189,24 @@ int main(int argc, char** argv) {
     report.set_metric("throughput_vs_legacy",
                       mb_per_s > 0.0 ? stream_w1_mb_per_s / mb_per_s : 0.0);
   }
+
+  // Decompress at one worker on the same container, with the compress
+  // rows' discipline: an untimed warm rep, then `reps` timed ones.
+  (void)block_decompress(last.container, 1);
+  BlockDecompressResult decoded;
+  double decode_wall = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    decoded = block_decompress(last.container, 1);
+    decode_wall += decoded.wall_seconds;
+  }
+  const double decompress_mb_per_s =
+      decode_wall > 0.0 ? raw_mb * reps / decode_wall : 0.0;
+  table.add_row({"decompress", "1", fmt_double(decode_wall / reps * 1e3, 1),
+                 fmt_double(decompress_mb_per_s, 1), "-", "-", "-"});
+  report.add_row("decompress_w1", {{"workers", 1.0},
+                                   {"decompress_seconds", decode_wall / reps},
+                                   {"mb_per_s", decompress_mb_per_s}});
+  report.set_metric("decompress_mb_s_w1", decompress_mb_per_s);
   table.print(std::cout);
 
   // Wire-format invariant: the streaming path and the legacy path must
@@ -194,9 +215,21 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: streaming container differs from buffered bytes\n";
     return 1;
   }
+  // Decode invariant: the worker count never changes the field.
+  for (const std::size_t workers : {2u, 4u}) {
+    const BlockDecompressResult other =
+        block_decompress(last.container, workers);
+    if (!(other.field.shape() == decoded.field.shape()) ||
+        std::memcmp(other.field.values().data(),
+                    decoded.field.values().data(),
+                    decoded.field.byte_size()) != 0) {
+      std::cerr << "FATAL: decoding at " << workers
+                << " workers differs from 1 worker\n";
+      return 1;
+    }
+  }
 
   // Round-trip quality for the gate.
-  const BlockDecompressResult decoded = block_decompress(last.container, 2);
   const double abs_eb = resolve_abs_eb(field, config);
   const double err =
       max_abs_error<float>(field.values(), decoded.field.values());

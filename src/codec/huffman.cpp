@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "common/arena.hpp"
-#include "common/bitstream.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 #include "compressor/kernels/dispatch.hpp"
@@ -168,23 +169,51 @@ CodeView build_canonical(
   return {lengths, rev};
 }
 
-/// Packs the bit payload through a 64-bit accumulator. Bits land
-/// LSB-first per byte exactly like BitWriter: appending the
-/// bit-reversed codeword at the accumulator's fill point emits the
-/// codeword MSB-first. Flushing keeps the fill <= 7, and 7 + 57-bit
-/// max codeword fits the accumulator.
+/// Little-endian 8-byte load and store. memcpy compiles to one
+/// unaligned move; big-endian targets byte-swap.
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+void store_le64(std::uint8_t* p, std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, sizeof(w));
+}
+
+/// Packs the bit payload through a 64-bit accumulator straight into
+/// `dst`, which grows once to the histogram-derived `payload_bytes`
+/// plus 8 bytes of store slack. Bits land LSB-first per byte exactly
+/// like BitWriter: appending the bit-reversed codeword at the
+/// accumulator's fill point emits the codeword MSB-first. Every put
+/// stores the whole accumulator as one word and advances the cursor by
+/// the bytes it completed, so the fill stays <= 7 and 7 + a 57-bit max
+/// codeword fits the accumulator.
 void emit_payload(std::span<const std::uint32_t> symbols, const CodeView& code,
-                  ScratchArena& arena, Bytes& dst) {
+                  std::size_t payload_bytes, ScratchArena& arena, Bytes& dst) {
+  const std::size_t start = dst.size();
+  dst.reserve(start + payload_bytes + 8);
+  dst.resize(start + payload_bytes + 8);
+  std::uint8_t* const begin = dst.data() + start;
+  std::uint8_t* cur = begin;
   std::uint64_t acc = 0;
   int nbits = 0;
   const auto put = [&](std::uint64_t rev, int len) {
     acc |= rev << nbits;
     nbits += len;
-    while (nbits >= 8) {
-      dst.push_back(static_cast<std::uint8_t>(acc));
-      acc >>= 8;
-      nbits -= 8;
-    }
+    store_le64(cur, acc);
+    const int done = nbits >> 3;
+    cur += done;
+    // A 64-bit fill completes all eight bytes and leaves nothing; the
+    // select keeps the shift below 64.
+    acc = done < 8 ? acc >> (8 * done) : 0;
+    nbits &= 7;
   };
 
   const std::uint32_t min_sym = code.lengths.front().first;
@@ -216,7 +245,11 @@ void emit_payload(std::span<const std::uint32_t> symbols, const CodeView& code,
       put(code.rev[idx], code.lengths[idx].second);
     }
   }
-  if (nbits > 0) dst.push_back(static_cast<std::uint8_t>(acc));
+  // The last store already wrote the trailing partial byte.
+  const auto written =
+      static_cast<std::size_t>(cur - begin) + (nbits > 0 ? 1 : 0);
+  require(written == payload_bytes, "huffman: payload size mismatch");
+  dst.resize(start + payload_bytes);
 }
 
 /// Everything after the symbol count: code build, table emit, payload.
@@ -246,9 +279,11 @@ void encode_with_hist(
     payload_bits +=
         hist[i].second * static_cast<std::uint64_t>(code.lengths[i].second);
   }
-  out.put_varint((payload_bits + 7) / 8);
-  out.reserve((payload_bits + 7) / 8);
-  if (payload_bits > 0) emit_payload(symbols, code, arena, out.target());
+  const auto payload_bytes = static_cast<std::size_t>((payload_bits + 7) / 8);
+  out.put_varint(payload_bytes);
+  if (payload_bytes > 0) {
+    emit_payload(symbols, code, payload_bytes, arena, out.target());
+  }
 }
 
 /// Symbol-sorted histogram in arena storage: dense window counting
@@ -379,10 +414,13 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
   BytesReader in(data);
   const std::uint64_t n = in.get_varint();
   if (n == 0) return;
-  out.reserve(n);
 
   const std::uint64_t unique = in.get_varint();
   if (unique == 0) throw CorruptStream("huffman: empty code table");
+  // Every table entry is two varints, so a count the remaining bytes
+  // cannot hold is rejected before the table is allocated.
+  if (unique > in.remaining() / 2)
+    throw CorruptStream("huffman: code table exceeds the stream");
   ArenaScope scope;
   ScratchArena& arena = scope.arena();
   std::span<std::pair<std::uint32_t, int>> lengths =
@@ -456,31 +494,27 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
     }
   }
 
-  // Buffered payload reads: a 64-bit window refilled bytewise. The
-  // LUT consumes whole codewords; longer codes fall back to the
-  // canonical first_code walk bit by bit.
   const auto payload = in.get_blob();
+  // Every symbol of a code with >= 2 symbols costs at least one bit.
+  if (n > 8 * static_cast<std::uint64_t>(payload.size()))
+    throw CorruptStream("huffman: symbol count exceeds the payload");
+  out.resize(n);
+  std::uint32_t* const dst = out.data();
+
+  // A 64-bit window over the payload, consumed LSB-first. Bits above
+  // `navail` are either zero or the stream's next bits (word refills
+  // read ahead), so OR-ing a byte in again is harmless.
   const std::uint8_t* p = payload.data();
   const std::size_t nbytes = payload.size();
   std::size_t bpos = 0;
   std::uint64_t acc = 0;
   int navail = 0;
   const std::uint64_t lut_mask = lut_size - 1;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    while (navail <= 56 && bpos < nbytes) {
-      acc |= static_cast<std::uint64_t>(p[bpos++]) << navail;
-      navail += 8;
-    }
-    const std::uint32_t e = lut[acc & lut_mask];
-    const int len = static_cast<int>(e & 63u);
-    if (len != 0 && len <= navail) {
-      out.push_back(symbols_in_order[e >> 6]);
-      acc >>= len;
-      navail -= len;
-      continue;
-    }
-    // Slow path: codes longer than the LUT, or a (possibly truncated)
-    // stream tail.
+
+  // Canonical first_code walk, bit by bit: codes longer than the LUT,
+  // windows no LUT code covers, and stream tails shorter than the LUT
+  // entry's length.
+  const auto walk = [&]() -> std::uint32_t {
     std::uint64_t cw = 0;
     int l = 0;
     while (true) {
@@ -500,10 +534,77 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
       const auto ls = static_cast<std::size_t>(l);
       if (count_at[ls] != 0 && cw >= first_code[ls] &&
           cw < first_code[ls] + count_at[ls]) {
-        out.push_back(symbols_in_order[offset_at[ls] + (cw - first_code[ls])]);
-        break;
+        return symbols_in_order[offset_at[ls] + (cw - first_code[ls])];
       }
     }
+  };
+
+  std::uint64_t i = 0;
+  if (n >= 8 && nbytes >= 8) {
+    // Pair table over the LUT: per lut_bits window, one codeword or two
+    // whole codewords that fit the window together, as two u32
+    // symbols plus meta = bits | count << 4. Meta 0 marks a window the
+    // LUT does not decode. The second code is looked up with the
+    // window's unknown high bits zero. That equals the LUT entry for
+    // any high bits, even for an over-full (hostile) table whose codes
+    // overlap: a later, longer code that matched other high bits would
+    // be preceded in canonical order by a code of at most its length
+    // matching the zero bits, which would then own the entry.
+    std::span<std::uint32_t> pair_syms =
+        arena.alloc<std::uint32_t>(2 * lut_size);
+    std::span<std::uint8_t> pair_meta = arena.alloc<std::uint8_t>(lut_size);
+    for (std::size_t x = 0; x < lut_size; ++x) {
+      const std::uint32_t e1 = lut[x];
+      const int len1 = static_cast<int>(e1 & 63u);
+      pair_meta[x] = 0;
+      if (len1 == 0) continue;
+      const std::uint32_t e2 = lut[x >> len1];
+      const int len2 = static_cast<int>(e2 & 63u);
+      const bool two = len2 != 0 && len1 + len2 <= lut_bits;
+      pair_syms[2 * x] = symbols_in_order[e1 >> 6];
+      pair_syms[2 * x + 1] = two ? symbols_in_order[e2 >> 6] : 0;
+      pair_meta[x] = static_cast<std::uint8_t>(
+          two ? (len1 + len2) | (2 << 4) : len1 | (1 << 4));
+    }
+
+    // Each lookup writes two symbols and keeps `count` of them, so the
+    // loop stops 8 symbols short of n (4 lookups x 2).
+    const auto lookup = [&]() -> bool {
+      const std::size_t x = acc & lut_mask;
+      const unsigned m = pair_meta[x];
+      if (m == 0) return false;
+      std::memcpy(dst + i, &pair_syms[2 * x], 2 * sizeof(std::uint32_t));
+      acc >>= (m & 15u);
+      navail -= static_cast<int>(m & 15u);
+      i += m >> 4;
+      return true;
+    };
+    while (n - i >= 8 && nbytes - bpos >= 8) {
+      // Refill to >= 56 bits with one word; four lookups of at most
+      // lut_bits (<= 11) bits each never run the window dry.
+      acc |= load_le64(p + bpos) << navail;
+      bpos += static_cast<std::size_t>(63 - navail) >> 3;
+      navail |= 56;
+      if (lookup() && lookup() && lookup() && lookup()) continue;
+      dst[i++] = walk();
+    }
+  }
+
+  // The tail: bytewise refills, single LUT lookups.
+  for (; i < n; ++i) {
+    while (navail <= 56 && bpos < nbytes) {
+      acc |= static_cast<std::uint64_t>(p[bpos++]) << navail;
+      navail += 8;
+    }
+    const std::uint32_t e = lut[acc & lut_mask];
+    const int len = static_cast<int>(e & 63u);
+    if (len != 0 && len <= navail) {
+      dst[i] = symbols_in_order[e >> 6];
+      acc >>= len;
+      navail -= len;
+      continue;
+    }
+    dst[i] = walk();
   }
 }
 

@@ -18,9 +18,13 @@ constexpr std::size_t kHashBits = 16;
 // Output bytes one payload byte can produce at most (a 255 extension).
 constexpr std::uint64_t kMaxExpansion = 255;
 
-std::uint32_t hash4(const std::uint8_t* p) {
+std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+std::uint32_t hash_word(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
@@ -96,26 +100,31 @@ void compress_core(std::span<const std::uint8_t> raw, Bytes& out,
   std::size_t literal_start = 0;
 
   while (pos + kMinMatch <= raw.size()) {
-    const std::uint32_t h = hash4(base + pos);
+    const std::uint32_t word = load32(base + pos);
+    const std::uint32_t h = hash_word(word);
     const std::int64_t cand = table.get(h);
     table.put(h, pos);
 
-    std::size_t match_len = 0;
-    if (cand >= 0 && pos - static_cast<std::size_t>(cand) <= kMaxOffset &&
-        std::memcmp(base + cand, base + pos, kMinMatch) == 0) {
-      match_len = extend_match(base, static_cast<std::size_t>(cand), pos,
-                               raw.size() - pos);
-    }
+    // One branch-free predicate: on literal-heavy input (Huffman
+    // output) whether a candidate exists and is in range is a coin
+    // flip, while a verified 4-byte hit is rare and predictable. A
+    // missing candidate compares pos with itself and is masked off.
+    const bool found = cand >= 0;
+    const std::size_t cpos = found ? static_cast<std::size_t>(cand) : pos;
+    const bool hit = found & (pos - cpos <= kMaxOffset) &
+                     (load32(base + cpos) == word);
 
-    if (match_len >= kMinMatch) {
+    if (hit) {
+      const std::size_t match_len =
+          extend_match(base, cpos, pos, raw.size() - pos);
       emit_sequence(out, raw.subspan(literal_start, pos - literal_start),
-                    pos - static_cast<std::size_t>(cand), match_len);
+                    pos - cpos, match_len);
       // Refresh the table inside the match so later data can reference it.
       const std::size_t end = pos + match_len;
       for (std::size_t p = pos + 1;
            p + kMinMatch <= end && p + kMinMatch <= raw.size();
            p += 8) {  // sparse refresh keeps compression fast
-        table.put(hash4(base + p), p);
+        table.put(hash_word(load32(base + p)), p);
       }
       pos = end;
       literal_start = pos;

@@ -7,6 +7,7 @@
 #include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "compressor/backend.hpp"
+#include "compressor/kernels/dispatch.hpp"
 
 namespace ocelot {
 
@@ -67,11 +68,11 @@ double resolve_abs_eb(const NdArray<T>& data,
                       const CompressionConfig& config) {
   require(config.eb > 0.0, "compress: error bound must be positive");
   if (config.eb_mode == EbMode::kAbsolute) return config.eb;
-  const ValueSummary s = summarize(data.values());
+  const double range =
+      kernels::value_range(data.values().data(), data.values().size());
   // A constant field has zero range; fall back to the raw bound so the
   // quantizer still has a valid width.
-  const double range = s.range > 0.0 ? s.range : 1.0;
-  return config.eb * range;
+  return config.eb * (range > 0.0 ? range : 1.0);
 }
 
 template double resolve_abs_eb<float>(const NdArray<float>&,

@@ -39,4 +39,10 @@ void reset_simd_level();
 void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo,
                  std::uint32_t& hi);
 
+/// Dispatched value range (max - min) scan, bit-identical to
+/// summarize(values).range: a NaN first element yields NaN, later NaNs
+/// are skipped. n == 0 yields 0.
+double value_range(const float* v, std::size_t n);
+double value_range(const double* v, std::size_t n);
+
 }  // namespace ocelot::kernels

@@ -13,6 +13,8 @@
 namespace ocelot::kernels::scalar {
 void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo_out,
                  std::uint32_t& hi_out);
+double value_range(const float* v, std::size_t n);
+double value_range(const double* v, std::size_t n);
 void encode_line(const float* orig, float* recon, std::size_t base,
                  std::size_t estep, std::size_t cnt, std::size_t eoff,
                  int mode, FusedQuant<float>& q);
@@ -31,6 +33,8 @@ void decode_line(double* recon, std::size_t base, std::size_t estep,
 namespace ocelot::kernels::avx2 {
 void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo_out,
                  std::uint32_t& hi_out);
+double value_range(const float* v, std::size_t n);
+double value_range(const double* v, std::size_t n);
 void encode_line(const float* orig, float* recon, std::size_t base,
                  std::size_t estep, std::size_t cnt, std::size_t eoff,
                  int mode, FusedQuant<float>& q);

@@ -178,6 +178,20 @@ void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo,
   scalar::u32_min_max(v, n, lo, hi);
 }
 
+double value_range(const float* v, std::size_t n) {
+#ifdef OCELOT_HAVE_AVX2_TU
+  if (active_simd_level() == SimdLevel::kAvx2) return avx2::value_range(v, n);
+#endif
+  return scalar::value_range(v, n);
+}
+
+double value_range(const double* v, std::size_t n) {
+#ifdef OCELOT_HAVE_AVX2_TU
+  if (active_simd_level() == SimdLevel::kAvx2) return avx2::value_range(v, n);
+#endif
+  return scalar::value_range(v, n);
+}
+
 template <typename T>
 void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
                       std::size_t anchor_stride, bool cubic,

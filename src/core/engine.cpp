@@ -118,6 +118,12 @@ EngineResult Engine::compress(const FloatArray& field,
   EngineResult result;
   result.raw_bytes = field.byte_size();
   result.abs_eb = resolve_abs_eb(field, request.config);
+  // The codec gets the resolved bound as an absolute-mode config, so
+  // the field is scanned once. eb_mode is not serialized: the bytes are
+  // those of the relative request.
+  CompressionConfig config = request.config;
+  config.eb_mode = EbMode::kAbsolute;
+  config.eb = result.abs_eb;
 
   if (request.adaptive) {
     const std::size_t block_slabs =
@@ -125,7 +131,7 @@ EngineResult Engine::compress(const FloatArray& field,
     AdvisorPolicy local(request.adaptive_options);
     AdvisorPolicy* active = policy != nullptr ? policy : &local;
     const BlockCompressResult r =
-        block_compress(field, request.config, resolve_workers(request.workers),
+        block_compress(field, config, resolve_workers(request.workers),
                        block_slabs, active);
     out.insert(out.end(), r.container.begin(), r.container.end());
     result.compressed_bytes = r.container.size();
@@ -138,7 +144,7 @@ EngineResult Engine::compress(const FloatArray& field,
   Timer timer;
   const std::size_t before = out.size();
   ByteSink sink(out);
-  compress_into(field, request.config, sink);
+  compress_into(field, config, sink);
   result.compressed_bytes = out.size() - before;
   result.blocks = 1;
   result.wall_seconds = timer.seconds();

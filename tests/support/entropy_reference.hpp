@@ -1,0 +1,336 @@
+#pragma once
+// Bytewise entropy coders: the test-only oracles for the default
+// huffman + lzb chain.
+//
+// These are the chain's earlier hot loops, kept out of libocelot so
+// production has one implementation of each: the Huffman payload
+// packer that appends one byte at a time, the Huffman decode loop that
+// refills its bit window one byte at a time and appends one symbol at
+// a time, and LZB's greedy parse with the short-circuit candidate
+// probe. The production coders (word-at-a-time stores and refills, a
+// pair decode table, a branch-free probe) must reproduce them byte for
+// byte, and symbol for symbol or throw for throw on hostile input;
+// tests/test_entropy_identity.cpp diffs the two.
+//
+// The Huffman encoder takes its canonical code from HuffmanCode, so the
+// oracle pins the table framing and the payload packing, not the tree
+// construction (the golden blobs and the engine fingerprints pin that).
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "codec/huffman.hpp"
+#include "common/bytes.hpp"
+#include "common/error.hpp"
+
+namespace ocelot::reference {
+
+inline constexpr int kMaxCodeLength = 57;
+inline constexpr int kDecodeLutBits = 11;
+inline constexpr std::uint64_t kEmitTableSpan = 1u << 17;
+
+inline std::uint64_t bit_reverse(std::uint64_t w, int len) {
+  std::uint64_t r = 0;
+  for (int i = 0; i < len; ++i) {
+    r = (r << 1) | (w & 1u);
+    w >>= 1;
+  }
+  return r;
+}
+
+/// (symbol, length) sorted by symbol, with bit-reversed codewords.
+struct CodeView {
+  std::vector<std::pair<std::uint32_t, int>> lengths;
+  std::vector<std::uint64_t> rev;
+};
+
+/// The bytewise payload packer: a 64-bit accumulator flushed with one
+/// push_back per completed byte.
+inline void emit_payload(std::span<const std::uint32_t> symbols,
+                         const CodeView& code, Bytes& dst) {
+  std::uint64_t acc = 0;
+  int nbits = 0;
+  const auto put = [&](std::uint64_t rev, int len) {
+    acc |= rev << nbits;
+    nbits += len;
+    while (nbits >= 8) {
+      dst.push_back(static_cast<std::uint8_t>(acc));
+      acc >>= 8;
+      nbits -= 8;
+    }
+  };
+
+  const std::uint32_t min_sym = code.lengths.front().first;
+  const std::uint32_t max_sym = code.lengths.back().first;
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(max_sym) - min_sym + 1;
+  if (range <= kEmitTableSpan) {
+    std::vector<std::uint64_t> lut(range, 0);
+    for (std::size_t i = 0; i < code.lengths.size(); ++i) {
+      lut[code.lengths[i].first - min_sym] =
+          (code.rev[i] << 6) |
+          static_cast<std::uint64_t>(code.lengths[i].second);
+    }
+    for (const std::uint32_t s : symbols) {
+      const std::uint64_t e = lut[s - min_sym];
+      put(e >> 6, static_cast<int>(e & 63u));
+    }
+  } else {
+    for (const std::uint32_t s : symbols) {
+      const auto it = std::lower_bound(
+          code.lengths.begin(), code.lengths.end(), s,
+          [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+      const auto idx = static_cast<std::size_t>(it - code.lengths.begin());
+      put(code.rev[idx], code.lengths[idx].second);
+    }
+  }
+  if (nbits > 0) dst.push_back(static_cast<std::uint8_t>(acc));
+}
+
+/// huffman_encode's stream (count, table, payload) over the bytewise
+/// packer.
+inline Bytes huffman_encode(std::span<const std::uint32_t> symbols) {
+  Bytes out;
+  ByteSink sink(out);
+  sink.put_varint(symbols.size());
+  if (symbols.empty()) return out;
+  const SymbolHist hist = histogram_symbols(symbols);
+  const HuffmanCode huff = HuffmanCode::from_histogram(hist);
+  CodeView code;
+  code.lengths = huff.lengths();
+  for (const auto& [sym, len] : code.lengths) {
+    code.rev.push_back(bit_reverse(huff.codeword(sym), len));
+  }
+
+  sink.put_varint(code.lengths.size());
+  std::uint32_t prev = 0;
+  for (const auto& [sym, len] : code.lengths) {
+    sink.put_varint(sym - prev);
+    sink.put_varint(static_cast<std::uint64_t>(len));
+    prev = sym;
+  }
+  std::uint64_t payload_bits = 0;
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    payload_bits +=
+        hist[i].second * static_cast<std::uint64_t>(code.lengths[i].second);
+  }
+  sink.put_varint((payload_bits + 7) / 8);
+  if (payload_bits > 0) emit_payload(symbols, code, out);
+  return out;
+}
+
+/// The bytewise decoder. It omits the old `out.reserve(n)`: that
+/// unbounded reserve is the allocation bug the production decoder now
+/// bounds, and an oracle must not allocate what a hostile count claims.
+inline void huffman_decode_into(std::span<const std::uint8_t> data,
+                                std::vector<std::uint32_t>& out) {
+  out.clear();
+  BytesReader in(data);
+  const std::uint64_t n = in.get_varint();
+  if (n == 0) return;
+
+  const std::uint64_t unique = in.get_varint();
+  if (unique == 0) throw CorruptStream("huffman: empty code table");
+  std::vector<std::pair<std::uint32_t, int>> lengths;
+  std::uint32_t sym = 0;
+  for (std::uint64_t i = 0; i < unique; ++i) {
+    sym += static_cast<std::uint32_t>(in.get_varint());
+    const int len = static_cast<int>(in.get_varint());
+    if (len < 0 || len > kMaxCodeLength)
+      throw CorruptStream("huffman: bad code length");
+    lengths.emplace_back(sym, len);
+  }
+
+  if (unique == 1) {
+    out.assign(n, lengths[0].first);
+    (void)in.get_blob();
+    return;
+  }
+
+  std::vector<std::uint32_t> order(unique);
+  for (std::uint64_t i = 0; i < unique; ++i)
+    order[i] = static_cast<std::uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (lengths[a].second != lengths[b].second)
+      return lengths[a].second < lengths[b].second;
+    return lengths[a].first < lengths[b].first;
+  });
+
+  std::array<std::uint64_t, kMaxCodeLength + 2> first_code{};
+  std::array<std::uint64_t, kMaxCodeLength + 2> count_at{};
+  std::array<std::size_t, kMaxCodeLength + 2> offset_at{};
+  std::vector<std::uint32_t> symbols_in_order(unique);
+  const int max_len = lengths[order[unique - 1]].second;
+  const int lut_bits = std::min(kDecodeLutBits, max_len);
+  const std::size_t lut_size = std::size_t{1} << lut_bits;
+  std::vector<std::uint32_t> lut(lut_size, 0);
+  {
+    std::uint64_t next = 0;
+    std::size_t pos = 0;
+    int prev_len = lengths[order[0]].second;
+    if (prev_len == 0) throw CorruptStream("huffman: zero-length code");
+    for (const std::uint32_t idx : order) {
+      const int len = lengths[idx].second;
+      next <<= (len - prev_len);
+      prev_len = len;
+      if (count_at[static_cast<std::size_t>(len)] == 0) {
+        first_code[static_cast<std::size_t>(len)] = next;
+        offset_at[static_cast<std::size_t>(len)] = pos;
+      }
+      ++count_at[static_cast<std::size_t>(len)];
+      symbols_in_order[pos] = lengths[idx].first;
+      if (len <= lut_bits) {
+        const std::uint64_t rev = bit_reverse(next, len);
+        const std::uint32_t entry =
+            (static_cast<std::uint32_t>(pos) << 6) |
+            static_cast<std::uint32_t>(len);
+        for (std::uint64_t fill = rev; fill < lut_size;
+             fill += std::uint64_t{1} << len) {
+          lut[fill] = entry;
+        }
+      }
+      ++pos;
+      ++next;
+    }
+  }
+
+  const auto payload = in.get_blob();
+  const std::uint8_t* p = payload.data();
+  const std::size_t nbytes = payload.size();
+  std::size_t bpos = 0;
+  std::uint64_t acc = 0;
+  int navail = 0;
+  const std::uint64_t lut_mask = lut_size - 1;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    while (navail <= 56 && bpos < nbytes) {
+      acc |= static_cast<std::uint64_t>(p[bpos++]) << navail;
+      navail += 8;
+    }
+    const std::uint32_t e = lut[acc & lut_mask];
+    const int len = static_cast<int>(e & 63u);
+    if (len != 0 && len <= navail) {
+      out.push_back(symbols_in_order[e >> 6]);
+      acc >>= len;
+      navail -= len;
+      continue;
+    }
+    std::uint64_t cw = 0;
+    int l = 0;
+    while (true) {
+      if (navail == 0) {
+        if (bpos < nbytes) {
+          acc = p[bpos++];
+          navail = 8;
+        } else {
+          throw CorruptStream("bit stream exhausted");
+        }
+      }
+      cw = (cw << 1) | (acc & 1u);
+      acc >>= 1;
+      --navail;
+      ++l;
+      if (l > kMaxCodeLength) throw CorruptStream("huffman: code too long");
+      const auto ls = static_cast<std::size_t>(l);
+      if (count_at[ls] != 0 && cw >= first_code[ls] &&
+          cw < first_code[ls] + count_at[ls]) {
+        out.push_back(symbols_in_order[offset_at[ls] + (cw - first_code[ls])]);
+        break;
+      }
+    }
+  }
+}
+
+// --- LZB ---------------------------------------------------------------
+
+inline constexpr std::size_t kLzbMinMatch = 4;
+inline constexpr std::size_t kLzbMaxOffset = 65535;
+inline constexpr std::size_t kLzbHashBits = 16;
+
+inline std::uint32_t lzb_hash4(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return (v * 2654435761u) >> (32 - kLzbHashBits);
+}
+
+inline void lzb_put_length(Bytes& out, std::size_t extra) {
+  while (extra >= 255) {
+    out.push_back(255);
+    extra -= 255;
+  }
+  out.push_back(static_cast<std::uint8_t>(extra));
+}
+
+inline void lzb_emit_sequence(Bytes& out, std::span<const std::uint8_t> literals,
+                              std::size_t offset, std::size_t match_len) {
+  const std::size_t lit_nibble = std::min<std::size_t>(literals.size(), 15);
+  const std::size_t match_code =
+      match_len == 0 ? 0 : match_len - kLzbMinMatch;
+  const std::size_t match_nibble = std::min<std::size_t>(match_code, 15);
+  out.push_back(static_cast<std::uint8_t>((lit_nibble << 4) | match_nibble));
+  if (lit_nibble == 15) lzb_put_length(out, literals.size() - 15);
+  out.insert(out.end(), literals.begin(), literals.end());
+  if (match_len > 0) {
+    out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
+    out.push_back(static_cast<std::uint8_t>((offset >> 8) & 0xFF));
+    if (match_nibble == 15) lzb_put_length(out, match_code - 15);
+  }
+}
+
+/// Greedy match extension, bytewise.
+inline std::size_t lzb_extend_match(const std::uint8_t* base, std::size_t cpos,
+                                    std::size_t pos, std::size_t limit) {
+  std::size_t len = kLzbMinMatch;
+  while (len < limit && base[cpos + len] == base[pos + len]) ++len;
+  return len;
+}
+
+/// lzb_compress's stream: the greedy parse with the short-circuit
+/// probe over a plain most-recent-position table.
+inline Bytes lzb_compress(std::span<const std::uint8_t> raw) {
+  Bytes out;
+  ByteSink sink(out);
+  sink.put_varint(raw.size());
+  if (raw.empty()) return out;
+  std::vector<std::int64_t> table(std::size_t{1} << kLzbHashBits, -1);
+  const std::uint8_t* base = raw.data();
+  std::size_t pos = 0;
+  std::size_t literal_start = 0;
+
+  while (pos + kLzbMinMatch <= raw.size()) {
+    const std::uint32_t h = lzb_hash4(base + pos);
+    const std::int64_t cand = table[h];
+    table[h] = static_cast<std::int64_t>(pos);
+
+    std::size_t match_len = 0;
+    if (cand >= 0 && pos - static_cast<std::size_t>(cand) <= kLzbMaxOffset &&
+        std::memcmp(base + cand, base + pos, kLzbMinMatch) == 0) {
+      match_len = lzb_extend_match(base, static_cast<std::size_t>(cand), pos,
+                                   raw.size() - pos);
+    }
+
+    if (match_len >= kLzbMinMatch) {
+      lzb_emit_sequence(out, raw.subspan(literal_start, pos - literal_start),
+                        pos - static_cast<std::size_t>(cand), match_len);
+      const std::size_t end = pos + match_len;
+      for (std::size_t p = pos + 1;
+           p + kLzbMinMatch <= end && p + kLzbMinMatch <= raw.size();
+           p += 8) {
+        table[lzb_hash4(base + p)] = static_cast<std::int64_t>(p);
+      }
+      pos = end;
+      literal_start = pos;
+    } else {
+      ++pos;
+    }
+  }
+
+  lzb_emit_sequence(out, raw.subspan(literal_start), 0, 0);
+  return out;
+}
+
+}  // namespace ocelot::reference

@@ -125,6 +125,41 @@ TEST(Huffman, CorruptStreamThrows) {
   EXPECT_THROW((void)decode(encoded), CorruptStream);
 }
 
+TEST(Huffman, SymbolCountBeyondThePayloadThrowsBeforeAllocating) {
+  // 12 bytes claiming 2^33 symbols of a 2-symbol code: every symbol
+  // costs at least one bit, and the payload holds 8.
+  Bytes stream;
+  ByteSink sink(stream);
+  sink.put_varint(std::uint64_t{1} << 33);
+  sink.put_varint(2);
+  sink.put_varint(0);  // symbol 0, length 1
+  sink.put_varint(1);
+  sink.put_varint(1);  // symbol 1, length 1
+  sink.put_varint(1);
+  sink.put_varint(1);
+  const Bytes payload = {0x5A};
+  sink.put_bytes(payload);
+  ASSERT_EQ(stream.size(), 12u);
+  EXPECT_THROW((void)decode(stream), CorruptStream);
+}
+
+TEST(Huffman, TableCountBeyondTheStreamThrowsBeforeAllocating) {
+  // 8 bytes claiming 2^28 (then 2^34) table entries of two varints
+  // each.
+  for (const int log2_unique : {28, 34}) {
+    Bytes stream;
+    ByteSink sink(stream);
+    sink.put_varint(100);
+    sink.put_varint(std::uint64_t{1} << log2_unique);
+    sink.put_varint(0);
+    sink.put_varint(1);
+    if (log2_unique == 28) {
+      ASSERT_EQ(stream.size(), 8u);
+    }
+    EXPECT_THROW((void)decode(stream), CorruptStream) << log2_unique;
+  }
+}
+
 TEST(Huffman, EmptyHistogramThrows) {
   EXPECT_THROW((void)HuffmanCode::from_counts({}), InvalidArgument);
 }

@@ -18,11 +18,13 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "codec/huffman.hpp"
 #include "common/arena.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
 #include "compressor/interpolation.hpp"
@@ -173,6 +175,81 @@ TEST(Kernels, U32MinMaxMatchesScalarScan) {
     EXPECT_EQ(lo, want_lo);
     EXPECT_EQ(hi, want_hi);
   }
+}
+
+/// Bit pattern of a double: NaN payloads and zero signs compare too.
+std::uint64_t bits_of(double d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+template <typename T>
+void expect_range_like_summarize(const std::vector<T>& v,
+                                 const std::string& what) {
+  const double want = summarize(std::span<const T>(v)).range;
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ForcedLevel forced(level);
+    EXPECT_EQ(bits_of(kernels::value_range(v.data(), v.size())),
+              bits_of(want))
+        << what << " n=" << v.size() << " level "
+        << kernels::simd_level_name(kernels::active_simd_level());
+  }
+}
+
+template <typename T>
+void check_value_range_edges(std::uint64_t seed) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  const T tiny = std::numeric_limits<T>::denorm_min();
+  Rng rng(seed);
+  const auto pick = [&](std::initializer_list<T> pool) {
+    const auto k = rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1);
+    return *(pool.begin() + k);
+  };
+  for (std::size_t n = 1; n <= 17; ++n) {
+    std::vector<T> v(n);
+    for (auto& x : v) x = static_cast<T>(rng.normal(0.0, 10.0));
+    expect_range_like_summarize(v, "normal");
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<T> w = v;
+      w[at] = nan;
+      expect_range_like_summarize(w, "NaN at " + std::to_string(at));
+      w = v;
+      w[at] = at % 2 == 0 ? inf : -inf;
+      expect_range_like_summarize(w, "Inf at " + std::to_string(at));
+    }
+    // Signed zeros as the minimum, the maximum, and every value.
+    for (int trial = 0; trial < 8; ++trial) {
+      for (auto& x : v) x = pick({T(0), T(-0.0), T(1), T(2.5)});
+      expect_range_like_summarize(v, "zeros below");
+      for (auto& x : v) x = pick({T(0), T(-0.0), T(-1), T(-2.5)});
+      expect_range_like_summarize(v, "zeros above");
+      for (auto& x : v) x = pick({T(0), T(-0.0)});
+      expect_range_like_summarize(v, "zeros only");
+      for (auto& x : v) x = pick({inf, -inf, T(0), nan});
+      expect_range_like_summarize(v, "non-finite mix");
+      for (auto& x : v) x = pick({tiny, -tiny, T(2) * tiny, T(0), T(-0.0)});
+      expect_range_like_summarize(v, "denormals");
+    }
+    std::fill(v.begin(), v.end(), inf);
+    expect_range_like_summarize(v, "all +Inf");
+  }
+  std::vector<T> longer(4099);
+  for (auto& x : longer) x = static_cast<T>(rng.normal(0.0, 1.0));
+  expect_range_like_summarize(longer, "normal");
+  longer[4098] = nan;
+  longer[17] = T(-0.0);
+  expect_range_like_summarize(longer, "late NaN");
+  EXPECT_EQ(kernels::value_range(static_cast<const T*>(nullptr), 0), 0.0);
+}
+
+TEST(Kernels, ValueRangeIsBitIdenticalToSummarizeFloat) {
+  check_value_range_edges<float>(211);
+}
+
+TEST(Kernels, ValueRangeIsBitIdenticalToSummarizeDouble) {
+  check_value_range_edges<double>(223);
 }
 
 TEST(Kernels, HuffmanWideSymbolRangeUsesSortedFallback) {

@@ -10,6 +10,9 @@
 # `for` line, first body statement, which is where GCC files the
 # verdict. A kernel that compiles and passes the
 # byte-identity tests while silently running scalar code fails here.
+# The loops: the quantize and dequantize line loops (three predictor
+# modes each), the zero count, the u32 min/max histogram probe, and the
+# min and max lane loops of the value-range scan.
 #
 #   tools/check_vectorized.sh        # compiler: $CXX, else g++
 set -euo pipefail
