@@ -24,17 +24,6 @@
 
 using namespace ocelot;
 
-namespace {
-
-/// "bwt-mtf" -> "bwt_mtf": metric keys stay fnmatch- and shell-safe.
-std::string metric_key(const std::string& stage) {
-  std::string key = stage;
-  std::replace(key.begin(), key.end(), '-', '_');
-  return key;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const double scale = smoke ? 0.06 : 0.15;
@@ -87,7 +76,7 @@ int main(int argc, char** argv) {
                      fmt_double(stats.compression_ratio, 2),
                      fmt_double(comp_mbs, 1), fmt_double(decomp_mbs, 1),
                      fmt_double(err_over_eb, 3)});
-      const std::string key = metric_key(stages[s]->name());
+      const std::string key = stages[s]->name();
       row.emplace_back("ratio_" + key, stats.compression_ratio);
       row.emplace_back("compress_mb_s_" + key, comp_mbs);
       row.emplace_back("decompress_mb_s_" + key, decomp_mbs);
@@ -102,8 +91,7 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t s = 0; s < stages.size(); ++s) {
-    report.set_metric("ratio_" + metric_key(stages[s]->name()),
-                      worst_ratio[s]);
+    report.set_metric("ratio_" + stages[s]->name(), worst_ratio[s]);
   }
   report.set_metric("ans_ratio_vs_huffman", worst_ans_vs_huffman);
   report.set_metric("max_error_over_eb", max_error_over_eb);

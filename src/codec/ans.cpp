@@ -257,9 +257,6 @@ class AnsStage final : public EntropyStage {
   [[nodiscard]] std::string description() const override {
     return "tabled static rANS (8-15 bit scale, varint fallback)";
   }
-  [[nodiscard]] std::uint32_t capabilities() const override {
-    return kEntropyCapCodes | kEntropyCapBytes | kEntropyCapChained;
-  }
 
   // The stage payload is a lossless pass over the rANS stream,
   // mirroring the legacy Huffman chain: a static-table coder maps a
@@ -290,26 +287,6 @@ class AnsStage final : public EntropyStage {
     PooledBuffer stream(BufferPool::shared());
     lossless_decompress_into(payload, *stream);
     ans_decode_into(*stream, out);
-  }
-
-  void encode_bytes_into(std::span<const std::uint8_t> raw,
-                         ByteSink& out) const override {
-    ScratchLease<std::uint32_t> wide(ScratchPool<std::uint32_t>::shared(),
-                                     raw.size());
-    wide->assign(raw.begin(), raw.end());
-    encode_into(*wide, out);
-  }
-
-  void decode_bytes_into(std::span<const std::uint8_t> payload,
-                         Bytes& out) const override {
-    ScratchLease<std::uint32_t> wide(ScratchPool<std::uint32_t>::shared(), 0);
-    decode_into(payload, *wide);
-    out.clear();
-    out.reserve(wide->size());
-    for (const std::uint32_t v : *wide) {
-      if (v > 0xFF) throw CorruptStream("ans: byte symbol out of range");
-      out.push_back(static_cast<std::uint8_t>(v));
-    }
   }
 };
 

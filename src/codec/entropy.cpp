@@ -8,61 +8,36 @@
 
 namespace ocelot {
 
-std::string entropy_caps_to_string(std::uint32_t caps) {
-  std::string s;
-  const auto append = [&](const char* part) {
-    if (!s.empty()) s += '+';
-    s += part;
-  };
-  if (caps & kEntropyCapCodes) append("codes");
-  if (caps & kEntropyCapBytes) append("bytes");
-  if (caps & kEntropyCapChained) append("lzb-chain");
-  return s.empty() ? "-" : s;
-}
-
-// --- default code lowering -------------------------------------------
-// Byte-stage adapters: a u32 code stream becomes four byte planes (all
-// low bytes first, then each higher plane). Quantized codes cluster
-// near the radius, so the upper planes are near-constant runs — the
-// shape BWT/MTF and LZW exploit — while staying a trivially invertible
-// permutation of the little-endian bytes.
-
-void EntropyStage::encode_into(std::span<const std::uint32_t> codes,
-                               ByteSink& out) const {
-  PooledBuffer planes(BufferPool::shared());
-  planes->reserve(codes.size() * 4);
-  for (int p = 0; p < 4; ++p) {
-    for (const std::uint32_t code : codes) {
-      planes->push_back(static_cast<std::uint8_t>(code >> (8 * p)));
-    }
-  }
-  encode_bytes_into(*planes, out);
-}
-
-void EntropyStage::decode_into(std::span<const std::uint8_t> payload,
-                               std::vector<std::uint32_t>& out) const {
-  PooledBuffer planes(BufferPool::shared());
-  decode_bytes_into(payload, *planes);
-  if (planes->size() % 4 != 0)
-    throw CorruptStream("entropy: code planes misaligned");
-  const std::size_t n = planes->size() / 4;
-  out.assign(n, 0);
-  for (int p = 0; p < 4; ++p) {
-    const std::uint8_t* plane = planes->data() + p * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] |= static_cast<std::uint32_t>(plane[i]) << (8 * p);
-    }
-  }
-}
-
 // --- stage 0: the legacy Huffman+lossless chain ----------------------
 
 namespace {
 
-/// Stage 0 wraps the pre-registry entropy chain. Its payload carries
-/// its own LosslessBackend leading byte (written by lossless_compress),
-/// which is exactly why ids 1-2 are reserved: a legacy section is a
-/// stage-0 section whose first byte happens to be the lossless id.
+/// The one Huffman+lossless chain, behind both the huffman stage and
+/// the packed-section dispatch. Its output starts with the
+/// LosslessBackend byte lossless_compress writes, which is exactly why
+/// ids 1-2 are reserved: a legacy section is a stage-0 section whose
+/// first byte happens to be the lossless id.
+void encode_huffman_chain(
+    std::span<const std::uint32_t> codes,
+    std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
+    LosslessBackend lossless, ByteSink& out) {
+  PooledBuffer huff(BufferPool::shared());
+  ByteSink huff_sink(*huff);
+  {
+    OCELOT_SPAN("codec.huffman");
+    huffman_encode(codes, hist, huff_sink);
+  }
+  OCELOT_SPAN("codec.lossless");
+  lossless_compress(*huff, lossless, out);
+}
+
+void decode_huffman_chain(std::span<const std::uint8_t> section,
+                          std::vector<std::uint32_t>& out) {
+  PooledBuffer huff(BufferPool::shared());
+  lossless_decompress_into(section, *huff);
+  huffman_decode_into(*huff, out);
+}
+
 class HuffmanLzbStage final : public EntropyStage {
  public:
   [[nodiscard]] std::string name() const override { return "huffman"; }
@@ -72,47 +47,16 @@ class HuffmanLzbStage final : public EntropyStage {
   [[nodiscard]] std::string description() const override {
     return "canonical Huffman + lossless chain (legacy default)";
   }
-  [[nodiscard]] std::uint32_t capabilities() const override {
-    return kEntropyCapCodes | kEntropyCapBytes | kEntropyCapChained;
-  }
 
   void encode_into(std::span<const std::uint32_t> codes,
                    ByteSink& out) const override {
-    PooledBuffer huff(BufferPool::shared());
-    ByteSink huff_sink(*huff);
-    {
-      OCELOT_SPAN("codec.huffman");
-      huffman_encode(codes, huff_sink);
-    }
-    OCELOT_SPAN("codec.lossless");
-    lossless_compress(*huff, LosslessBackend::kLzb, out);
+    encode_huffman_chain(codes, histogram_symbols(codes),
+                         LosslessBackend::kLzb, out);
   }
 
   void decode_into(std::span<const std::uint8_t> payload,
                    std::vector<std::uint32_t>& out) const override {
-    PooledBuffer huff(BufferPool::shared());
-    lossless_decompress_into(payload, *huff);
-    huffman_decode_into(*huff, out);
-  }
-
-  void encode_bytes_into(std::span<const std::uint8_t> raw,
-                         ByteSink& out) const override {
-    ScratchLease<std::uint32_t> wide(ScratchPool<std::uint32_t>::shared(),
-                                     raw.size());
-    wide->assign(raw.begin(), raw.end());
-    encode_into(*wide, out);
-  }
-
-  void decode_bytes_into(std::span<const std::uint8_t> payload,
-                         Bytes& out) const override {
-    ScratchLease<std::uint32_t> wide(ScratchPool<std::uint32_t>::shared(), 0);
-    decode_into(payload, *wide);
-    out.clear();
-    out.reserve(wide->size());
-    for (const std::uint32_t v : *wide) {
-      if (v > 0xFF) throw CorruptStream("entropy: byte symbol out of range");
-      out.push_back(static_cast<std::uint8_t>(v));
-    }
+    decode_huffman_chain(payload, out);
   }
 };
 
@@ -124,43 +68,19 @@ std::unique_ptr<EntropyStage> make_huffman_stage() {
 
 // --- packed-section dispatch -----------------------------------------
 
-void entropy_encode_codes(std::span<const std::uint32_t> codes,
-                          const EntropyStage& stage, LosslessBackend lossless,
-                          ByteSink& out) {
-  if (stage.wire_id() == kEntropyHuffmanId) {
-    // Legacy chain, honoring the configured lossless backend: the
-    // section's leading byte is the lossless id, and the bytes match
-    // the pre-registry writer bit for bit.
-    PooledBuffer huff(BufferPool::shared());
-    ByteSink huff_sink(*huff);
-    {
-      OCELOT_SPAN("codec.huffman");
-      huffman_encode(codes, huff_sink);
-    }
-    OCELOT_SPAN("codec.lossless");
-    lossless_compress(*huff, lossless, out);
-    return;
-  }
-  out.put(stage.wire_id());
-  stage.encode_into(codes, out);
-}
-
-void entropy_encode_codes_hist(
+void entropy_encode_codes(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     const EntropyStage& stage, LosslessBackend lossless, ByteSink& out) {
   if (stage.wire_id() == kEntropyHuffmanId) {
-    PooledBuffer huff(BufferPool::shared());
-    ByteSink huff_sink(*huff);
-    {
-      OCELOT_SPAN("codec.huffman");
-      huffman_encode(codes, hist, huff_sink);
-    }
-    OCELOT_SPAN("codec.lossless");
-    lossless_compress(*huff, lossless, out);
+    // Legacy chain, honoring the configured lossless backend: the
+    // section's leading byte is the lossless id, and the bytes match
+    // the pre-registry writer bit for bit.
+    encode_huffman_chain(codes, hist, lossless, out);
     return;
   }
-  entropy_encode_codes(codes, stage, lossless, out);
+  out.put(stage.wire_id());
+  stage.encode_into(codes, out);
 }
 
 void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
@@ -170,9 +90,7 @@ void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
   if (id <= kMaxLegacyEntropyId) {
     // Legacy chain: the id byte is the lossless backend id and belongs
     // to the lossless framing, so the whole span passes through.
-    PooledBuffer huff(BufferPool::shared());
-    lossless_decompress_into(packed, *huff);
-    huffman_decode_into(*huff, out);
+    decode_huffman_chain(packed, out);
     return;
   }
   EntropyRegistry::instance().by_id(id).decode_into(packed.subspan(1), out);
@@ -180,11 +98,25 @@ void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
 
 // --- registry --------------------------------------------------------
 
+namespace {
+
+/// Name of the removed stage that owned wire id `id`, or nullptr.
+const char* retired_stage_name(std::uint8_t id) {
+  switch (id) {
+    case kRetiredBwtMtfId:
+      return "bwt-mtf";
+    case kRetiredLzwId:
+      return "lzw";
+    default:
+      return nullptr;
+  }
+}
+
+}  // namespace
+
 EntropyRegistry::EntropyRegistry() {
   add(make_huffman_stage());
   add(make_ans_stage());
-  add(make_bwt_mtf_stage());
-  add(make_lzw_stage());
 }
 
 EntropyRegistry& EntropyRegistry::instance() {
@@ -203,6 +135,10 @@ const EntropyStage& EntropyRegistry::add(std::unique_ptr<EntropyStage> stage) {
         "EntropyRegistry: wire ids 1-2 are reserved for the legacy "
         "lossless chain (" +
         name + ")");
+  if (const char* retired = retired_stage_name(id))
+    throw InvalidArgument("EntropyRegistry: wire id " + std::to_string(id) +
+                          " is retired with the removed stage " + retired +
+                          " (" + name + ")");
   if (by_name_.count(name) > 0)
     throw InvalidArgument("EntropyRegistry: duplicate stage name " + name);
   if (by_id_.count(id) > 0)
@@ -228,6 +164,9 @@ const EntropyStage& EntropyRegistry::by_name(const std::string& name) const {
 }
 
 const EntropyStage& EntropyRegistry::by_id(std::uint8_t id) const {
+  if (const char* retired = retired_stage_name(id))
+    throw CorruptStream("entropy: stage id " + std::to_string(id) + " (" +
+                        retired + ") was removed and cannot be decoded");
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = by_id_.find(id);
   if (it == by_id_.end())
@@ -253,25 +192,6 @@ std::vector<const EntropyStage*> EntropyRegistry::list() const {
   stages.reserve(by_id_.size());
   for (const auto& [id, stage] : by_id_) stages.push_back(stage.get());
   return stages;
-}
-
-EntropyStageRegistrar::EntropyStageRegistrar(
-    std::unique_ptr<EntropyStage> stage) {
-  try {
-    EntropyRegistry::instance().add(std::move(stage));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: entropy stage registration failed: %s\n",
-                 e.what());
-    std::abort();
-  }
-}
-
-std::vector<std::string> registered_entropy_stage_names() {
-  std::vector<std::string> names;
-  for (const EntropyStage* s : EntropyRegistry::instance().list()) {
-    names.push_back(s->name());
-  }
-  return names;
 }
 
 }  // namespace ocelot

@@ -1,10 +1,9 @@
 #pragma once
 // Pluggable entropy-stage registry.
 //
-// The quantized-code streams every compressor backend produces used to
-// funnel into one hard-wired Huffman+lossless chain. This seam opens
-// that layer the same way backend.hpp opened the predictor layer: an
-// EntropyStage is resolved by name (when writing, from
+// The quantized-code streams every compressor backend produces go
+// through this seam, the same way backend.hpp opened the predictor
+// layer: an EntropyStage is resolved by name (when writing, from
 // CompressionConfig::entropy) or by the wire id stored in a packed
 // section's leading byte (when reading), and the stage owns the
 // encode/decode of the section payload.
@@ -17,25 +16,22 @@
 //           LosslessBackend id (0 none, 1 lzb, 2 rle+lzb) so blobs
 //           written before the registry existed parse bit-exactly —
 //           and the default path still emits these exact bytes.
-//   id >= 3 EntropyRegistry stage id; the stage decodes the payload.
+//   id 3    "ans"; the stage decodes the payload.
+//   id 4-5  retired: the removed "bwt-mtf" and "lzw" stages. Decoding
+//           either throws CorruptStream naming the stage, and the
+//           registry refuses to hand the ids out again, so an old
+//           section never decodes as some later stage.
 //
 // Because ids 1 and 2 are spoken for by the legacy chain, the registry
-// refuses to register them; "huffman" itself is stage 0 and new
-// stages start at 3 (ans), 4 (bwt-mtf), 5 (lzw).
+// refuses to register them; "huffman" itself is stage 0.
 //
-// Stages follow the PR 4 zero-copy rules: encode appends into a
-// ByteSink (no intermediate vectors on the caller's side), decode
-// consumes a span. Stages natively coding u32 symbol streams set
-// kEntropyCapCodes and override encode_into/decode_into; byte-stream
-// stages (BWT, LZW) implement the *_bytes_into pair and inherit the
-// default code lowering, which splits the u32 stream into byte planes
-// (all low bytes, then the next plane, ...) so small codes become the
-// long runs those coders feed on.
+// Stages follow the zero-copy rules: encode appends into a ByteSink
+// (no intermediate vectors on the caller's side), decode consumes a
+// span.
 //
-// Adding a stage = implement EntropyStage, pick a fresh wire id >= 3,
-// and register it — in the EntropyRegistry constructor (entropy.cpp)
-// for in-tree stages or with a namespace-scope EntropyStageRegistrar
-// for out-of-tree ones. See CONTRIBUTING.md for the full recipe.
+// Adding a stage = implement EntropyStage, pick a fresh wire id >= 6,
+// and register it in the EntropyRegistry constructor (entropy.cpp).
+// See CONTRIBUTING.md for the full recipe.
 
 #include <cstdint>
 #include <map>
@@ -43,6 +39,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/lossless.hpp"
@@ -50,28 +47,18 @@
 
 namespace ocelot {
 
-/// Capability flags of an entropy stage (display + dispatch hints).
-enum EntropyCaps : std::uint32_t {
-  kEntropyCapCodes = 1u << 0,  ///< natively codes u32 symbol streams
-  kEntropyCapBytes = 1u << 1,  ///< natively codes raw byte streams
-  kEntropyCapChained = 1u << 2,  ///< chains the shared lossless stage
-};
-
-/// "codes+bytes+lzb-chain" — human-readable capability list.
-std::string entropy_caps_to_string(std::uint32_t caps);
-
 /// Wire ids of the built-in stages. 1 and 2 are reserved: on the wire
 /// they alias the legacy chain's LosslessBackend byte (see above).
 inline constexpr std::uint8_t kEntropyHuffmanId = 0;
 inline constexpr std::uint8_t kMaxLegacyEntropyId = 2;
 inline constexpr std::uint8_t kEntropyAnsId = 3;
-inline constexpr std::uint8_t kEntropyBwtId = 4;
-inline constexpr std::uint8_t kEntropyLzwId = 5;
+/// Ids of removed stages, reserved forever (see above).
+inline constexpr std::uint8_t kRetiredBwtMtfId = 4;
+inline constexpr std::uint8_t kRetiredLzwId = 5;
 
-/// One entropy coder family: turns a quantized-code stream (or a raw
-/// byte stream) into a compressed section payload and back. The
-/// payload excludes the leading stage-id byte — the dispatch helpers
-/// below own that byte.
+/// One entropy coder family: turns a quantized-code stream into a
+/// compressed section payload and back. The payload excludes the
+/// leading stage-id byte — the dispatch helpers below own that byte.
 class EntropyStage {
  public:
   virtual ~EntropyStage() = default;
@@ -82,56 +69,44 @@ class EntropyStage {
   /// the legacy chain and must never be reassigned.
   [[nodiscard]] virtual std::uint8_t wire_id() const = 0;
   [[nodiscard]] virtual std::string description() const = 0;
-  [[nodiscard]] virtual std::uint32_t capabilities() const = 0;
 
-  /// Encodes a u32 symbol stream into `out`. The default lowers the
-  /// stream into byte planes and delegates to encode_bytes_into;
-  /// native symbol coders override both directions.
+  /// Encodes a u32 symbol stream into `out`.
   virtual void encode_into(std::span<const std::uint32_t> codes,
-                           ByteSink& out) const;
+                           ByteSink& out) const = 0;
+  /// Decodes a payload written by encode_into into `out`. Throws
+  /// CorruptStream on malformed input.
   virtual void decode_into(std::span<const std::uint8_t> payload,
-                           std::vector<std::uint32_t>& out) const;
-
-  /// Encodes a raw byte stream into `out`.
-  virtual void encode_bytes_into(std::span<const std::uint8_t> raw,
-                                 ByteSink& out) const = 0;
-  virtual void decode_bytes_into(std::span<const std::uint8_t> payload,
-                                 Bytes& out) const = 0;
+                           std::vector<std::uint32_t>& out) const = 0;
 };
 
 /// Encodes `codes` as a self-describing packed section: the stage-id
-/// byte, then the stage payload. The default huffman stage reproduces
-/// the legacy Huffman+`lossless` bytes exactly (its id byte IS the
-/// lossless backend id), so default-path blobs stay bit-identical.
-void entropy_encode_codes(std::span<const std::uint32_t> codes,
-                          const EntropyStage& stage, LosslessBackend lossless,
-                          ByteSink& out);
-
-/// Histogram-aware variant for fused encoders that counted the symbols
-/// while quantizing. `hist` must be the exact symbol-sorted histogram
-/// of `codes`; the huffman stage then skips its counting pass, other
-/// stages ignore the histogram. Bytes are identical to
-/// entropy_encode_codes for every stage.
-void entropy_encode_codes_hist(
+/// byte, then the stage payload. `hist` must be the exact
+/// symbol-sorted histogram of `codes` (FusedQuant::hist_view, or
+/// histogram_symbols); the huffman stage codes from it instead of
+/// counting again, other stages ignore it. The huffman stage writes
+/// the Huffman+`lossless` chain, whose leading byte IS the lossless
+/// backend id, so default-path blobs stay bit-identical.
+void entropy_encode_codes(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     const EntropyStage& stage, LosslessBackend lossless, ByteSink& out);
 
 /// Decodes a packed codes section, dispatching on the leading byte.
-/// Throws CorruptStream for empty sections and unknown stage ids.
+/// Throws CorruptStream for empty sections and unknown or retired
+/// stage ids.
 void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
                                std::vector<std::uint32_t>& out);
 
 /// Process-wide entropy-stage registry, keyed by name and by wire id.
-/// The built-in stages are registered on first access; additional
-/// stages register via add() (see EntropyStageRegistrar). Mirrors
-/// BackendRegistry (backend.hpp) member for member.
+/// The built-in stages are registered on first access; add() registers
+/// more. Mirrors BackendRegistry (backend.hpp) member for member.
 class EntropyRegistry {
  public:
   static EntropyRegistry& instance();
 
-  /// Registers a stage. Throws InvalidArgument on a name/wire-id clash
-  /// or a reserved legacy id (1, 2). Returns the registered stage.
+  /// Registers a stage. Throws InvalidArgument on a name/wire-id clash,
+  /// a reserved legacy id (1, 2) or a retired id (4, 5). Returns the
+  /// registered stage.
   const EntropyStage& add(std::unique_ptr<EntropyStage> stage);
 
   /// Lookup for writers: throws InvalidArgument (listing the
@@ -139,13 +114,14 @@ class EntropyRegistry {
   [[nodiscard]] const EntropyStage& by_name(const std::string& name) const;
 
   /// Lookup for readers: throws CorruptStream when the wire id is
-  /// unknown (a foreign or corrupt section).
+  /// unknown (a foreign or corrupt section) or retired (naming the
+  /// removed stage).
   [[nodiscard]] const EntropyStage& by_id(std::uint8_t id) const;
 
   /// Nullptr instead of throwing.
   [[nodiscard]] const EntropyStage* find(const std::string& name) const;
 
-  /// Nullptr instead of throwing (foreign or corrupt wire ids).
+  /// Nullptr instead of throwing (foreign, corrupt or retired ids).
   [[nodiscard]] const EntropyStage* find_by_id(std::uint8_t id) const;
 
   /// All registered stages in wire-id order.
@@ -159,25 +135,9 @@ class EntropyRegistry {
   std::map<std::string, const EntropyStage*> by_name_;
 };
 
-/// Registers a stage at static-initialization time from any linked
-/// translation unit:
-///   namespace { const EntropyStageRegistrar reg{
-///       std::make_unique<MyStage>()}; }
-/// A clash here is unrecoverable (no handler can exist during static
-/// init), so it is reported to stderr before aborting instead of
-/// escaping as an exception into std::terminate.
-struct EntropyStageRegistrar {
-  explicit EntropyStageRegistrar(std::unique_ptr<EntropyStage> stage);
-};
-
-/// Names of all registered entropy stages, in wire-id order.
-std::vector<std::string> registered_entropy_stage_names();
-
 /// Built-in stages, defined next to their coders: huffman+lossless
-/// (entropy.cpp), ans (ans.cpp), bwt-mtf (bwt_mtf.cpp), lzw (lzw.cpp).
+/// (entropy.cpp) and ans (ans.cpp).
 std::unique_ptr<EntropyStage> make_huffman_stage();
 std::unique_ptr<EntropyStage> make_ans_stage();
-std::unique_ptr<EntropyStage> make_bwt_mtf_stage();
-std::unique_ptr<EntropyStage> make_lzw_stage();
 
 }  // namespace ocelot

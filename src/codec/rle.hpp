@@ -3,9 +3,8 @@
 //
 // Runs of three or more equal bytes are stored as two copies of the
 // byte plus a varint of the remaining run length. Used ahead of LZB
-// for extremely sparse quantization streams (LosslessBackend::kRleLzb)
-// and as the run-squeezing sub-stage of the "bwt-mtf" entropy pipeline
-// (codec/bwt_mtf.hpp), whose MTF output is dominated by zero runs.
+// for extremely sparse quantization streams (LosslessBackend::kRleLzb),
+// which the "ans" entropy stage tries on every payload.
 
 #include <cstdint>
 #include <span>

@@ -1,11 +1,9 @@
 #include "compressor/backend.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "codec/entropy.hpp"
-#include "codec/huffman.hpp"
 #include "compressor/multigrid.hpp"
 #include "obs/trace.hpp"
 
@@ -19,7 +17,7 @@ void pack_codes_hist(
   const std::size_t out_before = out.size();
   const EntropyStage& stage =
       EntropyRegistry::instance().by_name(config.entropy);
-  entropy_encode_codes_hist(codes, hist, stage, config.lossless, out);
+  entropy_encode_codes(codes, hist, stage, config.lossless, out);
   OCELOT_COUNT("codec.entropy_in_bytes", codes.size_bytes());
   OCELOT_COUNT("codec.entropy_out_bytes", out.size() - out_before);
 }
@@ -132,17 +130,6 @@ std::vector<const CompressorBackend*> BackendRegistry::list() const {
   backends.reserve(by_id_.size());
   for (const auto& [id, backend] : by_id_) backends.push_back(backend.get());
   return backends;
-}
-
-BackendRegistrar::BackendRegistrar(
-    std::unique_ptr<CompressorBackend> backend) {
-  try {
-    BackendRegistry::instance().add(std::move(backend));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: backend registration failed: %s\n",
-                 e.what());
-    std::abort();
-  }
 }
 
 std::vector<std::string> registered_backend_names() {

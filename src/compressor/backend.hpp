@@ -11,10 +11,8 @@
 //
 // Adding a compressor family = implement CompressorBackend (usually
 // via TypedBackend to get both dtypes from one template), pick a fresh
-// wire id, and register it — in the BackendRegistry constructor
-// (backend.cpp) for in-tree families or with a namespace-scope
-// BackendRegistrar for out-of-tree ones. No other layer changes: the
-// advisor enumerates
+// wire id, and register it in the BackendRegistry constructor
+// (backend.cpp). No other layer changes: the advisor enumerates
 // candidates from the registry, the quality model keys its categorical
 // feature on the wire id, and the CLI/bench pick the backend up by
 // name. See CONTRIBUTING.md for the full recipe.
@@ -238,8 +236,7 @@ class TypedBackend : public CompressorBackend {
 
 /// Process-wide backend registry, keyed by name and by wire id. The
 /// built-in families are registered on first access, so linking the
-/// library always provides them; additional backends register via
-/// add() (see BackendRegistrar).
+/// library always provides them; add() registers more.
 class BackendRegistry {
  public:
   static BackendRegistry& instance();
@@ -271,17 +268,6 @@ class BackendRegistry {
   mutable std::mutex mu_;
   std::map<std::uint8_t, std::unique_ptr<CompressorBackend>> by_id_;
   std::map<std::string, const CompressorBackend*> by_name_;
-};
-
-/// Registers a backend at static-initialization time from any linked
-/// translation unit:
-///   namespace { const BackendRegistrar reg{
-///       std::make_unique<MyBackend>()}; }
-/// A name/wire-id clash here is unrecoverable (no handler can exist
-/// during static init), so it is reported to stderr before aborting
-/// instead of escaping as an exception into std::terminate.
-struct BackendRegistrar {
-  explicit BackendRegistrar(std::unique_ptr<CompressorBackend> backend);
 };
 
 /// Names of all registered backends, in wire-id order.

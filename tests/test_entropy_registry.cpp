@@ -1,8 +1,8 @@
 // Entropy-stage registry and coder tests: registry semantics, per-stage
-// round-trip properties over codes and bytes, packed-section dispatch,
-// and corrupt-stream rejection. The container/advisor integration of
-// the stages is exercised further down in this file once the compressor
-// plumbing is involved.
+// round-trip properties over code streams, packed-section dispatch,
+// retired wire ids, and corrupt-stream rejection. The container/advisor
+// integration of the stages is exercised further down in this file once
+// the compressor plumbing is involved.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,15 +13,15 @@
 #include <vector>
 
 #include "codec/ans.hpp"
-#include "codec/bwt_mtf.hpp"
 #include "codec/entropy.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lossless.hpp"
-#include "codec/lzw.hpp"
 #include "common/bytes.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/ndarray.hpp"
 #include "common/rng.hpp"
+#include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
 #include "core/adaptive.hpp"
 #include "exec/parallel_codec.hpp"
@@ -56,7 +56,7 @@ std::vector<std::vector<std::uint32_t>> code_corpus() {
   }
   corpus.push_back(std::move(wide));
 
-  // Small alphabet with runs (MTF/RLE-friendly).
+  // Small alphabet with runs (RLE-friendly).
   std::vector<std::uint32_t> runs;
   for (int r = 0; r < 200; ++r) {
     runs.insert(runs.end(), 37, static_cast<std::uint32_t>(r % 5));
@@ -65,45 +65,13 @@ std::vector<std::vector<std::uint32_t>> code_corpus() {
   return corpus;
 }
 
-std::vector<Bytes> byte_corpus() {
-  std::vector<Bytes> corpus;
-  corpus.push_back({});
-  corpus.push_back({0x00});
-  corpus.push_back({0xFF});
-  corpus.push_back(Bytes(70000, 0x42));  // constant run across BWT chunks
-  Bytes all_values(256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    all_values[i] = static_cast<std::uint8_t>(i);
-  }
-  corpus.push_back(std::move(all_values));
-  Bytes text;
-  while (text.size() < 150000) {  // > 2 BWT chunks, repetitive
-    const std::string phrase = "the quick brown fox jumps over the lazy dog ";
-    text.insert(text.end(), phrase.begin(), phrase.end());
-  }
-  corpus.push_back(std::move(text));
-  for (const std::size_t n : {2u, 255u, 4096u, 65536u, 65537u, 131073u}) {
-    Rng rng(0xB17E5 + n);
-    Bytes random(n);
-    for (auto& b : random) {
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    corpus.push_back(std::move(random));
-  }
-  return corpus;
-}
-
 TEST(EntropyRegistry, ListsBuiltInStagesInWireIdOrder) {
   const auto stages = EntropyRegistry::instance().list();
-  ASSERT_GE(stages.size(), 4u);
+  ASSERT_EQ(stages.size(), 2u);
   EXPECT_EQ(stages[0]->name(), "huffman");
   EXPECT_EQ(stages[0]->wire_id(), kEntropyHuffmanId);
   EXPECT_EQ(stages[1]->name(), "ans");
   EXPECT_EQ(stages[1]->wire_id(), kEntropyAnsId);
-  EXPECT_EQ(stages[2]->name(), "bwt-mtf");
-  EXPECT_EQ(stages[2]->wire_id(), kEntropyBwtId);
-  EXPECT_EQ(stages[3]->name(), "lzw");
-  EXPECT_EQ(stages[3]->wire_id(), kEntropyLzwId);
   for (std::size_t i = 1; i < stages.size(); ++i) {
     EXPECT_LT(stages[i - 1]->wire_id(), stages[i]->wire_id());
   }
@@ -121,13 +89,46 @@ TEST(EntropyRegistry, ByNameAndByIdAgree) {
   EXPECT_EQ(reg.find("no-such-stage"), nullptr);
   EXPECT_THROW((void)reg.by_id(200), CorruptStream);
   EXPECT_EQ(reg.find_by_id(200), nullptr);
+  EXPECT_EQ(reg.find_by_id(kRetiredBwtMtfId), nullptr);
+  EXPECT_EQ(reg.find_by_id(kRetiredLzwId), nullptr);
 }
+
+/// Test-local stage with an arbitrary name and wire id, for checking
+/// which registrations the registry refuses.
+class FakeStage final : public EntropyStage {
+ public:
+  FakeStage(std::string name, std::uint8_t id)
+      : name_(std::move(name)), id_(id) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::uint8_t wire_id() const override { return id_; }
+  [[nodiscard]] std::string description() const override { return "fake"; }
+  void encode_into(std::span<const std::uint32_t>, ByteSink&) const override {}
+  void decode_into(std::span<const std::uint8_t>,
+                   std::vector<std::uint32_t>& out) const override {
+    out.clear();
+  }
+
+ private:
+  std::string name_;
+  std::uint8_t id_;
+};
 
 TEST(EntropyRegistry, RejectsReservedAndDuplicateRegistrations) {
   auto& reg = EntropyRegistry::instance();
   EXPECT_THROW(reg.add(nullptr), InvalidArgument);
   // Same name and wire id as the built-in "ans" stage.
   EXPECT_THROW(reg.add(make_ans_stage()), InvalidArgument);
+  // Ids 1-2 alias the legacy chain's lossless byte; 4-5 belonged to the
+  // removed bwt-mtf and lzw stages and must never decode as a new one.
+  for (const std::uint8_t id :
+       {std::uint8_t{1}, std::uint8_t{2}, kRetiredBwtMtfId, kRetiredLzwId}) {
+    EXPECT_THROW(reg.add(std::make_unique<FakeStage>("fake", id)),
+                 InvalidArgument)
+        << "id " << static_cast<int>(id);
+  }
+  // The refused registrations left nothing behind.
+  EXPECT_EQ(reg.find("fake"), nullptr);
+  EXPECT_EQ(reg.list().size(), 2u);
 }
 
 TEST(EntropyStage, CodeRoundTripPerStage) {
@@ -143,26 +144,14 @@ TEST(EntropyStage, CodeRoundTripPerStage) {
   }
 }
 
-TEST(EntropyStage, ByteRoundTripPerStage) {
-  for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
-    for (const auto& raw : byte_corpus()) {
-      Bytes buf;
-      ByteSink sink(buf);
-      stage->encode_bytes_into(raw, sink);
-      Bytes back;
-      stage->decode_bytes_into(buf, back);
-      EXPECT_EQ(back, raw) << stage->name() << " n=" << raw.size();
-    }
-  }
-}
-
 TEST(EntropyStage, PackedSectionDispatchRoundTrips) {
   auto& reg = EntropyRegistry::instance();
   for (const EntropyStage* stage : reg.list()) {
     for (const auto& codes : code_corpus()) {
       Bytes buf;
       ByteSink sink(buf);
-      entropy_encode_codes(codes, *stage, LosslessBackend::kLzb, sink);
+      entropy_encode_codes(codes, histogram_symbols(codes), *stage,
+                           LosslessBackend::kLzb, sink);
       ASSERT_FALSE(buf.empty());
       if (stage->wire_id() == kEntropyHuffmanId) {
         // Legacy chain: leading byte is the lossless backend id.
@@ -179,21 +168,34 @@ TEST(EntropyStage, PackedSectionDispatchRoundTrips) {
 
 TEST(EntropyStage, HuffmanStageMatchesLegacyChainBytes) {
   // The registry's stage 0 must reproduce the pre-registry writer
-  // bit for bit — the property the golden blobs pin end to end.
+  // bit for bit — the property the golden blobs pin end to end — both
+  // through the packed-section dispatch and through the stage itself.
   const auto corpus = code_corpus();
   const auto& stage = EntropyRegistry::instance().by_name("huffman");
   for (const auto& codes : corpus) {
-    Bytes legacy;
-    {
-      BytesWriter huff;
-      huffman_encode(codes, huff);
-      ByteSink sink(legacy);
-      lossless_compress(huff.bytes(), LosslessBackend::kLzb, sink);
+    for (const LosslessBackend lossless :
+         {LosslessBackend::kNone, LosslessBackend::kLzb,
+          LosslessBackend::kRleLzb}) {
+      Bytes legacy;
+      {
+        BytesWriter huff;
+        huffman_encode(codes, huff);
+        ByteSink sink(legacy);
+        lossless_compress(huff.bytes(), lossless, sink);
+      }
+      Bytes via_dispatch;
+      ByteSink sink(via_dispatch);
+      entropy_encode_codes(codes, histogram_symbols(codes), stage, lossless,
+                           sink);
+      EXPECT_EQ(via_dispatch, legacy)
+          << "n=" << codes.size() << " lossless=" << to_string(lossless);
+      if (lossless == LosslessBackend::kLzb) {
+        Bytes via_stage;
+        ByteSink stage_sink(via_stage);
+        stage.encode_into(codes, stage_sink);
+        EXPECT_EQ(via_stage, legacy) << "n=" << codes.size();
+      }
     }
-    Bytes via_stage;
-    ByteSink sink(via_stage);
-    entropy_encode_codes(codes, stage, LosslessBackend::kLzb, sink);
-    EXPECT_EQ(via_stage, legacy);
   }
 }
 
@@ -212,7 +214,8 @@ TEST(EntropyStage, RejectsCorruptStreams) {
   for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
     Bytes buf;
     ByteSink sink(buf);
-    entropy_encode_codes(codes, *stage, LosslessBackend::kLzb, sink);
+    entropy_encode_codes(codes, histogram_symbols(codes), *stage,
+                         LosslessBackend::kLzb, sink);
     // Every strict prefix must be rejected, never mis-decode silently
     // into the original stream.
     for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, buf.size() / 2,
@@ -242,17 +245,6 @@ TEST(EntropyStage, RejectsCorruptStreams) {
       EXPECT_NE(back, codes);
     } catch (const CorruptStream&) {
     }
-  }
-
-  // LZW code beyond the dictionary.
-  {
-    Bytes buf;
-    ByteSink sink(buf);
-    sink.put_varint(4);
-    // 8-bit literal 'a', then a 9-bit code 300 (> next == 256).
-    sink.put('a');  // not a valid bitstream framing on purpose
-    Bytes out_bytes;
-    EXPECT_THROW(lzw_decode_into(buf, out_bytes), CorruptStream);
   }
 }
 
@@ -358,17 +350,36 @@ FloatArray sine_field(const Shape& shape, std::uint64_t seed) {
   return data;
 }
 
+/// Offset of block 0's index entry (its size varint) inside a v1.1 or
+/// v1.2 container: magic(4) + version(1) + rank(1) + dim varints +
+/// block_slabs + count.
+std::size_t first_entry_offset(const BlockContainerInfo& info) {
+  std::size_t offset = 4 + 1 + 1;
+  for (int d = 0; d < info.shape.rank(); ++d)
+    offset += varint_len(info.shape.dim(d));
+  return offset + varint_len(info.block_slabs) +
+         varint_len(info.blocks.size());
+}
+
+/// Index bytes a container spends beyond its per-block size varints:
+/// magic, version, shape, block size, count, and each entry's CRC and
+/// id bytes. Equal payload sizes are not needed to compare two indexes.
+std::size_t fixed_index_bytes(const BlockContainerInfo& info) {
+  std::size_t size_varints = 0;
+  for (const auto& entry : info.blocks) size_varints += varint_len(entry.size);
+  return info.blocks.front().offset - size_varints;
+}
+
 TEST(BlockContainerV12, MixedStagesRoundTripAndIndexNamesEveryBlock) {
   const FloatArray field = sine_field(Shape(16, 7, 5), 0xB12);
-  const Bytes container = mixed_stage_container(
-      field, 4, {"huffman", "ans", "bwt-mtf", "lzw"});
+  const Bytes container = mixed_stage_container(field, 4, {"huffman", "ans"});
 
   const BlockContainerInfo info = read_block_index(container);
   ASSERT_TRUE(info.has_backend_ids);
   ASSERT_TRUE(info.has_entropy_ids);
   ASSERT_EQ(info.blocks.size(), 4u);
   const std::uint8_t expect_ids[] = {kEntropyHuffmanId, kEntropyAnsId,
-                                     kEntropyBwtId, kEntropyLzwId};
+                                     kEntropyHuffmanId, kEntropyAnsId};
   for (std::size_t b = 0; b < info.blocks.size(); ++b) {
     EXPECT_EQ(info.blocks[b].entropy_id, expect_ids[b]) << "block " << b;
     const FloatArray block = decompress_block(container, b);
@@ -383,14 +394,15 @@ TEST(BlockContainerV12, MixedStagesRoundTripAndIndexNamesEveryBlock) {
   EXPECT_TRUE(plain_info.has_backend_ids);
   EXPECT_FALSE(plain_info.has_entropy_ids);
   for (const auto& entry : plain_info.blocks) EXPECT_EQ(entry.entropy_id, 0);
-  EXPECT_LT(plain.size() - plain_info.blocks.size(),
-            container.size());  // v1.2 spends one index byte per block
+  // v1.2 spends exactly one index byte per block on the entropy id.
+  ASSERT_EQ(plain_info.blocks.size(), info.blocks.size());
+  EXPECT_EQ(fixed_index_bytes(info),
+            fixed_index_bytes(plain_info) + info.blocks.size());
 }
 
 TEST(BlockContainerV12, EveryPrefixTruncationRejected) {
   const FloatArray field = sine_field(Shape(8, 5, 3), 0xC4);
-  const Bytes container =
-      mixed_stage_container(field, 4, {"ans", "lzw"});
+  const Bytes container = mixed_stage_container(field, 4, {"ans", "huffman"});
   for (std::size_t cut = 0; cut < container.size(); ++cut) {
     const std::span<const std::uint8_t> prefix{container.data(), cut};
     EXPECT_THROW(
@@ -407,25 +419,115 @@ TEST(BlockContainerV12, EveryPrefixTruncationRejected) {
 
 TEST(BlockContainerV12, IndexEntropyByteMismatchRejected) {
   const FloatArray field = sine_field(Shape(8, 5, 3), 0xC5);
-  Bytes container = mixed_stage_container(field, 4, {"ans", "lzw"});
+  Bytes container = mixed_stage_container(field, 4, {"ans", "huffman"});
   const BlockContainerInfo info = read_block_index(container);
   ASSERT_TRUE(info.has_entropy_ids);
 
-  // Address block 0's index entropy byte: magic(4) + version(1) +
-  // rank(1) + dim varints + block_slabs + count, then within the entry
-  // varint size + crc(4) + backend(1).
-  std::size_t offset = 4 + 1 + 1;
-  for (int d = 0; d < info.shape.rank(); ++d)
-    offset += varint_len(info.shape.dim(d));
-  offset += varint_len(info.block_slabs) + varint_len(info.blocks.size());
-  offset += varint_len(info.blocks[0].size) + 4 + 1;
+  // Block 0's index entropy byte follows its varint size, crc(4) and
+  // backend(1).
+  const std::size_t offset =
+      first_entry_offset(info) + varint_len(info.blocks[0].size) + 4 + 1;
   ASSERT_EQ(container[offset], kEntropyAnsId);
 
-  container[offset] = kEntropyLzwId;  // lies about block 0's stage
+  container[offset] = kEntropyHuffmanId;  // lies about block 0's stage
   const BlockContainerInfo tampered = read_block_index(container);
   EXPECT_THROW((void)block_payload(container, tampered, 0), CorruptStream);
   // Block 1's entry is untouched and still verifies.
   (void)block_payload(container, tampered, 1);
+}
+
+/// Rewrites an OCZ2 blob as if the stage with wire id `id` had written
+/// it: the header's entropy byte and the leading byte of every codes
+/// section (tags ending in "codes"). decompress dispatches on the
+/// section byte and never reads the header's, so both must change.
+void restamp_entropy_id(std::span<std::uint8_t> blob, std::uint8_t id) {
+  ASSERT_EQ(std::memcmp(blob.data(), "OCZ2", 4), 0);
+  BytesReader in(blob);
+  (void)in.get_bytes(4);
+  (void)in.get<std::uint8_t>();  // dtype
+  (void)in.get<std::uint8_t>();  // backend id
+  blob[blob.size() - in.remaining()] = id;
+  (void)in.get<std::uint8_t>();  // entropy id
+  (void)in.get<double>();        // abs eb
+  for (int i = 0; i < 3; ++i) (void)in.get_varint();  // radius, stride, block
+  const int rank = in.get<std::uint8_t>();
+  for (int d = 0; d < rank; ++d) (void)in.get_varint();
+  const std::uint64_t sections = in.get_varint();
+  std::size_t restamped = 0;
+  for (std::uint64_t i = 0; i < sections; ++i) {
+    const std::string tag = in.get_string();
+    const std::span<const std::uint8_t> payload = in.get_blob();
+    if (!tag.ends_with("codes")) continue;
+    ASSERT_FALSE(payload.empty()) << tag;
+    blob[static_cast<std::size_t>(payload.data() - blob.data())] = id;
+    ++restamped;
+  }
+  ASSERT_GT(restamped, 0u);
+}
+
+/// `fn` must throw a CorruptStream whose message names `stage`.
+template <typename Fn>
+void expect_names_removed_stage(Fn&& fn, const std::string& stage,
+                                const std::string& where) {
+  try {
+    fn();
+    ADD_FAILURE() << where << ": expected CorruptStream naming " << stage;
+  } catch (const CorruptStream& e) {
+    EXPECT_NE(std::string(e.what()).find(stage), std::string::npos)
+        << where << ": " << e.what();
+  }
+}
+
+TEST(EntropyRegistry, RetiredIdsFailByName) {
+  const struct {
+    std::uint8_t id;
+    const char* name;
+  } retired[] = {{kRetiredBwtMtfId, "bwt-mtf"}, {kRetiredLzwId, "lzw"}};
+  const FloatArray field = sine_field(Shape(12, 7, 5), 0x4E7);
+  for (const auto& [id, name] : retired) {
+    expect_names_removed_stage(
+        [&] { (void)EntropyRegistry::instance().by_id(id); }, name, "by_id");
+    const Bytes section{id, 1, 2, 3};
+    std::vector<std::uint32_t> codes;
+    expect_names_removed_stage(
+        [&] { entropy_decode_codes_into(section, codes); }, name, "section");
+
+    // An OCZ2 blob as the removed stage wrote it, for every backend.
+    for (const std::string& backend : registered_backend_names()) {
+      CompressionConfig config;
+      config.backend = backend;
+      config.eb_mode = EbMode::kAbsolute;
+      config.eb = 1e-3;
+      config.entropy = "ans";
+      Bytes blob = compress(field, config);
+      restamp_entropy_id(blob, id);
+      expect_names_removed_stage([&] { (void)decompress<float>(blob); }, name,
+                                 backend + " decompress");
+      expect_names_removed_stage([&] { (void)inspect_blob(blob); }, name,
+                                 backend + " inspect_blob");
+    }
+
+    // An OCB1 v1.2 block: its payload, its index entropy byte, and its
+    // CRC, resealed so the checksum does not reject the block before
+    // any stage is consulted.
+    Bytes container = mixed_stage_container(field, 4, {"ans", "huffman"});
+    const BlockContainerInfo info = read_block_index(container);
+    ASSERT_TRUE(info.has_entropy_ids);
+    const BlockIndexEntry& entry = info.blocks[0];
+    const std::span<std::uint8_t> payload =
+        std::span<std::uint8_t>(container).subspan(entry.offset, entry.size);
+    restamp_entropy_id(payload, id);
+    const std::size_t crc_at =
+        first_entry_offset(info) + varint_len(entry.size);
+    const std::uint32_t crc = crc32(payload);
+    std::memcpy(container.data() + crc_at, &crc, sizeof(crc));
+    ASSERT_EQ(container[crc_at + 4 + 1], kEntropyAnsId);
+    container[crc_at + 4 + 1] = id;
+    expect_names_removed_stage([&] { (void)decompress_block(container, 0); },
+                               name, "decompress_block");
+    // The untouched huffman block still decodes.
+    EXPECT_EQ(decompress_block(container, 1).shape().dim(0), 4u);
+  }
 }
 
 TEST(AdaptiveEntropy, StageDuelingIsByteDeterministicAcrossWorkers) {
@@ -435,7 +537,7 @@ TEST(AdaptiveEntropy, StageDuelingIsByteDeterministicAcrossWorkers) {
   config.eb = 1e-3;
   AdaptiveOptions options;
   options.backends = {"lorenzo", "sz3-interp"};
-  options.entropy_stages = {"huffman", "ans", "bwt-mtf"};
+  options.entropy_stages = {"huffman", "ans"};
 
   Bytes reference;
   for (const std::size_t workers : {1u, 2u, 5u}) {

@@ -1,5 +1,6 @@
 // Unit tests for the shared key=value OptionSet parser (CLI trailing
-// options, `ocelot serve` config, and ocelotd request option frames).
+// options, `ocelot serve` config, and ocelotd request option frames),
+// and for the compression keys every front end parses through it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/options.hpp"
+#include "core/engine.hpp"
 
 namespace ocelot {
 namespace {
@@ -131,6 +133,28 @@ TEST(OptionSet, UnsignedGetterAcceptsZeroButNoSignOrJunk) {
                InvalidArgument);  // out of range
   EXPECT_THROW((void)parse_uint_option("seed", ""), InvalidArgument);
   EXPECT_THROW((void)parse_uint_option("seed", " 5"), InvalidArgument);
+}
+
+TEST(CompressionOptions, EntropyKeysAcceptOnlyRegisteredStages) {
+  // bwt-mtf and lzw were removed: asking for either is an unknown
+  // stage, and the error lists the two that remain.
+  for (const char* line : {"entropy=bwt-mtf", "entropy_stages=huffman,lzw"}) {
+    OptionSet options = OptionSet::from_line(line, "request");
+    try {
+      (void)parse_compression_options(options);
+      FAIL() << "expected InvalidArgument for " << line;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("(registered: huffman ans)"),
+                std::string::npos)
+          << line << ": " << e.what();
+    }
+  }
+  OptionSet options =
+      OptionSet::from_line("entropy=ans entropy_stages=huffman,ans", "request");
+  const EngineRequest request = parse_compression_options(options);
+  EXPECT_EQ(request.config.entropy, "ans");
+  EXPECT_EQ(request.adaptive_options.entropy_stages,
+            (std::vector<std::string>{"huffman", "ans"}));
 }
 
 }  // namespace

@@ -307,10 +307,9 @@ int cmd_backends(const std::vector<std::string>& args) {
   // backend's quantized-code sections can run through any stage
   // (compress entropy=<stage>, or entropy_stages=a,b with the advisor).
   std::cout << "\n";
-  TextTable stages({"entropy stage", "id", "capabilities", "description"});
+  TextTable stages({"entropy stage", "id", "description"});
   for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
     stages.add_row({stage->name(), std::to_string(stage->wire_id()),
-                    entropy_caps_to_string(stage->capabilities()),
                     stage->description()});
   }
   stages.print(std::cout);
