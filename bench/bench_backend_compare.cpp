@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   TextTable table({"backend", "field", "ratio", "MB/s comp", "MB/s decomp",
                    "PSNR (dB)", "|err|/eb"});
 
-  const auto backends = BackendRegistry::instance().list();
   std::map<std::string, double> worst_ratio_per_backend;
   double max_error_over_eb = 0.0;
   double min_psnr_db = 1e12;
@@ -51,9 +50,9 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     const FloatArray data = generate_field(c.app, c.field, scale, 77);
     const double mb = static_cast<double>(data.byte_size()) / 1e6;
-    for (const CompressorBackend* backend : backends) {
+    for (const BackendEntry& backend : backends()) {
       CompressionConfig config;
-      config.backend = backend->name();
+      config.backend = backend.name;
       config.eb_mode = EbMode::kValueRangeRel;
       config.eb = eb;
       const RoundTripStats stats = measure_roundtrip(data, config);
@@ -62,19 +61,19 @@ int main(int argc, char** argv) {
           stats.abs_eb > 0.0 ? stats.max_error / stats.abs_eb : 0.0;
       max_error_over_eb = std::max(max_error_over_eb, err_over_eb);
       min_psnr_db = std::min(min_psnr_db, stats.psnr_db);
-      const auto it = worst_ratio_per_backend.find(backend->name());
+      const auto it = worst_ratio_per_backend.find(backend.name);
       if (it == worst_ratio_per_backend.end() ||
           stats.compression_ratio < it->second) {
-        worst_ratio_per_backend[backend->name()] = stats.compression_ratio;
+        worst_ratio_per_backend[backend.name] = stats.compression_ratio;
       }
 
       const std::string label =
-          backend->name() + "/" + c.app + "/" + c.field;
+          backend.name + "/" + c.app + "/" + c.field;
       const double comp_mbs =
           stats.compress_seconds > 0.0 ? mb / stats.compress_seconds : 0.0;
       const double decomp_mbs =
           stats.decompress_seconds > 0.0 ? mb / stats.decompress_seconds : 0.0;
-      table.add_row({backend->name(), std::string(c.app) + "/" + c.field,
+      table.add_row({backend.name, std::string(c.app) + "/" + c.field,
                      fmt_double(stats.compression_ratio, 2),
                      fmt_double(comp_mbs, 1), fmt_double(decomp_mbs, 1),
                      fmt_double(stats.psnr_db, 1),
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== registered backends on synthetic fields, rel eb " << eb
+  std::cout << "=== backends on synthetic fields, rel eb " << eb
             << " (scale " << scale << ") ===\n\n";
   table.print(std::cout);
 
@@ -129,8 +128,8 @@ int main(int argc, char** argv) {
   double best_fixed_ratio = 0.0;
   double best_fixed_mbs = 0.0;
   std::string best_fixed_name;
-  for (const CompressorBackend* backend : backends) {
-    blocked_config.backend = backend->name();
+  for (const BackendEntry& backend : backends()) {
+    blocked_config.backend = backend.name;
     double ratio = 0.0;
     double wall = 1e12;
     std::size_t blocks = 0;
@@ -142,14 +141,14 @@ int main(int argc, char** argv) {
       blocks = r.task_count;
     }
     const double mbs = wall > 0.0 ? mixed_mb / wall : 0.0;
-    mixed_table.add_row({"fixed/" + backend->name(), fmt_double(ratio, 2),
+    mixed_table.add_row({"fixed/" + backend.name, fmt_double(ratio, 2),
                          fmt_double(mbs, 1), std::to_string(blocks), "-"});
-    report.add_row("blocked/" + backend->name(),
+    report.add_row("blocked/" + backend.name,
                    {{"ratio", ratio}, {"compress_mb_s", mbs}});
     if (ratio > best_fixed_ratio) {
       best_fixed_ratio = ratio;
       best_fixed_mbs = mbs;
-      best_fixed_name = backend->name();
+      best_fixed_name = backend.name;
     }
   }
 
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
   report.set_metric("ratio", worst_ratio);
   report.set_metric("psnr_db", min_psnr_db);
   report.set_metric("max_error_over_eb", max_error_over_eb);
-  report.set_metric("backends", static_cast<double>(backends.size()));
+  report.set_metric("backends", static_cast<double>(backends().size()));
   report.set_metric("best_fixed_ratio", best_fixed_ratio);
   report.set_metric("adaptive_ratio", adaptive_ratio);
   report.set_metric("adaptive_vs_best_fixed",

@@ -338,8 +338,7 @@ std::vector<Observation> collect_observations(
     for (const auto& field : fields) {
       const DataFeatures df = extract_data_features(field.data);
       for (const std::string& backend : backends) {
-        const std::uint8_t backend_id =
-            BackendRegistry::instance().by_name(backend).wire_id();
+        const std::uint8_t backend_id = backend_by_name(backend).wire_id;
         for (const double eb : ebs) {
           CompressionConfig config;
           config.backend = backend;

@@ -98,7 +98,7 @@ struct Observation {
   std::string app;
   std::string field;
   double eb = 0.0;  ///< value-range-relative bound
-  std::string backend = "sz3-interp";  ///< BackendRegistry key
+  std::string backend = "sz3-interp";  ///< backend table name
   QualitySample sample;   ///< features + measured targets
   RoundTripStats stats;   ///< full measured round-trip record
 };

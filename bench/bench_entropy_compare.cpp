@@ -1,7 +1,7 @@
-// Cross-stage comparison: every registered entropy stage over the
+// Cross-stage comparison: every entropy stage over the
 // same backend and fields at the same value-range-relative bound —
 // ratio, throughput, and error-bound compliance per stage. This is
-// the table behind the registry's headline claim (ANS matches or
+// the table behind the ans stage's headline claim (ANS matches or
 // beats the legacy Huffman chain on the smoke set) and the CI gate
 // holding it: every per-field row carries ans_ratio_vs_huffman, and
 // the top-level metric is the worst of them, both floored at 1.0.
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   TextTable table({"stage", "field", "ratio", "MB/s comp", "MB/s decomp",
                    "|err|/eb"});
 
-  const auto stages = EntropyRegistry::instance().list();
+  const auto stages = entropy_stages();
   // Worst-over-fields aggregates per stage, keyed by stage list index.
   std::vector<double> worst_ratio(stages.size(), 1e12);
   double max_error_over_eb = 0.0;
@@ -55,28 +55,28 @@ int main(int argc, char** argv) {
       CompressionConfig config;
       config.eb_mode = EbMode::kValueRangeRel;
       config.eb = eb;
-      config.entropy = stages[s]->name();
+      config.entropy = stages[s]->name;
       const RoundTripStats stats = measure_roundtrip(data, config);
 
       const double err_over_eb =
           stats.abs_eb > 0.0 ? stats.max_error / stats.abs_eb : 0.0;
       max_error_over_eb = std::max(max_error_over_eb, err_over_eb);
       worst_ratio[s] = std::min(worst_ratio[s], stats.compression_ratio);
-      if (stages[s]->name() == "huffman")
+      if (stages[s]->name == "huffman")
         huffman_ratio = stats.compression_ratio;
-      if (stages[s]->name() == "ans") ans_ratio = stats.compression_ratio;
+      if (stages[s]->name == "ans") ans_ratio = stats.compression_ratio;
 
       const double comp_mbs =
           stats.compress_seconds > 0.0 ? mb / stats.compress_seconds : 0.0;
       const double decomp_mbs =
           stats.decompress_seconds > 0.0 ? mb / stats.decompress_seconds
                                          : 0.0;
-      table.add_row({stages[s]->name(),
+      table.add_row({stages[s]->name,
                      std::string(c.app) + "/" + c.field,
                      fmt_double(stats.compression_ratio, 2),
                      fmt_double(comp_mbs, 1), fmt_double(decomp_mbs, 1),
                      fmt_double(err_over_eb, 3)});
-      const std::string key = stages[s]->name();
+      const std::string key = stages[s]->name;
       row.emplace_back("ratio_" + key, stats.compression_ratio);
       row.emplace_back("compress_mb_s_" + key, comp_mbs);
       row.emplace_back("decompress_mb_s_" + key, decomp_mbs);
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t s = 0; s < stages.size(); ++s) {
-    report.set_metric("ratio_" + stages[s]->name(), worst_ratio[s]);
+    report.set_metric("ratio_" + stages[s]->name, worst_ratio[s]);
   }
   report.set_metric("ans_ratio_vs_huffman", worst_ans_vs_huffman);
   report.set_metric("max_error_over_eb", max_error_over_eb);

@@ -51,7 +51,7 @@ void BM_HuffmanDecode(benchmark::State& state) {
   }
   std::vector<std::uint32_t> decoded;
   for (auto _ : state) {
-    huffman_decode_into(encoded, decoded);
+    huffman_decode_into(encoded, syms.size(), decoded);
     benchmark::DoNotOptimize(decoded.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -84,9 +84,8 @@ void BM_PipelineCompress(benchmark::State& state) {
   const FloatArray data =
       generate_field("Miranda", "density", 0.08, 31);
   CompressionConfig config;
-  config.backend = BackendRegistry::instance()
-                       .by_id(static_cast<std::uint8_t>(state.range(0)))
-                       .name();
+  config.backend =
+      backend_by_id(static_cast<std::uint8_t>(state.range(0))).name;
   config.eb_mode = EbMode::kValueRangeRel;
   config.eb = 1e-3;
   for (auto _ : state) {
@@ -102,9 +101,8 @@ void BM_PipelineDecompress(benchmark::State& state) {
   const FloatArray data =
       generate_field("Miranda", "density", 0.08, 31);
   CompressionConfig config;
-  config.backend = BackendRegistry::instance()
-                       .by_id(static_cast<std::uint8_t>(state.range(0)))
-                       .name();
+  config.backend =
+      backend_by_id(static_cast<std::uint8_t>(state.range(0))).name;
   config.eb_mode = EbMode::kValueRangeRel;
   config.eb = 1e-3;
   const Bytes blob = compress(data, config);

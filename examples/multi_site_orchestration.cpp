@@ -12,9 +12,9 @@
 #include "core/workload.hpp"
 #include "exec/cluster_model.hpp"
 #include "faas/funcx.hpp"
-#include "netsim/simulation.hpp"
 #include "netsim/sites.hpp"
 #include "scheduler/batch.hpp"
+#include "sim/engine.hpp"
 #include "transfer/globus.hpp"
 
 using namespace ocelot;
@@ -32,7 +32,7 @@ int main() {
   constexpr double kRatio = 12.0;
   constexpr int kNodesPerJob = 4;
 
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t anvil_ep = faas.add_endpoint({"anvil-ep"});
   faas.register_function("compress");

@@ -46,8 +46,8 @@ int main() {
             << (quality > 50.0 ? "  (no visible difference expected)" : "")
             << "\n\n";
 
-  // 5. Try every registered backend for comparison (a backend added
-  //    to the registry shows up here automatically).
+  // 5. Try every backend for comparison (a row added to the backend
+  //    table shows up here automatically).
   TextTable table({"backend", "ratio", "compress (ms)", "PSNR (dB)"});
   for (const std::string& backend : registered_backend_names()) {
     CompressionConfig c = config;

@@ -5,10 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
-#include "codec/entropy.hpp"
 #include "codec/huffman.hpp"
-#include "codec/lossless.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -166,6 +165,7 @@ void ans_encode(std::span<const std::uint32_t> symbols, ByteSink& out) {
 }
 
 void ans_decode_into(std::span<const std::uint8_t> data,
+                     std::size_t max_symbols,
                      std::vector<std::uint32_t>& out) {
   OCELOT_SPAN("codec.ans");
   out.clear();
@@ -173,10 +173,11 @@ void ans_decode_into(std::span<const std::uint8_t> data,
   const std::uint64_t n = in.get_varint();
   if (n == 0) return;
   // A one-symbol alphabet legitimately packs any count into a few
-  // bytes, so only an absolute ceiling (matching the container's
-  // element cap) guards the reserve below against hostile counts.
-  if (n > (std::uint64_t{1} << 40))
-    throw CorruptStream("ans: implausible symbol count");
+  // bytes, so only the caller's bound guards the reserve below.
+  if (n > max_symbols)
+    throw CorruptStream("ans: stream claims " + std::to_string(n) +
+                        " symbols, more than the " +
+                        std::to_string(max_symbols) + " allowed");
   out.reserve(n);
 
   const auto mode = in.get<std::uint8_t>();
@@ -246,54 +247,6 @@ void ans_decode_into(std::span<const std::uint8_t> data,
   // every stream byte; anything else is corruption.
   if (x != kRansLow) throw CorruptStream("ans: state mismatch");
   if (pos != stream.size()) throw CorruptStream("ans: unconsumed stream");
-}
-
-namespace {
-
-class AnsStage final : public EntropyStage {
- public:
-  [[nodiscard]] std::string name() const override { return "ans"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return kEntropyAnsId; }
-  [[nodiscard]] std::string description() const override {
-    return "tabled static rANS (8-15 bit scale, varint fallback)";
-  }
-
-  // The stage payload is a lossless pass over the rANS stream,
-  // mirroring the legacy Huffman chain: a static-table coder maps a
-  // symbol run onto a periodic state orbit, so its output bytes repeat
-  // and a dictionary/run pass recovers the run redundancy an order-0
-  // model cannot see. The pass is chosen per payload — lzb and
-  // rle+lzb both run and the smaller result wins (the lossless header
-  // byte is self-describing, so decode just dispatches). Deterministic
-  // for a given payload, and what keeps "ans" at or above the legacy
-  // chain's ratio on run-heavy quantized codes.
-  void encode_into(std::span<const std::uint32_t> codes,
-                   ByteSink& out) const override {
-    PooledBuffer stream(BufferPool::shared());
-    ByteSink stream_sink(*stream);
-    ans_encode(codes, stream_sink);
-    PooledBuffer lzb(BufferPool::shared());
-    ByteSink lzb_sink(*lzb);
-    lossless_compress(*stream, LosslessBackend::kLzb, lzb_sink);
-    PooledBuffer rle(BufferPool::shared());
-    ByteSink rle_sink(*rle);
-    lossless_compress(*stream, LosslessBackend::kRleLzb, rle_sink);
-    const Bytes& best = rle->size() < lzb->size() ? *rle : *lzb;
-    out.put_bytes(best);
-  }
-
-  void decode_into(std::span<const std::uint8_t> payload,
-                   std::vector<std::uint32_t>& out) const override {
-    PooledBuffer stream(BufferPool::shared());
-    lossless_decompress_into(payload, *stream);
-    ans_decode_into(*stream, out);
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<EntropyStage> make_ans_stage() {
-  return std::make_unique<AnsStage>();
 }
 
 }  // namespace ocelot

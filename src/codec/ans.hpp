@@ -17,8 +17,9 @@
 // decoder reads forward); 0 = plain varint symbols, the fallback for
 // alphabets too large to table (> 2^15 unique symbols).
 //
-// Registered as entropy stage "ans" (wire id 3, see entropy.hpp).
+// The coder behind entropy stage "ans" (wire id 3, see entropy.hpp).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,8 +32,11 @@ namespace ocelot {
 void ans_encode(std::span<const std::uint32_t> symbols, ByteSink& out);
 
 /// Decodes a stream produced by ans_encode. Throws CorruptStream on
-/// malformed tables, a dangling final state, or trailing bytes.
+/// malformed tables, a dangling final state, or trailing bytes, and
+/// before allocating when the stream claims more than `max_symbols`
+/// symbols.
 void ans_decode_into(std::span<const std::uint8_t> data,
+                     std::size_t max_symbols,
                      std::vector<std::uint32_t>& out);
 
 }  // namespace ocelot

@@ -1,6 +1,6 @@
 #include "codec/entropy.hpp"
-#include <sstream>
 
+#include "codec/ans.hpp"
 #include "codec/huffman.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
@@ -8,9 +8,9 @@
 
 namespace ocelot {
 
-// --- stage 0: the legacy Huffman+lossless chain ----------------------
-
 namespace {
+
+// --- stage 0: the legacy Huffman+lossless chain ----------------------
 
 /// The one Huffman+lossless chain, behind both the huffman stage and
 /// the packed-section dispatch. Its output starts with the
@@ -32,22 +32,15 @@ void encode_huffman_chain(
 }
 
 void decode_huffman_chain(std::span<const std::uint8_t> section,
+                          std::size_t max_symbols,
                           std::vector<std::uint32_t>& out) {
   PooledBuffer huff(BufferPool::shared());
   lossless_decompress_into(section, *huff);
-  huffman_decode_into(*huff, out);
+  huffman_decode_into(*huff, max_symbols, out);
 }
 
 class HuffmanLzbStage final : public EntropyStage {
  public:
-  [[nodiscard]] std::string name() const override { return "huffman"; }
-  [[nodiscard]] std::uint8_t wire_id() const override {
-    return kEntropyHuffmanId;
-  }
-  [[nodiscard]] std::string description() const override {
-    return "canonical Huffman + lossless chain (legacy default)";
-  }
-
   void encode_into(std::span<const std::uint32_t> codes,
                    ByteSink& out) const override {
     encode_huffman_chain(codes, histogram_symbols(codes),
@@ -55,15 +48,101 @@ class HuffmanLzbStage final : public EntropyStage {
   }
 
   void decode_into(std::span<const std::uint8_t> payload,
+                   std::size_t max_symbols,
                    std::vector<std::uint32_t>& out) const override {
-    decode_huffman_chain(payload, out);
+    decode_huffman_chain(payload, max_symbols, out);
   }
 };
 
+// --- stage 3: tabled rANS --------------------------------------------
+
+class AnsStage final : public EntropyStage {
+ public:
+  // The stage payload is a lossless pass over the rANS stream,
+  // mirroring the legacy Huffman chain: a static-table coder maps a
+  // symbol run onto a periodic state orbit, so its output bytes repeat
+  // and a dictionary/run pass recovers the run redundancy an order-0
+  // model cannot see. The pass is chosen per payload — lzb and
+  // rle+lzb both run and the smaller result wins (the lossless header
+  // byte is self-describing, so decode just dispatches). Deterministic
+  // for a given payload, and what keeps "ans" at or above the legacy
+  // chain's ratio on run-heavy quantized codes.
+  void encode_into(std::span<const std::uint32_t> codes,
+                   ByteSink& out) const override {
+    PooledBuffer stream(BufferPool::shared());
+    ByteSink stream_sink(*stream);
+    ans_encode(codes, stream_sink);
+    PooledBuffer lzb(BufferPool::shared());
+    ByteSink lzb_sink(*lzb);
+    lossless_compress(*stream, LosslessBackend::kLzb, lzb_sink);
+    PooledBuffer rle(BufferPool::shared());
+    ByteSink rle_sink(*rle);
+    lossless_compress(*stream, LosslessBackend::kRleLzb, rle_sink);
+    const Bytes& best = rle->size() < lzb->size() ? *rle : *lzb;
+    out.put_bytes(best);
+  }
+
+  void decode_into(std::span<const std::uint8_t> payload,
+                   std::size_t max_symbols,
+                   std::vector<std::uint32_t>& out) const override {
+    PooledBuffer stream(BufferPool::shared());
+    lossless_decompress_into(payload, *stream);
+    ans_decode_into(*stream, max_symbols, out);
+  }
+};
+
+/// Every assigned wire id, indexed by id.
+std::span<const EntropyStageEntry> entropy_table() {
+  static const HuffmanLzbStage huffman;
+  static const AnsStage ans;
+  // The row index is the wire id: append new stages, never reorder or
+  // reuse a row.
+  static const EntropyStageEntry table[] = {
+      {kEntropyHuffmanId, "huffman",
+       "canonical Huffman + lossless chain (legacy default)", &huffman},
+      {1, "", "legacy chain, lossless byte 1 (lzb)", nullptr},
+      {kMaxLegacyEntropyId, "", "legacy chain, lossless byte 2 (rle+lzb)",
+       nullptr},
+      {kEntropyAnsId, "ans",
+       "tabled static rANS (8-15 bit scale, varint fallback)", &ans},
+      {kRetiredBwtMtfId, "bwt-mtf", "removed", nullptr},
+      {kRetiredLzwId, "lzw", "removed", nullptr},
+  };
+  return table;
+}
+
 }  // namespace
 
-std::unique_ptr<EntropyStage> make_huffman_stage() {
-  return std::make_unique<HuffmanLzbStage>();
+std::span<const EntropyStageEntry* const> entropy_stages() {
+  static const std::vector<const EntropyStageEntry*> live = [] {
+    std::vector<const EntropyStageEntry*> stages;
+    for (const EntropyStageEntry& entry : entropy_table()) {
+      if (entry.stage != nullptr) stages.push_back(&entry);
+    }
+    return stages;
+  }();
+  return live;
+}
+
+const EntropyStageEntry& entropy_stage_by_name(std::string_view name) {
+  for (const EntropyStageEntry* entry : entropy_stages()) {
+    if (entry->name == name) return *entry;
+  }
+  std::string msg =
+      "unknown entropy stage: " + std::string(name) + " (registered:";
+  for (const EntropyStageEntry* entry : entropy_stages())
+    msg += " " + entry->name;
+  throw InvalidArgument(msg + ")");
+}
+
+const EntropyStageEntry& entropy_stage_by_id(std::uint8_t id) {
+  const std::span<const EntropyStageEntry> table = entropy_table();
+  if (id >= table.size() || table[id].name.empty())
+    throw CorruptStream("entropy: unknown stage id " + std::to_string(id));
+  if (table[id].stage == nullptr)
+    throw CorruptStream("entropy: stage id " + std::to_string(id) + " (" +
+                        table[id].name + ") was removed and cannot be decoded");
+  return table[id];
 }
 
 // --- packed-section dispatch -----------------------------------------
@@ -71,127 +150,31 @@ std::unique_ptr<EntropyStage> make_huffman_stage() {
 void entropy_encode_codes(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
-    const EntropyStage& stage, LosslessBackend lossless, ByteSink& out) {
-  if (stage.wire_id() == kEntropyHuffmanId) {
+    const EntropyStageEntry& stage, LosslessBackend lossless, ByteSink& out) {
+  if (stage.wire_id == kEntropyHuffmanId) {
     // Legacy chain, honoring the configured lossless backend: the
     // section's leading byte is the lossless id, and the bytes match
-    // the pre-registry writer bit for bit.
+    // the pre-table writer bit for bit.
     encode_huffman_chain(codes, hist, lossless, out);
     return;
   }
-  out.put(stage.wire_id());
-  stage.encode_into(codes, out);
+  out.put(stage.wire_id);
+  stage.stage->encode_into(codes, out);
 }
 
 void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
+                               std::size_t max_symbols,
                                std::vector<std::uint32_t>& out) {
   if (packed.empty()) throw CorruptStream("entropy: empty codes section");
   const std::uint8_t id = packed[0];
   if (id <= kMaxLegacyEntropyId) {
     // Legacy chain: the id byte is the lossless backend id and belongs
     // to the lossless framing, so the whole span passes through.
-    decode_huffman_chain(packed, out);
+    decode_huffman_chain(packed, max_symbols, out);
     return;
   }
-  EntropyRegistry::instance().by_id(id).decode_into(packed.subspan(1), out);
-}
-
-// --- registry --------------------------------------------------------
-
-namespace {
-
-/// Name of the removed stage that owned wire id `id`, or nullptr.
-const char* retired_stage_name(std::uint8_t id) {
-  switch (id) {
-    case kRetiredBwtMtfId:
-      return "bwt-mtf";
-    case kRetiredLzwId:
-      return "lzw";
-    default:
-      return nullptr;
-  }
-}
-
-}  // namespace
-
-EntropyRegistry::EntropyRegistry() {
-  add(make_huffman_stage());
-  add(make_ans_stage());
-}
-
-EntropyRegistry& EntropyRegistry::instance() {
-  static EntropyRegistry registry;
-  return registry;
-}
-
-const EntropyStage& EntropyRegistry::add(std::unique_ptr<EntropyStage> stage) {
-  require(stage != nullptr, "EntropyRegistry: null stage");
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = stage->name();
-  const std::uint8_t id = stage->wire_id();
-  require(!name.empty(), "EntropyRegistry: empty stage name");
-  if (id != kEntropyHuffmanId && id <= kMaxLegacyEntropyId)
-    throw InvalidArgument(
-        "EntropyRegistry: wire ids 1-2 are reserved for the legacy "
-        "lossless chain (" +
-        name + ")");
-  if (const char* retired = retired_stage_name(id))
-    throw InvalidArgument("EntropyRegistry: wire id " + std::to_string(id) +
-                          " is retired with the removed stage " + retired +
-                          " (" + name + ")");
-  if (by_name_.count(name) > 0)
-    throw InvalidArgument("EntropyRegistry: duplicate stage name " + name);
-  if (by_id_.count(id) > 0)
-    throw InvalidArgument("EntropyRegistry: duplicate stage wire id " +
-                          std::to_string(id) + " (" + name + ")");
-  const EntropyStage* raw = stage.get();
-  by_id_[id] = std::move(stage);
-  by_name_[name] = raw;
-  return *raw;
-}
-
-const EntropyStage& EntropyRegistry::by_name(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    std::ostringstream msg;
-    msg << "unknown entropy stage: " << name << " (registered:";
-    for (const auto& [id, stage] : by_id_) msg << " " << stage->name();
-    msg << ")";
-    throw InvalidArgument(msg.str());
-  }
-  return *it->second;
-}
-
-const EntropyStage& EntropyRegistry::by_id(std::uint8_t id) const {
-  if (const char* retired = retired_stage_name(id))
-    throw CorruptStream("entropy: stage id " + std::to_string(id) + " (" +
-                        retired + ") was removed and cannot be decoded");
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end())
-    throw CorruptStream("entropy: unknown stage id " + std::to_string(id));
-  return *it->second;
-}
-
-const EntropyStage* EntropyRegistry::find(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-const EntropyStage* EntropyRegistry::find_by_id(std::uint8_t id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const EntropyStage*> EntropyRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const EntropyStage*> stages;
-  stages.reserve(by_id_.size());
-  for (const auto& [id, stage] : by_id_) stages.push_back(stage.get());
-  return stages;
+  entropy_stage_by_id(id).stage->decode_into(packed.subspan(1), max_symbols,
+                                             out);
 }
 
 }  // namespace ocelot

@@ -1,44 +1,40 @@
 #pragma once
-// Pluggable entropy-stage registry.
+// The entropy stages: one fixed table, indexed by wire id.
 //
 // The quantized-code streams every compressor backend produces go
-// through this seam, the same way backend.hpp opened the predictor
-// layer: an EntropyStage is resolved by name (when writing, from
+// through an entropy stage, resolved by name (when writing, from
 // CompressionConfig::entropy) or by the wire id stored in a packed
-// section's leading byte (when reading), and the stage owns the
-// encode/decode of the section payload.
+// section's leading byte (when reading). The stage owns the encode and
+// decode of the section payload.
 //
 // Wire format of a packed codes section:
 //
 //   [u8 id][payload...]
 //
-//   id 0-2  legacy Huffman+lossless chain. The byte doubles as the
-//           LosslessBackend id (0 none, 1 lzb, 2 rle+lzb) so blobs
-//           written before the registry existed parse bit-exactly —
+//   id 0-2  legacy Huffman+lossless chain ("huffman"). The byte doubles
+//           as the LosslessBackend id (0 none, 1 lzb, 2 rle+lzb) so
+//           blobs written before stage ids existed parse bit-exactly —
 //           and the default path still emits these exact bytes.
 //   id 3    "ans"; the stage decodes the payload.
 //   id 4-5  retired: the removed "bwt-mtf" and "lzw" stages. Decoding
-//           either throws CorruptStream naming the stage, and the
-//           registry refuses to hand the ids out again, so an old
-//           section never decodes as some later stage.
+//           either throws CorruptStream naming the stage, and their
+//           rows stay in the table, so an old section never decodes as
+//           some later stage.
 //
-// Because ids 1 and 2 are spoken for by the legacy chain, the registry
-// refuses to register them; "huffman" itself is stage 0.
+// The table in entropy.cpp is the one place a stage is given its id
+// (the constants below name the ids other code refers to). Adding a
+// stage = implement EntropyStage and append a row at the next wire id
+// (6). See CONTRIBUTING.md for the full recipe.
 //
 // Stages follow the zero-copy rules: encode appends into a ByteSink
 // (no intermediate vectors on the caller's side), decode consumes a
 // span.
-//
-// Adding a stage = implement EntropyStage, pick a fresh wire id >= 6,
-// and register it in the EntropyRegistry constructor (entropy.cpp).
-// See CONTRIBUTING.md for the full recipe.
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,8 +43,8 @@
 
 namespace ocelot {
 
-/// Wire ids of the built-in stages. 1 and 2 are reserved: on the wire
-/// they alias the legacy chain's LosslessBackend byte (see above).
+/// Wire ids of the stages. 1 and 2 are the legacy chain's
+/// LosslessBackend byte (see above).
 inline constexpr std::uint8_t kEntropyHuffmanId = 0;
 inline constexpr std::uint8_t kMaxLegacyEntropyId = 2;
 inline constexpr std::uint8_t kEntropyAnsId = 3;
@@ -63,21 +59,38 @@ class EntropyStage {
  public:
   virtual ~EntropyStage() = default;
 
-  /// Registry key (stable, lowercase, e.g. "ans").
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Wire id written as a packed section's leading byte. Ids 0-2 are
-  /// the legacy chain and must never be reassigned.
-  [[nodiscard]] virtual std::uint8_t wire_id() const = 0;
-  [[nodiscard]] virtual std::string description() const = 0;
-
   /// Encodes a u32 symbol stream into `out`.
   virtual void encode_into(std::span<const std::uint32_t> codes,
                            ByteSink& out) const = 0;
   /// Decodes a payload written by encode_into into `out`. Throws
-  /// CorruptStream on malformed input.
+  /// CorruptStream on malformed input, and before allocating when the
+  /// payload claims more than `max_symbols` symbols.
   virtual void decode_into(std::span<const std::uint8_t> payload,
+                           std::size_t max_symbols,
                            std::vector<std::uint32_t>& out) const = 0;
 };
+
+/// One row of the entropy-stage table, whose index is the wire id.
+struct EntropyStageEntry {
+  std::uint8_t wire_id;
+  std::string name;  ///< stable, lowercase; empty for ids 1-2
+  std::string description;
+  /// nullptr for ids 1-2 and the retired 4-5.
+  const EntropyStage* stage;
+};
+
+/// The stages a writer can pick, in wire-id order. Built on first use
+/// from function-local statics.
+std::span<const EntropyStageEntry* const> entropy_stages();
+
+/// Lookup for writers: throws InvalidArgument (listing the names) when
+/// `name` is not a live stage.
+const EntropyStageEntry& entropy_stage_by_name(std::string_view name);
+
+/// Lookup for readers: throws CorruptStream when the wire id is
+/// unknown (a foreign or corrupt section) or retired (naming the
+/// removed stage).
+const EntropyStageEntry& entropy_stage_by_id(std::uint8_t id);
 
 /// Encodes `codes` as a self-describing packed section: the stage-id
 /// byte, then the stage payload. `hist` must be the exact
@@ -89,55 +102,13 @@ class EntropyStage {
 void entropy_encode_codes(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
-    const EntropyStage& stage, LosslessBackend lossless, ByteSink& out);
+    const EntropyStageEntry& stage, LosslessBackend lossless, ByteSink& out);
 
 /// Decodes a packed codes section, dispatching on the leading byte.
-/// Throws CorruptStream for empty sections and unknown or retired
-/// stage ids.
+/// Throws CorruptStream for empty sections, unknown or retired stage
+/// ids, and sections claiming more than `max_symbols` symbols.
 void entropy_decode_codes_into(std::span<const std::uint8_t> packed,
+                               std::size_t max_symbols,
                                std::vector<std::uint32_t>& out);
-
-/// Process-wide entropy-stage registry, keyed by name and by wire id.
-/// The built-in stages are registered on first access; add() registers
-/// more. Mirrors BackendRegistry (backend.hpp) member for member.
-class EntropyRegistry {
- public:
-  static EntropyRegistry& instance();
-
-  /// Registers a stage. Throws InvalidArgument on a name/wire-id clash,
-  /// a reserved legacy id (1, 2) or a retired id (4, 5). Returns the
-  /// registered stage.
-  const EntropyStage& add(std::unique_ptr<EntropyStage> stage);
-
-  /// Lookup for writers: throws InvalidArgument (listing the
-  /// registered names) when `name` is unknown.
-  [[nodiscard]] const EntropyStage& by_name(const std::string& name) const;
-
-  /// Lookup for readers: throws CorruptStream when the wire id is
-  /// unknown (a foreign or corrupt section) or retired (naming the
-  /// removed stage).
-  [[nodiscard]] const EntropyStage& by_id(std::uint8_t id) const;
-
-  /// Nullptr instead of throwing.
-  [[nodiscard]] const EntropyStage* find(const std::string& name) const;
-
-  /// Nullptr instead of throwing (foreign, corrupt or retired ids).
-  [[nodiscard]] const EntropyStage* find_by_id(std::uint8_t id) const;
-
-  /// All registered stages in wire-id order.
-  [[nodiscard]] std::vector<const EntropyStage*> list() const;
-
- private:
-  EntropyRegistry();
-
-  mutable std::mutex mu_;
-  std::map<std::uint8_t, std::unique_ptr<EntropyStage>> by_id_;
-  std::map<std::string, const EntropyStage*> by_name_;
-};
-
-/// Built-in stages, defined next to their coders: huffman+lossless
-/// (entropy.cpp) and ans (ans.cpp).
-std::unique_ptr<EntropyStage> make_huffman_stage();
-std::unique_ptr<EntropyStage> make_ans_stage();
 
 }  // namespace ocelot

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
@@ -409,11 +410,16 @@ void huffman_encode(
 }
 
 void huffman_decode_into(std::span<const std::uint8_t> data,
+                         std::size_t max_symbols,
                          std::vector<std::uint32_t>& out) {
   out.clear();
   BytesReader in(data);
   const std::uint64_t n = in.get_varint();
   if (n == 0) return;
+  if (n > max_symbols)
+    throw CorruptStream("huffman: stream claims " + std::to_string(n) +
+                        " symbols, more than the " +
+                        std::to_string(max_symbols) + " allowed");
 
   const std::uint64_t unique = in.get_varint();
   if (unique == 0) throw CorruptStream("huffman: empty code table");

@@ -11,6 +11,7 @@
 // Stream layout: varint symbol-count, varint unique-count, delta-coded
 // (symbol, code-length) pairs, then the canonical bit stream.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -84,8 +85,12 @@ void huffman_encode(
     ByteSink& out);
 
 /// Decodes a stream produced by huffman_encode into `out` (cleared
-/// first; capacity is reused). Throws CorruptStream on malformed input.
+/// first; capacity is reused). Throws CorruptStream on malformed input,
+/// and before allocating when the stream claims more than
+/// `max_symbols` symbols (a one-symbol code carries no payload bits,
+/// so only the caller's bound limits its count).
 void huffman_decode_into(std::span<const std::uint8_t> data,
+                         std::size_t max_symbols,
                          std::vector<std::uint32_t>& out);
 
 }  // namespace ocelot

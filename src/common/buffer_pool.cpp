@@ -7,9 +7,4 @@ BufferPool& BufferPool::shared() {
   return pool;
 }
 
-BufferPool& BufferPool::local() {
-  thread_local BufferPool pool;
-  return pool;
-}
-
 }  // namespace ocelot

@@ -13,9 +13,8 @@
 // short-lived std::threads, so thread_local storage would die with
 // them — a process-wide pool is what actually carries capacity from
 // one parallel_for call to the next). shared() is that process-wide
-// instance; local() is a thread_local pool for long-lived threads that
-// want contention-free scratch. Prefer the RAII PooledBuffer lease:
-// it returns the buffer even when the borrowing code throws.
+// instance. Prefer the RAII PooledBuffer lease: it returns the buffer
+// even when the borrowing code throws.
 
 #include <cstdint>
 #include <mutex>
@@ -95,12 +94,6 @@ class VectorPool {
     return s;
   }
 
-  /// Drops every pooled buffer (stats counters are preserved).
-  void trim() {
-    const std::scoped_lock lock(mu_);
-    free_.clear();
-  }
-
  private:
   static constexpr std::size_t kMaxFree = 64;
 
@@ -120,10 +113,6 @@ class BufferPool : public detail::VectorPool<Bytes> {
   /// Process-wide pool: survives the executor's short-lived worker
   /// threads, so block N+1 reuses block N's capacity.
   static BufferPool& shared();
-
-  /// Thread-local pool for long-lived threads (CLI, benches): no lock
-  /// contention, dies with the thread.
-  static BufferPool& local();
 };
 
 /// Pool of element scratch vectors (slab slices, code streams).

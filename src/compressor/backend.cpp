@@ -1,10 +1,8 @@
 #include "compressor/backend.hpp"
 
 #include <cstring>
-#include <sstream>
 
 #include "codec/entropy.hpp"
-#include "compressor/multigrid.hpp"
 #include "obs/trace.hpp"
 
 namespace ocelot {
@@ -15,17 +13,17 @@ void pack_codes_hist(
     const CompressionConfig& config, ByteSink& out) {
   OCELOT_SPAN("codec.entropy.codes");
   const std::size_t out_before = out.size();
-  const EntropyStage& stage =
-      EntropyRegistry::instance().by_name(config.entropy);
-  entropy_encode_codes(codes, hist, stage, config.lossless, out);
+  entropy_encode_codes(codes, hist, entropy_stage_by_name(config.entropy),
+                       config.lossless, out);
   OCELOT_COUNT("codec.entropy_in_bytes", codes.size_bytes());
   OCELOT_COUNT("codec.entropy_out_bytes", out.size() - out_before);
 }
 
 void unpack_codes_into(std::span<const std::uint8_t> packed,
+                       std::size_t max_symbols,
                        std::vector<std::uint32_t>& out) {
   OCELOT_SPAN("codec.entropy.decode");
-  entropy_decode_codes_into(packed, out);
+  entropy_decode_codes_into(packed, max_symbols, out);
 }
 
 template <typename T>
@@ -62,81 +60,26 @@ template void unpack_raw_values_into<float>(std::span<const std::uint8_t>,
 template void unpack_raw_values_into<double>(std::span<const std::uint8_t>,
                                              std::vector<double>&);
 
-BackendRegistry::BackendRegistry() {
-  for (auto& backend : make_sz_backends()) add(std::move(backend));
-  add(make_multigrid_backend());
-}
-
-BackendRegistry& BackendRegistry::instance() {
-  static BackendRegistry registry;
-  return registry;
-}
-
-const CompressorBackend& BackendRegistry::add(
-    std::unique_ptr<CompressorBackend> backend) {
-  require(backend != nullptr, "BackendRegistry: null backend");
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = backend->name();
-  const std::uint8_t id = backend->wire_id();
-  require(!name.empty(), "BackendRegistry: empty backend name");
-  if (by_name_.count(name) > 0)
-    throw InvalidArgument("BackendRegistry: duplicate backend name " + name);
-  if (by_id_.count(id) > 0)
-    throw InvalidArgument("BackendRegistry: duplicate backend wire id " +
-                          std::to_string(id) + " (" + name + ")");
-  const CompressorBackend* raw = backend.get();
-  by_id_[id] = std::move(backend);
-  by_name_[name] = raw;
-  return *raw;
-}
-
-const CompressorBackend& BackendRegistry::by_name(
-    const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    std::ostringstream msg;
-    msg << "unknown compressor backend: " << name << " (registered:";
-    for (const auto& [id, backend] : by_id_) msg << " " << backend->name();
-    msg << ")";
-    throw InvalidArgument(msg.str());
+const BackendEntry& backend_by_name(std::string_view name) {
+  for (const BackendEntry& entry : backends()) {
+    if (entry.name == name) return entry;
   }
-  return *it->second;
+  std::string msg = "unknown compressor backend: " + std::string(name) +
+                    " (registered:";
+  for (const BackendEntry& entry : backends()) msg += " " + entry.name;
+  throw InvalidArgument(msg + ")");
 }
 
-const CompressorBackend& BackendRegistry::by_id(std::uint8_t id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end())
+const BackendEntry& backend_by_id(std::uint8_t id) {
+  const std::span<const BackendEntry> table = backends();
+  if (id >= table.size())
     throw CorruptStream("blob: unknown backend id " + std::to_string(id));
-  return *it->second;
-}
-
-const CompressorBackend* BackendRegistry::find(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-const CompressorBackend* BackendRegistry::find_by_id(std::uint8_t id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const CompressorBackend*> BackendRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const CompressorBackend*> backends;
-  backends.reserve(by_id_.size());
-  for (const auto& [id, backend] : by_id_) backends.push_back(backend.get());
-  return backends;
+  return table[id];
 }
 
 std::vector<std::string> registered_backend_names() {
   std::vector<std::string> names;
-  for (const CompressorBackend* b : BackendRegistry::instance().list()) {
-    names.push_back(b->name());
-  }
+  for (const BackendEntry& entry : backends()) names.push_back(entry.name);
   return names;
 }
 

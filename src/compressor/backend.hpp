@@ -1,28 +1,30 @@
 #pragma once
-// Pluggable compressor-backend registry.
+// The compressor backends: one fixed table, indexed by wire id.
 //
-// Every layer that used to switch on the closed Pipeline enum now
-// routes through this seam: compress<T>/decompress<T>/inspect_blob
-// resolve a CompressorBackend by name (when writing) or by the wire id
-// stored in the OCZ1 header (when reading), and the backend owns the
-// payload encode/decode against the shared section container, the
-// uniform quantizer, and the pluggable entropy stage (entropy.hpp —
-// resolved from CompressionConfig::entropy, "huffman" by default).
+// compress<T>/decompress<T>/inspect_blob resolve a backend by name
+// (when writing) or by the wire id stored in the OCZ header (when
+// reading), and the backend's codec owns the payload encode/decode
+// against the shared section container, the uniform quantizer, and
+// the entropy stage (codec/entropy.hpp, "huffman" by default).
 //
-// Adding a compressor family = implement CompressorBackend (usually
-// via TypedBackend to get both dtypes from one template), pick a fresh
-// wire id, and register it in the BackendRegistry constructor
-// (backend.cpp). No other layer changes: the advisor enumerates
-// candidates from the registry, the quality model keys its categorical
-// feature on the wire id, and the CLI/bench pick the backend up by
-// name. See CONTRIBUTING.md for the full recipe.
+// The set is closed by the wire format: an id, once written, names
+// the same family forever, and the quality model keys its
+// compressor-type feature on it. So the table in sz_backends.cpp is
+// the one place an id is assigned:
+//
+//   0 lorenzo   1 sz2   2 sz3-interp   3 lorenzo2   4 multigrid
+//
+// Ids 0-3 are the legacy Pipeline enum values. Adding a family =
+// implement CompressorBackend (usually via TypedBackend, to get both
+// dtypes from one template) and append a row at the next wire id. The
+// advisor, the CLI and the benches enumerate the table. See
+// CONTRIBUTING.md for the full recipe.
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -142,17 +144,20 @@ class SectionReader {
 /// Shared entropy stage for quantized-code sections. Every backend
 /// funnels its quantizer output through these so ratios stay
 /// comparable across families. pack_codes_hist resolves the stage from
-/// CompressionConfig::entropy via the EntropyRegistry and writes a
-/// self-describing packed section (the decoder dispatches on the
-/// section's leading byte, so unpack needs no config). `hist` must be
-/// the exact symbol-sorted histogram of `codes`
-/// (FusedQuant::hist_view), letting the huffman stage skip its
-/// counting pass.
+/// CompressionConfig::entropy by name and writes a self-describing
+/// packed section (the decoder dispatches on the section's leading
+/// byte, so unpack needs no config). `hist` must be the exact
+/// symbol-sorted histogram of `codes` (FusedQuant::hist_view), letting
+/// the huffman stage skip its counting pass.
 void pack_codes_hist(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     const CompressionConfig& config, ByteSink& out);
+/// `max_symbols` is the most codes the header allows the section to
+/// hold (the shape size, for most sections). A section claiming more
+/// throws CorruptStream before anything is allocated for it.
 void unpack_codes_into(std::span<const std::uint8_t> packed,
+                       std::size_t max_symbols,
                        std::vector<std::uint32_t>& out);
 
 template <typename T>
@@ -162,14 +167,6 @@ template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
                             std::vector<T>& out);
 
-/// One tunable knob of a backend, for `ocelot backends` and docs.
-/// `field` names the CompressionConfig member that carries the value.
-struct BackendParam {
-  std::string field;
-  std::string description;
-  double default_value = 0.0;
-};
-
 /// A compression family: encodes an array into payload sections under
 /// a resolved absolute error bound and decodes them back. The encode
 /// and decode sides must reconstruct identical values (the quantizer
@@ -177,14 +174,6 @@ struct BackendParam {
 class CompressorBackend {
  public:
   virtual ~CompressorBackend() = default;
-
-  /// Registry key (stable, lowercase, e.g. "sz3-interp").
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Wire id stored in the OCZ1 header. Ids 0-3 are the legacy
-  /// Pipeline enum values and must never be reassigned.
-  [[nodiscard]] virtual std::uint8_t wire_id() const = 0;
-  [[nodiscard]] virtual std::string description() const = 0;
-  [[nodiscard]] virtual std::vector<BackendParam> params() const { return {}; }
 
   virtual void encode(const NdArray<float>& data, double abs_eb,
                       const CompressionConfig& config,
@@ -234,47 +223,29 @@ class TypedBackend : public CompressorBackend {
   }
 };
 
-/// Process-wide backend registry, keyed by name and by wire id. The
-/// built-in families are registered on first access, so linking the
-/// library always provides them; add() registers more.
-class BackendRegistry {
- public:
-  static BackendRegistry& instance();
-
-  /// Registers a backend. Throws InvalidArgument on a name or wire-id
-  /// clash. Returns the registered backend.
-  const CompressorBackend& add(std::unique_ptr<CompressorBackend> backend);
-
-  /// Lookup for writers: throws InvalidArgument (listing the
-  /// registered names) when `name` is unknown.
-  [[nodiscard]] const CompressorBackend& by_name(const std::string& name) const;
-
-  /// Lookup for readers: throws CorruptStream when the wire id is
-  /// unknown (a foreign or corrupt blob).
-  [[nodiscard]] const CompressorBackend& by_id(std::uint8_t id) const;
-
-  /// Nullptr instead of throwing.
-  [[nodiscard]] const CompressorBackend* find(const std::string& name) const;
-
-  /// Nullptr instead of throwing (foreign or corrupt wire ids).
-  [[nodiscard]] const CompressorBackend* find_by_id(std::uint8_t id) const;
-
-  /// All registered backends in wire-id order.
-  [[nodiscard]] std::vector<const CompressorBackend*> list() const;
-
- private:
-  BackendRegistry();
-
-  mutable std::mutex mu_;
-  std::map<std::uint8_t, std::unique_ptr<CompressorBackend>> by_id_;
-  std::map<std::string, const CompressorBackend*> by_name_;
+/// One row of the backend table. Its index in backends() is its
+/// wire id.
+struct BackendEntry {
+  std::uint8_t wire_id;
+  std::string name;  ///< stable, lowercase, e.g. "sz3-interp"
+  std::string description;
+  const CompressorBackend& codec;
 };
 
-/// Names of all registered backends, in wire-id order.
-std::vector<std::string> registered_backend_names();
+/// Every backend, in wire-id order. Built on first use from
+/// function-local statics, so it is complete even for static
+/// initializers in other translation units.
+std::span<const BackendEntry> backends();
 
-/// Built-in SZ-family backends (lorenzo, sz2, sz3-interp, lorenzo2),
-/// wire ids 0-3. Defined in sz_backends.cpp.
-std::vector<std::unique_ptr<CompressorBackend>> make_sz_backends();
+/// Lookup for writers: throws InvalidArgument (listing the names) when
+/// `name` is unknown.
+const BackendEntry& backend_by_name(std::string_view name);
+
+/// Lookup for readers: throws CorruptStream when the wire id is
+/// unknown (a foreign or corrupt blob).
+const BackendEntry& backend_by_id(std::uint8_t id);
+
+/// Names of all backends, in wire-id order.
+std::vector<std::string> registered_backend_names();
 
 }  // namespace ocelot

@@ -24,24 +24,6 @@ constexpr std::uint8_t dtype_id() {
   return sizeof(T) == 8 ? 1 : 0;
 }
 
-void write_shape(ByteSink& out, const Shape& shape) {
-  out.put(static_cast<std::uint8_t>(shape.rank()));
-  for (int d = 0; d < shape.rank(); ++d) out.put_varint(shape.dim(d));
-}
-
-Shape read_shape(BytesReader& in) {
-  const int rank = in.get<std::uint8_t>();
-  if (rank < 1 || rank > 3) throw CorruptStream("blob: bad rank");
-  std::size_t dims[3] = {1, 1, 1};
-  for (int d = 0; d < rank; ++d) {
-    dims[d] = in.get_varint();
-    if (dims[d] == 0) throw CorruptStream("blob: zero dimension");
-  }
-  if (rank == 1) return Shape(dims[0]);
-  if (rank == 2) return Shape(dims[0], dims[1]);
-  return Shape(dims[0], dims[1], dims[2]);
-}
-
 BlobHeader read_header(BytesReader& in) {
   const auto magic = in.get_bytes(4);
   const bool v2 = std::memcmp(magic.data(), kMagic2, 4) == 0;
@@ -57,11 +39,32 @@ BlobHeader read_header(BytesReader& in) {
   h.anchor_stride = in.get_varint();
   h.block_size = in.get_varint();
   if (h.block_size == 0) throw CorruptStream("blob: zero block size");
-  h.shape = read_shape(in);
+  h.shape = read_shape(in, in.get<std::uint8_t>());
   return h;
 }
 
 }  // namespace
+
+void write_shape(ByteSink& out, const Shape& shape) {
+  out.put(static_cast<std::uint8_t>(shape.rank()));
+  for (int d = 0; d < shape.rank(); ++d) out.put_varint(shape.dim(d));
+}
+
+Shape read_shape(BytesReader& in, int rank) {
+  if (rank < 1 || rank > 3) throw CorruptStream("shape: bad rank");
+  std::size_t dims[3] = {1, 1, 1};
+  std::uint64_t elements = 1;
+  for (int d = 0; d < rank; ++d) {
+    dims[d] = in.get_varint();
+    if (dims[d] == 0) throw CorruptStream("shape: zero dimension");
+    if (dims[d] > kMaxShapeElements / elements)
+      throw CorruptStream("shape: implausible dimensions");
+    elements *= dims[d];
+  }
+  if (rank == 1) return Shape(dims[0]);
+  if (rank == 2) return Shape(dims[0], dims[1]);
+  return Shape(dims[0], dims[1], dims[2]);
+}
 
 template <typename T>
 double resolve_abs_eb(const NdArray<T>& data,
@@ -84,11 +87,10 @@ template <typename T>
 void compress_into(const NdArray<T>& data, const CompressionConfig& config,
                    ByteSink& out) {
   require(data.size() > 0, "compress: empty array");
-  const CompressorBackend& backend =
-      BackendRegistry::instance().by_name(config.backend);
+  const BackendEntry& backend = backend_by_name(config.backend);
   const double abs_eb = resolve_abs_eb(data, config);
   const std::uint8_t entropy_id =
-      EntropyRegistry::instance().by_name(config.entropy).wire_id();
+      entropy_stage_by_name(config.entropy).wire_id;
 
   if (entropy_id == kEntropyHuffmanId) {
     out.put_bytes(kMagic);  // default chain: unchanged OCZ1 bytes
@@ -96,19 +98,19 @@ void compress_into(const NdArray<T>& data, const CompressionConfig& config,
     out.put_bytes(kMagic2);
   }
   out.put(dtype_id<T>());
-  out.put(backend.wire_id());
+  out.put(backend.wire_id);
   if (entropy_id != kEntropyHuffmanId) out.put(entropy_id);
   out.put(abs_eb);
-  out.put_varint(config.quant_radius);
-  out.put_varint(config.anchor_stride);
-  out.put_varint(config.block_size);
+  out.put_varint(kDefaultQuantRadius);
+  out.put_varint(kMaxAnchorStride);
+  out.put_varint(kSz2BlockSize);
   write_shape(out, data.shape());
 
   // Sections stream into the same sink as they are produced; only the
   // count byte is patched afterwards, so the wire bytes match the old
   // buffered assembly exactly.
   SectionWriter sections(out);
-  backend.encode(data, abs_eb, config, sections);
+  backend.codec.encode(data, abs_eb, config, sections);
   sections.finish();
 }
 
@@ -132,13 +134,11 @@ template Bytes compress<double>(const NdArray<double>&,
 BlobInfo inspect_blob(std::span<const std::uint8_t> blob) {
   BytesReader in(blob);
   const BlobHeader h = read_header(in);
-  const CompressorBackend& backend =
-      BackendRegistry::instance().by_id(h.backend_id);
   BlobInfo info;
   info.is_double = h.dtype == 1;
-  info.backend = backend.name();
+  info.backend = backend_by_id(h.backend_id).name;
   info.backend_id = h.backend_id;
-  info.entropy = EntropyRegistry::instance().by_id(h.entropy_id).name();
+  info.entropy = entropy_stage_by_id(h.entropy_id).name;
   info.entropy_id = h.entropy_id;
   info.abs_eb = h.abs_eb;
   info.shape = h.shape;
@@ -153,8 +153,7 @@ NdArray<T> decompress(std::span<const std::uint8_t> blob) {
   const BlobHeader h = read_header(in);
   if (h.dtype != dtype_id<T>())
     throw InvalidArgument("decompress: dtype mismatch");
-  const CompressorBackend& backend =
-      BackendRegistry::instance().by_id(h.backend_id);
+  const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
 
   SectionReader sections(in);
   NdArray<T> out(h.shape);
@@ -172,8 +171,7 @@ NdArray<T> decompress_reusing(std::span<const std::uint8_t> blob,
   const BlobHeader h = read_header(in);
   if (h.dtype != dtype_id<T>())
     throw InvalidArgument("decompress: dtype mismatch");
-  const CompressorBackend& backend =
-      BackendRegistry::instance().by_id(h.backend_id);
+  const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
 
   SectionReader sections(in);
   storage.assign(h.shape.size(), T{});

@@ -6,14 +6,17 @@
 // the error-bound invariant: for the resolved absolute bound e,
 // max |original[i] - decompressed[i]| <= e for all i.
 //
-// Dispatch is registry-based (see backend.hpp): the blob header names
-// the backend by wire id, compress resolves config.backend by name,
-// and the backend owns the payload. Blob layout: magic "OCZ1", dtype,
-// backend wire id, resolved absolute eb, the varint parameter block,
-// shape, then the backend's named sections. Blobs written with a
-// non-default entropy stage (config.entropy != "huffman", see
-// codec/entropy.hpp) use magic "OCZ2" with the stage's wire id in one
-// extra byte after the backend id; everything else is unchanged.
+// Dispatch goes through the backend table (see backend.hpp): the blob
+// header names the backend by wire id, compress resolves
+// config.backend by name, and the backend owns the payload. Blob
+// layout: magic "OCZ1", dtype, backend wire id, resolved absolute eb,
+// the varint parameter block (quantizer radius, anchor-stride cap,
+// SZ2 block edge: the constants in config.hpp on write, the header's
+// values on read), shape, then the backend's named sections. Blobs
+// written with a non-default entropy stage (config.entropy !=
+// "huffman", see codec/entropy.hpp) use magic "OCZ2" with the stage's
+// wire id in one extra byte after the backend id; everything else is
+// unchanged.
 
 #include <cstdint>
 #include <span>
@@ -56,7 +59,7 @@ NdArray<T> decompress_reusing(std::span<const std::uint8_t> blob,
 /// Metadata recovered from a blob without decompressing the payload.
 struct BlobInfo {
   bool is_double = false;
-  std::string backend;          ///< registry name resolved from the wire id
+  std::string backend;          ///< table name resolved from the wire id
   std::uint8_t backend_id = 0;  ///< raw wire id from the header
   std::string entropy;          ///< entropy-stage name ("huffman" for OCZ1)
   std::uint8_t entropy_id = 0;  ///< entropy-stage wire id
@@ -67,9 +70,24 @@ struct BlobInfo {
 };
 
 /// Parses header fields only; resolves the backend and entropy-stage
-/// names through their registries and throws CorruptStream for
-/// unknown wire ids.
+/// names through their tables and throws CorruptStream for unknown
+/// wire ids and implausible shapes.
 BlobInfo inspect_blob(std::span<const std::uint8_t> blob);
+
+/// Ceiling on the elements of a shape read from untrusted bytes (2^40
+/// elements = 4 TB of floats): far beyond any real field, small enough
+/// that Shape::size() cannot wrap.
+inline constexpr std::uint64_t kMaxShapeElements = std::uint64_t{1} << 40;
+
+/// Shape codec shared by the OCZ header and the OCB1 index: a rank
+/// byte, then one varint per dimension.
+void write_shape(ByteSink& out, const Shape& shape);
+
+/// Reads the dimensions of a shape written by write_shape, whose rank
+/// byte the caller has already consumed. Throws CorruptStream for a
+/// rank outside 1-3, a zero dimension, or dimensions whose product
+/// exceeds kMaxShapeElements.
+Shape read_shape(BytesReader& in, int rank);
 
 /// Convenience round-trip measurement used by tests, benches and the
 /// predictor training loop.

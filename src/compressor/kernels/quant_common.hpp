@@ -1,7 +1,7 @@
 #pragma once
 // Fused quantizer state for the zero-alloc encode path.
 //
-// FusedQuant replaces QuantEncoder on the compress side: codes and raw
+// FusedQuant is the compress side of the quantizer: codes and raw
 // values land in arena spans sized up front (no vector growth), and
 // the symbol histogram the entropy stage needs is accumulated inline
 // while quantizing, so the separate histogram pass over the code
@@ -9,7 +9,8 @@
 // kept all-zero between blocks; hist_view() drains it back to zero
 // while materializing the (symbol, count) pairs.
 //
-// The quantization rule is bit-identical to QuantEncoder::encode but
+// The quantization rule is bit-identical to the reference
+// QuantEncoder::encode (tests/support/quant_reference.hpp), but
 // phrased without llround or int64 so the same expression sequence is
 // vectorizable: q = floor(t) plus a half-away-from-zero tie fixup
 // equals llround(t)'s classification for every finite t (for
@@ -49,8 +50,8 @@ struct FusedQuant {
   /// thread needs its own slot.
   static FusedQuant make(double abs_eb, std::uint32_t radius, std::size_t n,
                          ScratchArena& arena, ScratchArena::Slot slot) {
-    require(abs_eb > 0.0, "QuantEncoder: error bound must be positive");
-    require(radius >= 2, "QuantEncoder: radius too small");
+    require(abs_eb > 0.0, "FusedQuant: error bound must be positive");
+    require(radius >= 2, "FusedQuant: radius too small");
     FusedQuant q;
     q.eb = abs_eb;
     q.bin = 2.0 * abs_eb;
@@ -69,8 +70,8 @@ struct FusedQuant {
   }
 
   /// Quantizes one sample; returns the reconstruction to store (the
-  /// original value for unpredictable samples). Bit-identical to
-  /// QuantEncoder::encode.
+  /// original value for unpredictable samples). Bit-identical to the
+  /// reference QuantEncoder::encode.
   T encode1(double pred, T real) {
     const double diff = static_cast<double>(real) - pred;
     const double t = diff / bin;

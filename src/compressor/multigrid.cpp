@@ -5,9 +5,7 @@
 
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
-#include "compressor/interpolation.hpp"
 #include "compressor/kernels/quant_kernels.hpp"
-#include "compressor/quantizer.hpp"
 #include "obs/trace.hpp"
 
 namespace ocelot {
@@ -21,30 +19,18 @@ namespace {
 /// coarser level the tightened one.
 class MultigridBackend final : public TypedBackend<MultigridBackend> {
  public:
-  [[nodiscard]] std::string name() const override { return "multigrid"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return 4; }
-  [[nodiscard]] std::string description() const override {
-    return "MGARD-style multigrid: coarsen/correct hierarchy, per-level "
-           "linear interpolation, tightened coarse-level quantization";
-  }
-  [[nodiscard]] std::vector<BackendParam> params() const override {
-    return {{"anchor_stride", "coarsest-grid stride cap (hierarchy depth)",
-             64.0}};
-  }
-
   template <typename T>
   void encode_impl(const NdArray<T>& data, double abs_eb,
                    const CompressionConfig& config, SectionWriter& out) const {
-    const std::size_t stride =
-        choose_anchor_stride(data.shape(), config.anchor_stride);
+    const std::size_t stride = choose_anchor_stride(data.shape());
     ArenaScope scope;
     std::span<T> recon = scope.arena().alloc<T>(data.size());
     std::fill(recon.begin(), recon.end(), T{});
     kernels::FusedQuant<T> coarse = kernels::FusedQuant<T>::make(
-        abs_eb / kMultigridCoarseTighten, config.quant_radius, data.size(),
+        abs_eb / kMultigridCoarseTighten, kDefaultQuantRadius, data.size(),
         scope.arena(), ScratchArena::Slot::kHistB);
     kernels::FusedQuant<T> fine = kernels::FusedQuant<T>::make(
-        abs_eb, config.quant_radius, data.size(), scope.arena(),
+        abs_eb, kDefaultQuantRadius, data.size(), scope.arena(),
         ScratchArena::Slot::kHistA);
     {
       OCELOT_SPAN("codec.predict_quantize");
@@ -75,12 +61,13 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
         choose_anchor_stride(header.shape, header.anchor_stride);
     ScratchLease<std::uint32_t> coarse_codes(
         ScratchPool<std::uint32_t>::shared());
-    unpack_codes_into(in.get("mg_coarse_codes"), *coarse_codes);
+    unpack_codes_into(in.get("mg_coarse_codes"), header.shape.size(),
+                      *coarse_codes);
     ScratchLease<T> coarse_raw(ScratchPool<T>::shared());
     unpack_raw_values_into(in.get("mg_coarse_raw"), *coarse_raw);
     ScratchLease<std::uint32_t> fine_codes(
         ScratchPool<std::uint32_t>::shared());
-    unpack_codes_into(in.get("codes"), *fine_codes);
+    unpack_codes_into(in.get("codes"), header.shape.size(), *fine_codes);
     ScratchLease<T> fine_raw(ScratchPool<T>::shared());
     unpack_raw_values_into(in.get("raw"), *fine_raw);
     if (coarse_codes->size() + fine_codes->size() != header.shape.size())
@@ -96,8 +83,9 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
 
 }  // namespace
 
-std::unique_ptr<CompressorBackend> make_multigrid_backend() {
-  return std::make_unique<MultigridBackend>();
+const CompressorBackend& multigrid_codec() {
+  static const MultigridBackend codec;
+  return codec;
 }
 
 }  // namespace ocelot

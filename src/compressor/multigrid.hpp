@@ -1,17 +1,17 @@
 #pragma once
 // MGARD-style multigrid backend (wire id 4).
 //
-// A second compressor family alongside the SZ pipelines, proving the
-// backend seam: the grid is treated as a dyadic node hierarchy.
+// A second compressor family alongside the SZ pipelines: the grid is
+// treated as a dyadic node hierarchy.
 // Encode first *coarsens* — nodal values on the coarsest grid (stride
-// S, a power of two capped by `anchor_stride`) are coded with a
+// S, a power of two capped by kMaxAnchorStride) are coded with a
 // stride-S Lorenzo predictor — then *corrects* level by level: each
 // halving level s = S/2 ... 1 predicts the newly-refined nodes by
 // linear interpolation along the refined dimension from the already-
 // reconstructed coarser surface, and quantizes the correction. The
-// node ordering is the shared hierarchy_traverse (interpolation.hpp)
-// in linear mode, so the coverage argument is proven once for both
-// families.
+// node ordering is the shared hierarchy walk of the fused kernels
+// (kernels/quant_kernels.hpp) in linear mode, so the coverage
+// argument is proven once for both families.
 //
 // Two uniform quantizers share the abs-eb invariant: coarse levels
 // (s >= 2) use a tightened bin (eb / kMultigridCoarseTighten) so the
@@ -29,8 +29,6 @@
 // coefficients — which keeps the decoder a bit-exact replay of the
 // encoder under the repo's quantizer contract.
 
-#include <memory>
-
 #include "compressor/backend.hpp"
 
 namespace ocelot {
@@ -38,8 +36,7 @@ namespace ocelot {
 /// Coarse levels quantize with eb / this factor.
 inline constexpr double kMultigridCoarseTighten = 2.0;
 
-/// Factory used by the registry; also handy for tests that want the
-/// backend without going through the registry.
-std::unique_ptr<CompressorBackend> make_multigrid_backend();
+/// The multigrid codec, for its row in the backend table.
+const CompressorBackend& multigrid_codec();
 
 }  // namespace ocelot

@@ -1,6 +1,6 @@
-// Built-in SZ-family backends: the four prediction pipelines that
-// predated the registry, on wire ids 0-3. Payload layout is
-// bit-identical to the pre-registry compressor (see the golden-blob
+// The SZ-family backends (the four prediction pipelines of the legacy
+// Pipeline enum, wire ids 0-3) and the backend table. Payload layout
+// is bit-identical to the pre-table compressor (see the golden-blob
 // test), so blobs written before the refactor still decode exactly.
 #include <utility>
 #include <vector>
@@ -8,8 +8,8 @@
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "compressor/backend.hpp"
-#include "compressor/interpolation.hpp"
 #include "compressor/kernels/quant_kernels.hpp"
+#include "compressor/multigrid.hpp"
 #include "compressor/quantizer.hpp"
 #include "compressor/regression.hpp"
 #include "compressor/traversal.hpp"
@@ -42,9 +42,9 @@ void quantized_encode(const NdArray<T>& data, double abs_eb,
                       Run&& run) {
   ArenaScope scope;
   std::span<T> recon = recon_scratch<T>(scope.arena(), data.size());
-  FusedQuant<T> quant = FusedQuant<T>::make(abs_eb, config.quant_radius,
-                                            data.size(), scope.arena(),
-                                            ScratchArena::Slot::kHistA);
+  FusedQuant<T> quant =
+      FusedQuant<T>::make(abs_eb, kDefaultQuantRadius, data.size(),
+                          scope.arena(), ScratchArena::Slot::kHistA);
   {
     OCELOT_SPAN("codec.predict_quantize");
     run(recon, quant);
@@ -67,7 +67,7 @@ template <typename T, typename Run>
 void quantized_decode(const BlobHeader& header, const SectionReader& in,
                       Run&& run) {
   ScratchLease<std::uint32_t> codes(ScratchPool<std::uint32_t>::shared());
-  unpack_codes_into(in.get("codes"), *codes);
+  unpack_codes_into(in.get("codes"), header.shape.size(), *codes);
   ScratchLease<T> raw(ScratchPool<T>::shared());
   unpack_raw_values_into(in.get("raw"), *raw);
   if (codes->size() != header.shape.size())
@@ -89,12 +89,6 @@ void traversal_decode(const BlobHeader& header, const SectionReader& in,
 
 class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
  public:
-  [[nodiscard]] std::string name() const override { return "lorenzo"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return 0; }
-  [[nodiscard]] std::string description() const override {
-    return "pure first-order Lorenzo predictor (fast baseline)";
-  }
-
   template <typename T>
   void encode_impl(const NdArray<T>& data, double abs_eb,
                    const CompressionConfig& config, SectionWriter& out) const {
@@ -120,12 +114,6 @@ class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
 
 class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
  public:
-  [[nodiscard]] std::string name() const override { return "lorenzo2"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return 3; }
-  [[nodiscard]] std::string description() const override {
-    return "second-order Lorenzo predictor (linear-trend fields)";
-  }
-
   template <typename T>
   void encode_impl(const NdArray<T>& data, double abs_eb,
                    const CompressionConfig& config, SectionWriter& out) const {
@@ -151,20 +139,10 @@ class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
 
 class Sz3InterpBackend final : public TypedBackend<Sz3InterpBackend> {
  public:
-  [[nodiscard]] std::string name() const override { return "sz3-interp"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return 2; }
-  [[nodiscard]] std::string description() const override {
-    return "multilevel cubic interpolation (SZ3 default)";
-  }
-  [[nodiscard]] std::vector<BackendParam> params() const override {
-    return {{"anchor_stride", "anchor spacing cap (power of two)", 64.0}};
-  }
-
   template <typename T>
   void encode_impl(const NdArray<T>& data, double abs_eb,
                    const CompressionConfig& config, SectionWriter& out) const {
-    const std::size_t stride =
-        choose_anchor_stride(data.shape(), config.anchor_stride);
+    const std::size_t stride = choose_anchor_stride(data.shape());
     quantized_encode(data, abs_eb, config, out,
                      [&](std::span<T> recon, FusedQuant<T>& quant) {
                        kernels::hierarchy_encode<T>(data.shape(),
@@ -191,6 +169,18 @@ class Sz3InterpBackend final : public TypedBackend<Sz3InterpBackend> {
 // only trades prediction accuracy against coefficient storage.
 double coeff_eb(double abs_eb, std::size_t block_size) {
   return abs_eb / static_cast<double>(2 * block_size);
+}
+
+/// A regression block codes at most one coefficient per dimension
+/// plus the intercept.
+constexpr std::size_t kMaxCoeffsPerBlock = 4;
+
+/// Regression blocks of edge `block_size` that tile `shape`.
+std::size_t regression_blocks(const Shape& shape, std::size_t block_size) {
+  std::size_t n_blocks = 1;
+  for (int d = 0; d < shape.rank(); ++d)
+    n_blocks *= (shape.dim(d) + block_size - 1) / block_size;
+  return n_blocks;
 }
 
 /// SZ2 oracle state shared between encode and decode: the previous
@@ -267,33 +257,23 @@ std::pair<double, double> block_sse(const NdArray<T>& data,
 
 class Sz2Backend final : public TypedBackend<Sz2Backend> {
  public:
-  [[nodiscard]] std::string name() const override { return "sz2"; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return 1; }
-  [[nodiscard]] std::string description() const override {
-    return "block regression + Lorenzo hybrid (SZ2 style)";
-  }
-  [[nodiscard]] std::vector<BackendParam> params() const override {
-    return {{"block_size", "regression block edge", 6.0}};
-  }
-
   template <typename T>
   void encode_impl(const NdArray<T>& data, double abs_eb,
                    const CompressionConfig& config, SectionWriter& out) const {
     ArenaScope scope;
     std::span<T> recon = recon_scratch<T>(scope.arena(), data.size());
-    FusedQuant<T> quant = FusedQuant<T>::make(abs_eb, config.quant_radius,
-                                              data.size(), scope.arena(),
-                                              ScratchArena::Slot::kHistA);
+    FusedQuant<T> quant =
+        FusedQuant<T>::make(abs_eb, kDefaultQuantRadius, data.size(),
+                            scope.arena(), ScratchArena::Slot::kHistA);
     const auto original = data.values();
 
     const Shape& shape = data.shape();
     const int rank = shape.rank();
-    std::size_t n_blocks = 1;
-    for (int d = 0; d < rank; ++d)
-      n_blocks *= (shape.dim(d) + config.block_size - 1) / config.block_size;
+    const std::size_t n_blocks = regression_blocks(shape, kSz2BlockSize);
     FusedQuant<double> coef_quant = FusedQuant<double>::make(
-        coeff_eb(abs_eb, config.block_size), kDefaultQuantRadius, 4 * n_blocks,
-        scope.arena(), ScratchArena::Slot::kHistB);
+        coeff_eb(abs_eb, kSz2BlockSize), kDefaultQuantRadius,
+        kMaxCoeffsPerBlock * n_blocks, scope.arena(),
+        ScratchArena::Slot::kHistB);
     CoeffPredictor coef_pred;
     std::span<std::uint8_t> choices =
         scope.arena().alloc<std::uint8_t>(n_blocks);
@@ -318,7 +298,7 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
     };
     {
       OCELOT_SPAN("codec.predict_quantize");
-      block_traverse<T>(shape, recon, config.block_size, oracle,
+      block_traverse<T>(shape, recon, kSz2BlockSize, oracle,
                         [&](std::size_t idx, double pred) {
                           return quant.encode1(pred, original[idx]);
                         });
@@ -351,7 +331,10 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
     lossless_decompress_into(in.get("choices"), *choice_bytes);
     ScratchLease<std::uint32_t> coef_codes(
         ScratchPool<std::uint32_t>::shared());
-    unpack_codes_into(in.get("coef_codes"), *coef_codes);
+    unpack_codes_into(
+        in.get("coef_codes"),
+        kMaxCoeffsPerBlock * regression_blocks(header.shape, header.block_size),
+        *coef_codes);
     ScratchLease<double> coef_raw(ScratchPool<double>::shared());
     unpack_raw_values_into(in.get("coef_raw"), *coef_raw);
     QuantDecoder<double> coef_quant(coeff_eb(header.abs_eb, header.block_size),
@@ -382,13 +365,27 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
 
 }  // namespace
 
-std::vector<std::unique_ptr<CompressorBackend>> make_sz_backends() {
-  std::vector<std::unique_ptr<CompressorBackend>> backends;
-  backends.push_back(std::make_unique<LorenzoBackend>());
-  backends.push_back(std::make_unique<Sz2Backend>());
-  backends.push_back(std::make_unique<Sz3InterpBackend>());
-  backends.push_back(std::make_unique<Lorenzo2Backend>());
-  return backends;
+std::span<const BackendEntry> backends() {
+  static const LorenzoBackend lorenzo;
+  static const Sz2Backend sz2;
+  static const Sz3InterpBackend sz3_interp;
+  static const Lorenzo2Backend lorenzo2;
+  // The row index is the wire id: append new families, never reorder
+  // or reuse a row.
+  static const BackendEntry table[] = {
+      {0, "lorenzo", "pure first-order Lorenzo predictor (fast baseline)",
+       lorenzo},
+      {1, "sz2", "block regression + Lorenzo hybrid (SZ2 style)", sz2},
+      {2, "sz3-interp", "multilevel cubic interpolation (SZ3 default)",
+       sz3_interp},
+      {3, "lorenzo2", "second-order Lorenzo predictor (linear-trend fields)",
+       lorenzo2},
+      {4, "multigrid",
+       "MGARD-style multigrid: coarsen/correct hierarchy, per-level linear "
+       "interpolation, tightened coarse-level quantization",
+       multigrid_codec()},
+  };
+  return table;
 }
 
 }  // namespace ocelot

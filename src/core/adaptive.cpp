@@ -18,6 +18,37 @@ namespace {
 /// that swamps every residual correction.
 constexpr double kMaxLog2Ratio = 10.0;  // 1024x
 
+/// Slab depth of the per-field calibration probe. One slab keeps the
+/// probe's cost under a few percent even with a slow candidate
+/// backend; the EW feedback sharpens whatever the short probe got
+/// wrong.
+constexpr std::size_t kProbeSlabs = 1;
+/// Element cap on the calibration prefix (fields with huge slabs
+/// would otherwise spend a visible fraction of their compression time
+/// probing five backends on one slab).
+constexpr std::size_t kProbeMaxElements = 2048;
+/// Candidates whose calibration seed trails the leader's by more than
+/// this many log2 (0.8 ~ 1.74x worse) are not worth a duel: the prefix
+/// bias observed across families stays well below it.
+constexpr double kDuelMarginLog2 = 0.8;
+/// Weight of each new observation in the per-backend residual
+/// correction. Early observations weigh more (simple average until
+/// 1/count drops below this), so one true block observation
+/// immediately outvotes a rough calibration probe.
+constexpr double kLearningRate = 0.3;
+/// Keep-best exploration budget as a fraction of each field's raw
+/// bytes: early blocks may be compressed with one extra candidate
+/// backend (the executor keeps the smaller payload, so exploring costs
+/// time but never ratio) until every candidate has one true
+/// block-granularity observation or the budget runs out. Fields with
+/// few large blocks skip it automatically, because a single extra
+/// block would blow the budget.
+constexpr double kExploreBudget = 0.10;
+/// Stirred into deterministic tie-breaking between candidates whose
+/// adjusted predictions are bit-identical. Same input => byte-identical
+/// output regardless of worker count.
+constexpr std::uint64_t kTieBreakSeed = 0x0ce107;
+
 /// splitmix64 step — deterministic tie-break ordering between
 /// candidates whose adjusted predictions are bit-identical.
 std::uint64_t mix(std::uint64_t x) {
@@ -44,29 +75,29 @@ double sampled_range_of(const FloatArray& block, std::size_t stride) {
   return hi > lo ? hi - lo : 0.0;
 }
 
-/// First `slabs` slowest-dimension slabs of the block (row-truncated
-/// to at most `max_elements`), copied out for the calibration probe.
-/// Always a contiguous prefix of the block's storage.
-FloatArray slab_prefix(const FloatArray& block, std::size_t slabs,
-                       std::size_t max_elements) {
+/// First kProbeSlabs slowest-dimension slabs of the block
+/// (row-truncated to at most kProbeMaxElements), copied out for the
+/// calibration probe. Always a contiguous prefix of the block's
+/// storage.
+FloatArray slab_prefix(const FloatArray& block) {
   const Shape& shape = block.shape();
-  std::size_t keep = std::min(slabs, shape.dim(0));
+  std::size_t keep = std::min(kProbeSlabs, shape.dim(0));
   Shape prefix_shape =
       shape.rank() == 1   ? Shape(keep)
       : shape.rank() == 2 ? Shape(keep, shape.dim(1))
                           : Shape(keep, shape.dim(1), shape.dim(2));
-  if (max_elements > 0 && prefix_shape.size() > max_elements) {
+  if (prefix_shape.size() > kProbeMaxElements) {
     // Trim to one slab, then cut rows (and, when a single row still
     // exceeds the cap, the row itself) until the cap holds.
     if (shape.rank() == 1) {
-      prefix_shape = Shape(max_elements);
+      prefix_shape = Shape(kProbeMaxElements);
     } else if (shape.rank() == 2) {
-      prefix_shape = Shape(1, std::min(shape.dim(1), max_elements));
-    } else if (shape.dim(2) >= max_elements) {
-      prefix_shape = Shape(1, 1, max_elements);
+      prefix_shape = Shape(1, std::min(shape.dim(1), kProbeMaxElements));
+    } else if (shape.dim(2) >= kProbeMaxElements) {
+      prefix_shape = Shape(1, 1, kProbeMaxElements);
     } else {
       const std::size_t rows =
-          std::max<std::size_t>(1, max_elements / shape.dim(2));
+          std::max<std::size_t>(1, kProbeMaxElements / shape.dim(2));
       prefix_shape = Shape(1, std::min(shape.dim(1), rows), shape.dim(2));
     }
   }
@@ -86,23 +117,20 @@ AdvisorPolicy::AdvisorPolicy(AdaptiveOptions options)
     require(scale > 0.0 && scale <= 1.0,
             "AdvisorPolicy: eb scales must lie in (0, 1]");
   }
-  require(options_.learning_rate > 0.0 && options_.learning_rate <= 1.0,
-          "AdvisorPolicy: learning rate must lie in (0, 1]");
   require(options_.sample_stride >= 1, "AdvisorPolicy: zero sample stride");
 
-  const auto& registry = BackendRegistry::instance();
-  std::vector<Candidate> backends;
+  std::vector<Candidate> candidate_backends;
   if (options_.backends.empty()) {
-    for (const CompressorBackend* backend : registry.list()) {
-      backends.push_back({backend->name(), backend->wire_id(), "", 0});
+    for (const BackendEntry& backend : backends()) {
+      candidate_backends.push_back({backend.name, backend.wire_id, "", 0});
     }
   } else {
     for (const std::string& name : options_.backends) {
-      const CompressorBackend& backend = registry.by_name(name);
-      backends.push_back({backend.name(), backend.wire_id(), "", 0});
+      const BackendEntry& backend = backend_by_name(name);
+      candidate_backends.push_back({backend.name, backend.wire_id, "", 0});
     }
   }
-  require(!backends.empty(), "AdvisorPolicy: no candidate backends");
+  require(!candidate_backends.empty(), "AdvisorPolicy: no candidate backends");
   // The candidate set is the backends x entropy-stages cross-product,
   // backend-major so same-backend candidates stay adjacent in the
   // decision tables. An empty stage list contributes one inherit-base
@@ -113,13 +141,12 @@ AdvisorPolicy::AdvisorPolicy(AdaptiveOptions options)
   if (options_.entropy_stages.empty()) {
     stages.push_back({});
   } else {
-    const auto& entropy_registry = EntropyRegistry::instance();
     for (const std::string& name : options_.entropy_stages) {
-      const EntropyStage& stage = entropy_registry.by_name(name);
-      stages.push_back({"", 0, stage.name(), stage.wire_id()});
+      const EntropyStageEntry& stage = entropy_stage_by_name(name);
+      stages.push_back({"", 0, stage.name, stage.wire_id});
     }
   }
-  for (const Candidate& backend : backends) {
+  for (const Candidate& backend : candidate_backends) {
     for (const Candidate& stage : stages) {
       candidates_.push_back(
           {backend.name, backend.wire_id, stage.entropy, stage.entropy_id});
@@ -141,8 +168,7 @@ std::uint8_t AdvisorPolicy::candidate_entropy_id(std::size_t c) const {
 void AdvisorPolicy::begin(std::size_t n_fields, std::size_t n_tasks,
                           const CompressionConfig& base) {
   base_ = base;
-  base_entropy_id_ =
-      EntropyRegistry::instance().by_name(base.entropy).wire_id();
+  base_entropy_id_ = entropy_stage_by_name(base.entropy).wire_id;
   probes_.assign(n_tasks, {});
   calibrations_.assign(n_fields, {});
   field_states_.assign(n_fields, {});
@@ -155,10 +181,6 @@ void AdvisorPolicy::begin(std::size_t n_fields, std::size_t n_tasks,
   // same campaign keep learning from each other.
 }
 
-std::size_t AdvisorPolicy::wave_tasks() const {
-  return std::max<std::size_t>(1, options_.wave_tasks);
-}
-
 bool AdvisorPolicy::needs_block_features() const {
   return options_.model != nullptr || options_.eb_scales.size() > 1 ||
          options_.min_psnr_db > 0.0;
@@ -167,8 +189,7 @@ bool AdvisorPolicy::needs_block_features() const {
 bool AdvisorPolicy::wants_probe(const BlockContext& ctx) const {
   // Block 0 always probes (it hosts the field's calibration run);
   // other blocks only when their features can influence a decision.
-  return needs_block_features() ||
-         (ctx.block == 0 && options_.probe_slabs > 0);
+  return needs_block_features() || ctx.block == 0;
 }
 
 void AdvisorPolicy::probe(const BlockContext& ctx, const FloatArray& block) {
@@ -197,12 +218,11 @@ void AdvisorPolicy::probe(const BlockContext& ctx, const FloatArray& block) {
   // observed ratios instead of cold predictions. Concurrent probes
   // write disjoint calibration slots (one field owns exactly one
   // block 0), so this is race-free.
-  if (ctx.block == 0 && options_.probe_slabs > 0) {
+  if (ctx.block == 0) {
     FieldCalibration& calib = calibrations_[ctx.field];
     calib.ran = true;
     calib.obs_log2.assign(candidates_.size(), 0.0);
-    const FloatArray prefix = slab_prefix(block, options_.probe_slabs,
-                                          options_.probe_max_elements);
+    const FloatArray prefix = slab_prefix(block);
     const double raw = static_cast<double>(prefix.byte_size());
     for (std::size_t c = 0; c < candidates_.size(); ++c) {
       CompressionConfig config = base_;
@@ -274,9 +294,8 @@ void AdvisorPolicy::update_residual(std::size_t field, std::size_t candidate,
   sample_log2 = std::clamp(sample_log2, -kMaxLog2Ratio, kMaxLog2Ratio);
   const auto fold = [&](Residual& residual) {
     ++residual.observations;
-    const double alpha =
-        std::max(options_.learning_rate,
-                 1.0 / static_cast<double>(residual.observations));
+    const double alpha = std::max(
+        kLearningRate, 1.0 / static_cast<double>(residual.observations));
     residual.log2 = (1.0 - alpha) * residual.log2 + alpha * sample_log2;
   };
   fold(field_states_[field].local[candidate]);
@@ -289,8 +308,7 @@ BlockDecision AdvisorPolicy::decide(const BlockContext& ctx) {
   FieldState& fs = field_states_[ctx.field];
   if (!fs.inited) {
     fs.inited = true;
-    fs.budget_bytes =
-        options_.explore_budget * static_cast<double>(ctx.field_bytes);
+    fs.budget_bytes = kExploreBudget * static_cast<double>(ctx.field_bytes);
     fs.explored.assign(candidates_.size(), false);
     fs.local.assign(candidates_.size(), {});
     fs.paired.assign(candidates_.size(), 0.0);
@@ -368,7 +386,7 @@ BlockDecision AdvisorPolicy::decide(const BlockContext& ctx) {
       // byte; the default stage contributes 0, so stage-unaware runs
       // hash — and tie-break — exactly as before.
       const std::uint64_t tie =
-          mix(options_.seed ^ (ctx.task * 1315423911u) ^
+          mix(kTieBreakSeed ^ (ctx.task * 1315423911u) ^
               (candidates_[c].wire_id << 8) ^
               (static_cast<std::uint64_t>(candidates_[c].entropy_id) << 16) ^
               s);
@@ -446,9 +464,7 @@ BlockDecision AdvisorPolicy::decide(const BlockContext& ctx) {
       if (fs.explored[c]) continue;
       // A seed trailing the leader's score by more than the duel
       // margin is beyond any observed prefix bias — not worth a block.
-      if (options_.duel_margin_log2 > 0.0 &&
-          candidate_score[c] <
-              candidate_score[best_c] - options_.duel_margin_log2) {
+      if (candidate_score[c] < candidate_score[best_c] - kDuelMarginLog2) {
         continue;
       }
       if (challenger == candidates_.size() ||

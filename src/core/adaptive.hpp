@@ -47,17 +47,19 @@
 
 namespace ocelot {
 
-/// Tuning knobs of the online advisor.
+/// Tuning knobs of the online advisor. The rest of its behavior
+/// (calibration-probe size, duel margin, learning rate, exploration
+/// budget, tie-break seed) is fixed in adaptive.cpp, and the wave size
+/// in block_policy.hpp.
 struct AdaptiveOptions {
-  /// Candidate backend names; empty enlists every registered backend.
+  /// Candidate backend names; empty enlists every backend.
   std::vector<std::string> backends;
-  /// Candidate entropy-stage names (codec/entropy.hpp registry). The
-  /// advisor duels the backends x stages cross-product per block. An
-  /// empty list keeps the base config's stage only — no cross-product,
-  /// and the emitted bytes match a stage-unaware advisor exactly.
-  /// Unlike `backends`, empty does NOT enlist every registered stage:
-  /// stages multiply the calibration-probe cost, so opting in is
-  /// explicit.
+  /// Candidate entropy-stage names (codec/entropy.hpp). The advisor
+  /// duels the backends x stages cross-product per block. An empty
+  /// list keeps the base config's stage only — no cross-product, and
+  /// the emitted bytes match a stage-unaware advisor exactly. Unlike
+  /// `backends`, empty does NOT enlist every stage: stages multiply
+  /// the calibration-probe cost, so opting in is explicit.
   std::vector<std::string> entropy_stages;
   /// Candidate error-bound scales relative to the field-resolved
   /// absolute bound. Every entry must lie in (0, 1]: the policy may
@@ -71,45 +73,9 @@ struct AdaptiveOptions {
   /// reproduces the paper's 1% sampling, which keeps the advisor's
   /// overhead within a few percent of compression time).
   std::size_t sample_stride = 100;
-  /// Slab depth of the per-field calibration probe (0 disables it).
-  /// One slab keeps the probe's cost under a few percent even when a
-  /// slow candidate backend is registered; the EW feedback sharpens
-  /// whatever the short probe got wrong.
-  std::size_t probe_slabs = 1;
-  /// Element cap on the calibration prefix (fields with huge slabs
-  /// would otherwise spend a visible fraction of their compression
-  /// time probing five backends on one slab).
-  std::size_t probe_max_elements = 2048;
-  /// Candidates whose calibration seed trails the leader's by more
-  /// than this many log2 (0.8 ~ 1.74x worse) are not worth a duel:
-  /// the prefix bias observed across families stays well below it.
-  /// <= 0 duels every candidate.
-  double duel_margin_log2 = 0.8;
-  /// Weight of each new observation in the per-backend residual
-  /// correction, in (0, 1]. Early observations weigh more (simple
-  /// average until 1/count drops below this), so one true block
-  /// observation immediately outvotes a rough calibration probe.
-  double learning_rate = 0.3;
-  /// Keep-best exploration budget as a fraction of each field's raw
-  /// bytes: early blocks may be compressed with one extra candidate
-  /// backend (the executor keeps the smaller payload, so exploring
-  /// costs time but never ratio) until every candidate has one true
-  /// block-granularity observation or the budget runs out. 0 disables
-  /// exploration — fields with few large blocks skip it automatically
-  /// because a single extra block would blow the budget.
-  double explore_budget = 0.10;
-  /// Tasks per decision wave (see block_policy.hpp). Smaller waves
-  /// land duel feedback sooner (fewer blocks compressed under a
-  /// not-yet-corrected leader) at the cost of more phase barriers;
-  /// 8 keeps the calibration duels within the first one or two waves.
-  std::size_t wave_tasks = 8;
   /// Optional trained predictor; nullptr uses the closed-form
   /// entropy estimate (the residual feedback corrects either).
   const QualityModel* model = nullptr;
-  /// Stirred into deterministic tie-breaking between candidates whose
-  /// adjusted predictions are bit-identical. Same seed + same input =>
-  /// byte-identical output regardless of worker count.
-  std::uint64_t seed = 0x0ce107;
 };
 
 /// One row of the advisor's decision table (ocelot advise). `backend`
@@ -156,7 +122,6 @@ class AdvisorPolicy final : public BlockPolicy {
 
   void begin(std::size_t n_fields, std::size_t n_tasks,
              const CompressionConfig& base) override;
-  [[nodiscard]] std::size_t wave_tasks() const override;
   [[nodiscard]] bool wants_probe(const BlockContext& ctx) const override;
   void probe(const BlockContext& ctx, const FloatArray& block) override;
   BlockDecision decide(const BlockContext& ctx) override;

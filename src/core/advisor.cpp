@@ -19,8 +19,7 @@ Advice advise(const QualityModel& model, const NdArray<T>& data,
   Advice advice;
   advice.options.reserve(candidates.size());
   for (const auto& config : candidates) {
-    const std::uint8_t backend_id =
-        BackendRegistry::instance().by_name(config.backend).wire_id();
+    const std::uint8_t backend_id = backend_by_name(config.backend).wire_id;
     const double abs_eb = resolve_abs_eb(data, config);
     const CompressorFeatures cf =
         extract_compressor_features(data, abs_eb, sample_stride);
@@ -56,10 +55,10 @@ template Advice advise<double>(const QualityModel&, const NdArray<double>&,
 std::vector<CompressionConfig> enumerate_candidates(
     const std::vector<double>& ebs, EbMode eb_mode) {
   std::vector<CompressionConfig> candidates;
-  for (const CompressorBackend* backend : BackendRegistry::instance().list()) {
+  for (const BackendEntry& backend : backends()) {
     for (const double eb : ebs) {
       CompressionConfig config;
-      config.backend = backend->name();
+      config.backend = backend.name;
       config.eb_mode = eb_mode;
       config.eb = eb;
       candidates.push_back(std::move(config));

@@ -43,9 +43,8 @@ Advice advise(const QualityModel& model, const NdArray<T>& data,
               const QualityConstraints& constraints,
               std::size_t sample_stride = 100);
 
-/// Default candidate space: one configuration per registered
-/// compressor backend per error bound, so every family in the
-/// BackendRegistry (including out-of-tree registrations) competes in
+/// Default candidate space: one configuration per compressor backend
+/// per error bound, so every family in the backend table competes in
 /// the advisor table without this layer naming any of them.
 std::vector<CompressionConfig> enumerate_candidates(
     const std::vector<double>& ebs, EbMode eb_mode = EbMode::kValueRangeRel);

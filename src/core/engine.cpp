@@ -13,12 +13,12 @@ namespace ocelot {
 
 std::string resolve_backend_name(const std::string& name) {
   const std::string resolved = name == "sz3" ? "sz3-interp" : name;
-  (void)BackendRegistry::instance().by_name(resolved);  // throws if unknown
+  (void)backend_by_name(resolved);  // throws if unknown
   return resolved;
 }
 
 std::string resolve_entropy_name(const std::string& name) {
-  return EntropyRegistry::instance().by_name(name).name();  // throws if unknown
+  return entropy_stage_by_name(name).name;  // throws if unknown
 }
 
 EngineRequest parse_compression_options(OptionSet& options,
@@ -186,11 +186,6 @@ StreamStats Engine::compress_stream(
   config.slab_dims = slab_dims;
   config.block_slabs = request.block_slabs > 0 ? request.block_slabs : 8;
   return stream_compress(in, out, config);
-}
-
-StreamStats Engine::decompress_stream(std::istream& in,
-                                      std::ostream& out) const {
-  return stream_decompress(in, out);
 }
 
 }  // namespace ocelot

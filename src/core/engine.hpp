@@ -74,11 +74,11 @@ struct CompressionOptionRules {
 EngineRequest parse_compression_options(
     OptionSet& options, const CompressionOptionRules& rules = {});
 
-/// Resolves a backend name through the registry ("sz3" stays a
+/// Resolves a backend name through the backend table ("sz3" stays a
 /// convenience alias for the SZ3 default); throws on unknown names.
 std::string resolve_backend_name(const std::string& name);
 
-/// Resolves an entropy-stage name through its registry.
+/// Resolves an entropy-stage name through the stage table.
 std::string resolve_entropy_name(const std::string& name);
 
 /// Outcome of one Engine::compress call.
@@ -132,9 +132,6 @@ class Engine {
   StreamStats compress_stream(std::istream& in, std::ostream& out,
                               const EngineRequest& request,
                               const std::vector<std::size_t>& slab_dims) const;
-
-  /// Streaming decompress (OCB1/OCZ in, raw float32 out).
-  StreamStats decompress_stream(std::istream& in, std::ostream& out) const;
 
   /// 0 -> every hardware thread (the emitted bytes never depend on it).
   [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/grouping.hpp"
-#include "netsim/simulation.hpp"
+#include "sim/engine.hpp"
 #include "transfer/globus.hpp"
 
 namespace ocelot {
@@ -18,7 +18,7 @@ SentinelReport run_sentinel(const FileInventory& inventory,
   const SiteSpec& src_site = site(config.campaign.src);
   const SiteSpec& dst_site = site(config.campaign.dst);
 
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   BatchScheduler scheduler(sim, config.machine_nodes,
                            std::move(config.wait_model));

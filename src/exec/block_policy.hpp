@@ -26,7 +26,7 @@
 // index: the first wave holds exactly every field's block 0 (so
 // per-field calibration feedback lands before any other block of that
 // field is decided), and the remaining tasks follow in field-major
-// order, chunked into wave_tasks()-sized waves. Within a wave the two
+// order, chunked into kPolicyWaveTasks-sized waves. Within a wave the two
 // sequential phases run in that same order. The order is a pure
 // function of the task list — never of the worker count.
 //
@@ -46,6 +46,13 @@
 #include "compressor/config.hpp"
 
 namespace ocelot {
+
+/// Tasks per decision wave. Smaller waves land duel feedback sooner
+/// (fewer blocks compressed under a not-yet-corrected leader) at the
+/// cost of more phase barriers; 8 keeps the advisor's calibration
+/// duels within the first one or two waves. Never depends on the
+/// worker count.
+inline constexpr std::size_t kPolicyWaveTasks = 8;
 
 /// Identifies one block task of a batch compression run.
 struct BlockContext {
@@ -96,9 +103,6 @@ class BlockPolicy {
   /// bound but should inherit the remaining tunables from it).
   virtual void begin(std::size_t n_fields, std::size_t n_tasks,
                      const CompressionConfig& base) = 0;
-
-  /// Tasks per wave. Must not depend on the worker count.
-  [[nodiscard]] virtual std::size_t wave_tasks() const { return 32; }
 
   /// Whether probe() should run for this block. Returning false lets
   /// the executor skip materializing the block a first time when the

@@ -146,10 +146,9 @@ ParallelCompressResult blocked_compress_impl(
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (tasks[t].block != 0) order.push_back(t);
     }
-    const std::size_t wave = std::max<std::size_t>(1, policy->wave_tasks());
     const std::size_t calibration_tasks = fields.size();  // one block 0 each
     for (std::size_t w0 = 0; w0 < tasks.size();) {
-      std::size_t w1 = std::min(tasks.size(), w0 + wave);
+      std::size_t w1 = std::min(tasks.size(), w0 + kPolicyWaveTasks);
       // The calibration wave never mixes with regular blocks: its
       // observations must land before any non-first block is decided.
       if (w0 < calibration_tasks) w1 = std::min(w1, calibration_tasks);
@@ -239,17 +238,17 @@ void decode_block_into(std::span<const std::uint8_t> container,
                        const BlockContainerInfo& info, std::size_t block,
                        const BlockSpan& span, FloatArray& out) {
   OCELOT_SPAN("decompress.block");
-  // The lease survives any decode/validation throw: decompress_reusing
-  // restores the storage on failure and the decoded array hands it
-  // back below, so corrupt blocks cannot drain the pool.
-  ScratchLease<float> lease(ScratchPool<float>::shared());
-  FloatArray decoded =
-      decompress_reusing<float>(block_payload(container, info, block), *lease);
-  const Shape expected = block_shape(info.shape, span);
-  if (!(decoded.shape() == expected)) {
-    *lease = decoded.release();
+  const std::span<const std::uint8_t> payload =
+      block_payload(container, info, block);
+  // The block's own header must match the plan before decode sizes
+  // anything from it.
+  if (!(inspect_blob(payload).shape == block_shape(info.shape, span)))
     throw CorruptStream("block container: block shape does not match the plan");
-  }
+  // The lease survives any decode throw: decompress_reusing restores
+  // the storage on failure and the decoded array hands it back below,
+  // so corrupt blocks cannot drain the pool.
+  ScratchLease<float> lease(ScratchPool<float>::shared());
+  FloatArray decoded = decompress_reusing<float>(payload, *lease);
   const std::size_t slab_elems = info.shape.dim(1) * info.shape.dim(2);
   std::memcpy(out.values().data() + span.slab_begin * slab_elems,
               decoded.values().data(), decoded.byte_size());

@@ -1,68 +1,16 @@
 #include "exec/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace ocelot {
-
-ThreadPool::ThreadPool(std::size_t n_threads) {
-  require(n_threads > 0, "ThreadPool: need at least one thread");
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::scoped_lock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  std::size_t depth = 0;
-  {
-    std::scoped_lock lock(mutex_);
-    require(!stop_, "ThreadPool: submit after shutdown");
-    queue_.push_back(std::move(packaged));
-    depth = queue_.size();
-  }
-  OCELOT_HIST("exec.queue_depth", depth);
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  while (true) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    task();  // exceptions land in the task's future
-    {
-      std::scoped_lock lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t n, std::size_t n_threads,
                   const std::function<void(std::size_t)>& fn) {

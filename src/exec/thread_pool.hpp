@@ -1,51 +1,21 @@
 #pragma once
-// Fixed-size worker pool for real parallel (de)compression.
+// parallel_for: the executor's one parallel primitive.
 //
 // The paper's compression executor is an MPI program where each rank
 // compresses a disjoint set of files; on a single machine the same
-// structure is a thread pool with one task per file. Used by the
-// local pipeline and by Fig. 9-style scaling measurements.
+// structure is a batch of tasks spread over worker threads. The block
+// codec (exec/parallel_codec) runs every phase through parallel_for,
+// so the local pipeline, the Fig. 9-style scaling measurements and
+// the daemon's requests all share it. Its workers live for one call;
+// the process-wide scratch pools (common/buffer_pool) carry capacity
+// from one call to the next.
 
-#include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/error.hpp"
 
 namespace ocelot {
-
-/// Simple FIFO thread pool; tasks are void() callables.
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t n_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; returns a future for completion/exceptions.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
 
 /// Runs `fn(i)` for i in [0, n) across `n_threads` workers and waits.
 /// Exceptions from tasks propagate (first one wins).

@@ -17,7 +17,7 @@
 
 #include "common/error.hpp"
 #include "common/inline_function.hpp"
-#include "netsim/simulation.hpp"
+#include "sim/engine.hpp"
 
 namespace ocelot {
 
@@ -45,7 +45,7 @@ struct FuncXTask {
 /// Central service: function registry plus per-endpoint container state.
 class FuncXService {
  public:
-  explicit FuncXService(Simulation& sim) : sim_(sim) {}
+  explicit FuncXService(sim::Engine& sim) : sim_(sim) {}
 
   /// Registers an endpoint; returns its id.
   std::size_t add_endpoint(FuncXEndpointConfig config);
@@ -90,7 +90,7 @@ class FuncXService {
   EndpointState& endpoint_state(std::size_t id);
   void check_function(const std::string& function) const;
 
-  Simulation& sim_;
+  sim::Engine& sim_;
   std::vector<EndpointState> endpoints_;
   std::map<std::string, bool> functions_;
   std::uint64_t completed_ = 0;

@@ -155,8 +155,7 @@ FeatureVector make_feature_vector(const NdArray<T>& data,
                                   const CompressionConfig& config,
                                   std::size_t sample_stride) {
   const double abs_eb = resolve_abs_eb(data, config);
-  const std::uint8_t backend_id =
-      BackendRegistry::instance().by_name(config.backend).wire_id();
+  const std::uint8_t backend_id = backend_by_name(config.backend).wire_id;
   const DataFeatures df = extract_data_features(data);
   const CompressorFeatures cf =
       extract_compressor_features(data, abs_eb, sample_stride);

@@ -78,10 +78,10 @@ FeatureVector make_feature_vector(const NdArray<T>& data,
 
 /// Assembles the vector from precomputed parts (avoids re-extraction
 /// in sweeps over error bounds / backends). `backend_id` is the
-/// registered backend's wire id — the categorical "compressor type"
-/// feature, stable across processes because wire ids are stable (the
-/// legacy Pipeline enum values 0-3 kept their ids, so models trained
-/// before the registry refactor still apply).
+/// backend's wire id — the categorical "compressor type" feature,
+/// stable across processes because wire ids are stable (the legacy
+/// Pipeline enum values 0-3 kept their ids, so models trained before
+/// the backend table existed still apply).
 FeatureVector assemble_feature_vector(double abs_eb, std::uint8_t backend_id,
                                       const DataFeatures& df,
                                       const CompressorFeatures& cf);

@@ -52,33 +52,6 @@ std::uint8_t sniff_entropy_id(std::span<const std::uint8_t> payload) {
   return kUnknownEntropyId;
 }
 
-/// Ceiling on total field elements accepted from an untrusted header
-/// (2^40 elements = 4 TB of floats): far beyond any real field, small
-/// enough that malformed dims fail with CorruptStream instead of a
-/// wrapped Shape::size() or an OOM allocation.
-constexpr std::uint64_t kMaxElements = 1ull << 40;
-
-void write_shape(ByteSink& out, const Shape& shape) {
-  out.put(static_cast<std::uint8_t>(shape.rank()));
-  for (int d = 0; d < shape.rank(); ++d) out.put_varint(shape.dim(d));
-}
-
-Shape read_shape(BytesReader& in, int rank) {
-  if (rank < 1 || rank > 3) throw CorruptStream("block container: bad rank");
-  std::size_t dims[3] = {1, 1, 1};
-  std::uint64_t elements = 1;
-  for (int d = 0; d < rank; ++d) {
-    dims[d] = in.get_varint();
-    if (dims[d] == 0) throw CorruptStream("block container: zero dimension");
-    if (dims[d] > kMaxElements / elements)
-      throw CorruptStream("block container: implausible dimensions");
-    elements *= dims[d];
-  }
-  if (rank == 1) return Shape(dims[0]);
-  if (rank == 2) return Shape(dims[0], dims[1]);
-  return Shape(dims[0], dims[1], dims[2]);
-}
-
 }  // namespace
 
 std::vector<BlockSpan> plan_blocks(std::size_t dim0,

@@ -17,7 +17,7 @@
 #include "common/error.hpp"
 #include "common/inline_function.hpp"
 #include "common/rng.hpp"
-#include "netsim/simulation.hpp"
+#include "sim/engine.hpp"
 
 namespace ocelot {
 
@@ -89,7 +89,7 @@ struct SchedulerStats {
   std::size_t peak_queue_length = 0;
 };
 
-/// Capacity-constrained batch scheduler over a Simulation. Requests
+/// Capacity-constrained batch scheduler over a sim::Engine. Requests
 /// are served in (priority desc, submission order) — plain FIFO when
 /// every request carries the default priority. The head of the queue
 /// blocks later requests (no backfill), matching the conservative
@@ -98,7 +98,7 @@ class BatchScheduler {
  public:
   using GrantCallback = InlineFunction<void(const Allocation&), 64>;
 
-  BatchScheduler(Simulation& sim, int total_nodes,
+  BatchScheduler(sim::Engine& sim, int total_nodes,
                  std::unique_ptr<WaitModel> wait_model)
       : sim_(sim), free_nodes_(total_nodes), total_nodes_(total_nodes),
         wait_(std::move(wait_model)) {
@@ -133,7 +133,7 @@ class BatchScheduler {
   void try_dispatch();
   void account_usage();
 
-  Simulation& sim_;
+  sim::Engine& sim_;
   int free_nodes_;
   int total_nodes_;
   std::unique_ptr<WaitModel> wait_;

@@ -8,11 +8,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/options.hpp"
+#include "compressor/compressor.hpp"
 #include "core/engine.hpp"
+#include "io/block_container.hpp"
 #include "io/dataset_file.hpp"
 #include "obs/trace.hpp"
 
@@ -22,6 +25,21 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw Error(what + ": " + std::strerror(errno));
+}
+
+/// Elements of the field a blob declares, read from the OCZ header or
+/// the OCB1 index without decoding any payload.
+std::size_t declared_elements(std::span<const std::uint8_t> blob) {
+  return is_block_container(blob) ? read_block_index(blob).shape.size()
+                                  : inspect_blob(blob).shape.size();
+}
+
+/// The reply to a request whose response cannot fit the frame cap.
+Frame frame_cap_error(std::uint64_t id, std::size_t max_frame_bytes) {
+  OCELOT_COUNT("daemon.response_too_large", 1);
+  return make_error(id, error_code::kInternal,
+                    "response exceeds the frame-size cap of " +
+                        std::to_string(max_frame_bytes) + " bytes");
 }
 
 int listen_unix(const std::string& path) {
@@ -254,6 +272,15 @@ void Daemon::process(const std::shared_ptr<Connection>& conn, Frame request) {
       OptionSet options = OptionSet::from_line(request.options, "request");
       const std::size_t workers = options.get_count("workers", 0);
       options.reject_unknown("request");
+      // The response carries the whole field, so a blob declaring more
+      // floats than the cap holds is refused before any of it is
+      // allocated.
+      if (declared_elements(request.payload) >
+          config_.max_frame_bytes / sizeof(float)) {
+        requests_error_.fetch_add(1, std::memory_order_relaxed);
+        respond(conn, frame_cap_error(request.id, config_.max_frame_bytes));
+        return;
+      }
       const FloatArray field =
           Engine::shared().decompress(request.payload, workers);
       // Same OCF1 bytes `ocelot decompress` writes for the same blob.
@@ -290,11 +317,7 @@ void Daemon::respond(const std::shared_ptr<Connection>& conn,
     too_large = true;  // body above even the u32 wire limit
   }
   if (too_large) {
-    OCELOT_COUNT("daemon.response_too_large", 1);
-    wire = encode_frame(make_error(
-        frame.id, error_code::kInternal,
-        "response exceeds the frame-size cap of " +
-            std::to_string(config_.max_frame_bytes) + " bytes"));
+    wire = encode_frame(frame_cap_error(frame.id, config_.max_frame_bytes));
   }
   try {
     const std::scoped_lock lock(conn->write_mu);

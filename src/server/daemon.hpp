@@ -3,7 +3,7 @@
 //
 // Deployment shape (ROADMAP item 2): many producers push fields at a
 // shared compression service sitting on the data path to the WAN. One
-// warm Engine serves every connection, so backend registries, buffer
+// warm Engine serves every connection, so backend tables, buffer
 // pools, and per-worker scratch arenas amortize across requests
 // instead of being rebuilt per CLI invocation.
 //

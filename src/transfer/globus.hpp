@@ -22,7 +22,7 @@
 
 #include "common/inline_function.hpp"
 #include "netsim/gridftp.hpp"
-#include "netsim/simulation.hpp"
+#include "sim/engine.hpp"
 #include "sim/fair_share.hpp"
 
 namespace ocelot {
@@ -91,7 +91,7 @@ class TransferTask {
 /// channel per route, shared by every task it carries.
 class GlobusService {
  public:
-  explicit GlobusService(Simulation& sim, EndpointSettings settings = {})
+  explicit GlobusService(sim::Engine& sim, EndpointSettings settings = {})
       : sim_(sim), model_(settings) {}
 
   /// Submits a transfer; `on_complete` fires at finish (not on cancel).
@@ -115,7 +115,7 @@ class GlobusService {
   }
 
  private:
-  Simulation& sim_;
+  sim::Engine& sim_;
   GridFtpModel model_;
   std::map<std::string, std::unique_ptr<sim::FairShareChannel>> channels_;
 };

@@ -1,35 +1,91 @@
 #pragma once
-// Multilevel hierarchy traversal shared by the interpolation-style
-// backends: SZ3-interp (cubic) and the MGARD-style multigrid backend
-// (linear, per-level quantizers via the level-aware callback).
+// Scalar quantizer and hierarchy traversal: the test-only oracles for
+// the fused quantizer kernels.
 //
-// The grid is refined level by level: anchors at stride S are coded
-// first (with stride-S Lorenzo predictions), then each halving level
-// s = S/2 ... 1 interpolates the new points dimension by dimension.
-//
-// Interior points use 4-point cubic interpolation
-// (-1/16, 9/16, 9/16, -1/16) when `cubic` is set; points lacking a far
-// neighbor (or all points in linear mode) fall back to linear
-// averaging, and border points to nearest-known copy.
+// QuantEncoder is the quantizer's original encode side, with llround
+// and int64 range checks. hierarchy_traverse / interp_traverse visit
+// the multilevel hierarchy of sz3-interp and multigrid one point at a
+// time through a callback. Production runs kernels::FusedQuant and the
+// dispatched hierarchy_encode / hierarchy_decode kernels instead, and
+// must reproduce these bit for bit: tests/test_quantizer.cpp diffs
+// FusedQuant::encode1 against QuantEncoder, and tests/test_kernels.cpp
+// diffs both hierarchy kernels against the traversal on every dispatch
+// level.
 
 #include <array>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/ndarray.hpp"
+#include "compressor/config.hpp"
 
-namespace ocelot {
+namespace ocelot::reference {
 
-/// Largest power-of-two anchor stride <= max_stride that is also
-/// meaningful for the given shape (at least 2, at most max dimension).
-inline std::size_t choose_anchor_stride(const Shape& shape,
-                                        std::size_t max_stride = 64) {
-  std::size_t max_dim = 0;
-  for (int d = 0; d < shape.rank(); ++d) max_dim = std::max(max_dim, shape.dim(d));
-  std::size_t s = 2;
-  while (s * 2 <= max_stride && s * 2 <= max_dim) s *= 2;
-  return s;
-}
+/// Quantizes residuals during compression, collecting codes and
+/// unpredictable values. Reconstructed values mirror the decoder
+/// bit-for-bit so predictions stay symmetric.
+template <typename T>
+class QuantEncoder {
+ public:
+  QuantEncoder(double abs_eb, std::uint32_t radius = kDefaultQuantRadius)
+      : eb_(abs_eb), bin_(2.0 * abs_eb), radius_(radius) {
+    require(abs_eb > 0.0, "QuantEncoder: error bound must be positive");
+    require(radius >= 2, "QuantEncoder: radius too small");
+  }
+
+  /// Quantizes `real` against `pred`; returns the reconstructed value.
+  /// Non-finite samples (NaN/Inf, common in masked scientific fields)
+  /// are stored verbatim so they survive the round trip bit-exactly.
+  T encode(double pred, T real) {
+    const double diff = static_cast<double>(real) - pred;
+    if (!std::isfinite(diff)) {
+      codes_.push_back(0);
+      raw_.push_back(real);
+      return real;
+    }
+    const auto q = static_cast<std::int64_t>(std::llround(diff / bin_));
+    if (q > -static_cast<std::int64_t>(radius_) &&
+        q < static_cast<std::int64_t>(radius_)) {
+      const T recon = static_cast<T>(pred + static_cast<double>(q) * bin_);
+      // Guard against floating-point cast widening the error past eb.
+      if (std::abs(static_cast<double>(recon) - static_cast<double>(real)) <=
+          eb_) {
+        codes_.push_back(static_cast<std::uint32_t>(
+            static_cast<std::int64_t>(radius_) + q));
+        return recon;
+      }
+    }
+    codes_.push_back(0);  // unpredictable marker
+    raw_.push_back(real);
+    return real;
+  }
+
+  /// Pre-sizes the code stream for `n` samples (one code per sample),
+  /// avoiding growth reallocations on the hot path.
+  void reserve(std::size_t n) { codes_.reserve(n); }
+
+  [[nodiscard]] const std::vector<std::uint32_t>& codes() const {
+    return codes_;
+  }
+  [[nodiscard]] const std::vector<T>& raw_values() const { return raw_; }
+  [[nodiscard]] std::uint32_t radius() const { return radius_; }
+
+  [[nodiscard]] std::vector<std::uint32_t> take_codes() {
+    return std::move(codes_);
+  }
+  [[nodiscard]] std::vector<T> take_raw() { return std::move(raw_); }
+
+ private:
+  double eb_;
+  double bin_;
+  std::uint32_t radius_;
+  std::vector<std::uint32_t> codes_;
+  std::vector<T> raw_;
+};
 
 /// Shared multilevel hierarchy traversal: anchors at `anchor_stride`
 /// with stride-S Lorenzo predictions, then halving refinement levels
@@ -45,7 +101,7 @@ inline std::size_t choose_anchor_stride(const Shape& shape,
 /// Within a level, pass d covers exactly the points whose *last*
 /// odd-multiple-of-s coordinate is dimension d, guaranteeing every
 /// point is visited once and all interpolation neighbors are already
-/// reconstructed (see the coverage argument in tests/compressor).
+/// reconstructed (tests/test_traversal.cpp checks the coverage).
 template <typename T, typename Fn>
 void hierarchy_traverse(const Shape& shape, std::span<T> recon,
                         std::size_t anchor_stride, bool cubic, Fn&& fn) {
@@ -150,4 +206,4 @@ void interp_traverse(const Shape& shape, std::span<T> recon,
                      });
 }
 
-}  // namespace ocelot
+}  // namespace ocelot::reference

@@ -66,20 +66,20 @@ TEST(BlockContainerV11, MixedBackendsRoundTripAndIndexNamesEveryBlock) {
   const CompressionConfig config = rel_config();
   const double abs_eb = resolve_abs_eb(field, config);
 
-  // Compress each 4-slab block with a different registered backend.
+  // Compress each 4-slab block with a different backend.
   const auto spans = plan_blocks(field.shape().dim(0), 4);
-  const auto backends = BackendRegistry::instance().list();
-  ASSERT_GE(backends.size(), 2u);
+  const auto table = backends();
+  ASSERT_GE(table.size(), 2u);
   const std::size_t slab_elems =
       field.shape().dim(1) * field.shape().dim(2);
   BlockContainerWriter writer(4);
   std::vector<std::uint8_t> expected_ids;
   for (std::size_t b = 0; b < spans.size(); ++b) {
     CompressionConfig block_config = config;
-    block_config.backend = backends[b % backends.size()]->name();
+    block_config.backend = table[b % table.size()].name;
     block_config.eb_mode = EbMode::kAbsolute;
     block_config.eb = abs_eb;
-    expected_ids.push_back(backends[b % backends.size()]->wire_id());
+    expected_ids.push_back(table[b % table.size()].wire_id);
     const Shape shape = block_shape(field.shape(), spans[b]);
     std::vector<float> data(
         field.values().begin() +
@@ -255,10 +255,9 @@ TEST(AdaptivePolicy, MatchesBestFixedBackendOnMixedFields) {
   const CompressionConfig config = rel_config();
 
   double best_fixed = 0.0;
-  for (const CompressorBackend* backend :
-       BackendRegistry::instance().list()) {
+  for (const BackendEntry& backend : backends()) {
     CompressionConfig fixed = config;
-    fixed.backend = backend->name();
+    fixed.backend = backend.name;
     best_fixed =
         std::max(best_fixed, parallel_compress(fields, fixed, 2, 4).ratio());
   }

@@ -32,8 +32,7 @@ const QualityModel& trained_model() {
               extract_compressor_features(field.data, abs_eb, 10);
           QualitySample s;
           s.features = assemble_feature_vector(
-              abs_eb, BackendRegistry::instance().by_name(config.backend).wire_id(),
-              df, cf);
+              abs_eb, backend_by_name(config.backend).wire_id, df, cf);
           const RoundTripStats stats = measure_roundtrip(field.data, config);
           s.compression_ratio = stats.compression_ratio;
           s.compress_seconds = stats.compress_seconds;

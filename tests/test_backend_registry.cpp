@@ -1,15 +1,20 @@
-// Backend-registry tests: cross-backend round-trip properties,
+// Backend-table tests: wire ids, cross-backend round-trip properties,
 // inspect_blob agreement, unknown/corrupt backend ids, bit-exact
-// backward compatibility with pre-registry blobs (golden bytes), and
-// registry-driven advisor candidates.
+// backward compatibility with pre-table blobs (golden bytes), and
+// table-driven advisor candidates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
+#include "compressor/kernels/quant_kernels.hpp"
 #include "compressor/multigrid.hpp"
 #include "core/advisor.hpp"
 #include "core/local_pipeline.hpp"
@@ -46,57 +51,37 @@ FloatArray golden_field() {
   return data;
 }
 
-TEST(BackendRegistry, ListsBuiltinFamilies) {
-  const std::vector<std::string> names = registered_backend_names();
-  for (const char* expected : kBuiltinNames) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+TEST(BackendTable, ListsBuiltinFamiliesAtTheirWireIds) {
+  // Legacy Pipeline enum values 0-3 keep their wire ids forever, and
+  // the table's row index is the id.
+  EXPECT_EQ(registered_backend_names(),
+            std::vector<std::string>(std::begin(kBuiltinNames),
+                                     std::end(kBuiltinNames)));
+  const std::span<const BackendEntry> table = backends();
+  for (std::size_t id = 0; id < table.size(); ++id) {
+    EXPECT_EQ(table[id].wire_id, id);
+    EXPECT_FALSE(table[id].description.empty()) << table[id].name;
+    EXPECT_EQ(&backend_by_name(table[id].name), &table[id]);
+    EXPECT_EQ(&backend_by_id(static_cast<std::uint8_t>(id)), &table[id]);
   }
-  // Legacy Pipeline enum values keep their wire ids forever.
-  EXPECT_EQ(BackendRegistry::instance().by_name("lorenzo").wire_id(), 0);
-  EXPECT_EQ(BackendRegistry::instance().by_name("sz2").wire_id(), 1);
-  EXPECT_EQ(BackendRegistry::instance().by_name("sz3-interp").wire_id(), 2);
-  EXPECT_EQ(BackendRegistry::instance().by_name("lorenzo2").wire_id(), 3);
-  EXPECT_EQ(BackendRegistry::instance().by_name("multigrid").wire_id(), 4);
+  EXPECT_THROW((void)backend_by_id(static_cast<std::uint8_t>(table.size())),
+               CorruptStream);
 }
 
-TEST(BackendRegistry, UnknownNameThrowsListingRegistered) {
-  EXPECT_THROW((void)BackendRegistry::instance().by_name("zfp"),
-               InvalidArgument);
-  EXPECT_EQ(BackendRegistry::instance().find("zfp"), nullptr);
+TEST(BackendTable, UnknownNameThrowsListingTheNames) {
+  try {
+    (void)backend_by_name("zfp");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "lorenzo sz2 sz3-interp lorenzo2 multigrid"),
+              std::string::npos)
+        << e.what();
+  }
   CompressionConfig config;
   config.backend = "zfp";
   const FloatArray data = smooth_field<float>(Shape(16, 16));
   EXPECT_THROW((void)compress(data, config), InvalidArgument);
-}
-
-class StubBackend final : public TypedBackend<StubBackend> {
- public:
-  StubBackend(std::string name, std::uint8_t id)
-      : name_(std::move(name)), id_(id) {}
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return id_; }
-  [[nodiscard]] std::string description() const override { return "stub"; }
-
-  template <typename T>
-  void encode_impl(const NdArray<T>&, double, const CompressionConfig&,
-                   SectionWriter&) const {}
-  template <typename T>
-  void decode_impl(const BlobHeader&, const SectionReader&,
-                   NdArray<T>&) const {}
-
- private:
-  std::string name_;
-  std::uint8_t id_;
-};
-
-TEST(BackendRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW((void)BackendRegistry::instance().add(
-                   std::make_unique<StubBackend>("multigrid", 200)),
-               InvalidArgument);
-  EXPECT_THROW((void)BackendRegistry::instance().add(
-                   std::make_unique<StubBackend>("fresh-name", 4)),
-               InvalidArgument);
 }
 
 /// Cross-backend property: every registered backend honors the
@@ -120,8 +105,7 @@ void roundtrip_case(const std::string& backend, const Shape& shape) {
 
   const BlobInfo info = inspect_blob(blob);
   EXPECT_EQ(info.backend, backend);
-  EXPECT_EQ(info.backend_id,
-            BackendRegistry::instance().by_name(backend).wire_id());
+  EXPECT_EQ(info.backend_id, backend_by_name(backend).wire_id);
   EXPECT_EQ(info.is_double, sizeof(T) == 8);
   EXPECT_EQ(info.shape, shape);
   EXPECT_DOUBLE_EQ(info.abs_eb, config.eb);
@@ -141,7 +125,7 @@ TEST_P(BackendRoundTrip, BoundHoldsAndInspectAgreesEveryDtypeAndRank) {
 INSTANTIATE_TEST_SUITE_P(AllRegistered, BackendRoundTrip,
                          ::testing::ValuesIn(registered_backend_names()));
 
-TEST(BackendRegistry, UnknownBackendIdThrowsCorruptStream) {
+TEST(BackendTable, UnknownBackendIdThrowsCorruptStream) {
   const FloatArray data = smooth_field<float>(Shape(12, 12));
   Bytes blob = compress(data, CompressionConfig{});
   // Header layout: magic[4], dtype u8, backend id u8.
@@ -150,7 +134,7 @@ TEST(BackendRegistry, UnknownBackendIdThrowsCorruptStream) {
   EXPECT_THROW((void)inspect_blob(blob), CorruptStream);
 }
 
-TEST(BackendRegistry, TruncatedHeaderThrowsCorruptStream) {
+TEST(BackendTable, TruncatedHeaderThrowsCorruptStream) {
   const FloatArray data = smooth_field<float>(Shape(12, 12));
   Bytes blob = compress(data, CompressionConfig{});
   blob.resize(5);
@@ -166,7 +150,7 @@ struct GoldenCase {
   std::span<const unsigned char> blob;
 };
 
-TEST(BackendRegistry, PreRegistryBlobsDecodeBitExactly) {
+TEST(BackendTable, PreRegistryBlobsDecodeBitExactly) {
   const FloatArray data = golden_field();
   const GoldenCase cases[] = {
       {"lorenzo", kGoldenLorenzo},
@@ -228,7 +212,7 @@ TEST(Multigrid, TightensCoarseLevels) {
   config.backend = "multigrid";
   config.eb_mode = EbMode::kAbsolute;
   config.eb = 1e-2;
-  config.anchor_stride = 16;
+  ASSERT_EQ(choose_anchor_stride(data.shape()), 16u);
   const Bytes blob = compress(data, config);
   const FloatArray recon = decompress<float>(blob);
   for (std::size_t i = 0; i < 17; i += 16) {
@@ -239,11 +223,11 @@ TEST(Multigrid, TightensCoarseLevels) {
   }
 }
 
-TEST(Advisor, RegistryCandidatesIncludeMultigridAndItCanWin) {
+TEST(Advisor, TableCandidatesIncludeMultigridAndItCanWin) {
   const FloatArray data = smooth_field<float>(Shape(40, 40));
 
-  // Candidate table enumerated from the registry: one entry per
-  // registered backend per bound.
+  // Candidates enumerated from the backend table: one entry per
+  // backend per bound.
   const std::vector<CompressionConfig> candidates =
       enumerate_candidates({1e-3}, EbMode::kAbsolute);
   ASSERT_GE(candidates.size(), 5u);
@@ -257,11 +241,11 @@ TEST(Advisor, RegistryCandidatesIncludeMultigridAndItCanWin) {
   const DataFeatures df = extract_data_features(data);
   const CompressorFeatures cf = extract_compressor_features(data, 1e-3, 100);
   std::vector<QualitySample> samples;
-  for (const CompressorBackend* backend : BackendRegistry::instance().list()) {
+  for (const BackendEntry& backend : backends()) {
     for (int rep = 0; rep < 4; ++rep) {
       QualitySample s;
-      s.features = assemble_feature_vector(1e-3, backend->wire_id(), df, cf);
-      s.compression_ratio = backend->name() == "multigrid" ? 24.0 : 6.0;
+      s.features = assemble_feature_vector(1e-3, backend.wire_id, df, cf);
+      s.compression_ratio = backend.name == "multigrid" ? 24.0 : 6.0;
       s.compress_seconds = 0.01;
       s.psnr_db = 85.0;
       s.n_elements = data.size();

@@ -39,8 +39,7 @@ TEST(BufferPool, StatsTrackOutstandingAndFree) {
   EXPECT_EQ(pool.stats().outstanding, 1u);
   EXPECT_EQ(pool.stats().free, 1u);
   pool.release(std::move(b));
-  pool.trim();
-  EXPECT_EQ(pool.stats().free, 0u);
+  EXPECT_EQ(pool.stats().free, 2u);
   EXPECT_EQ(pool.stats().outstanding, 0u);
 }
 
@@ -117,12 +116,8 @@ TEST(BufferPool, SteadyStateReusesAcrossParallelForBatches) {
   EXPECT_EQ(after.outstanding, 0u);
 }
 
-TEST(BufferPool, SharedAndLocalSingletonsAreDistinct) {
-  BufferPool& shared = BufferPool::shared();
-  BufferPool& local = BufferPool::local();
-  EXPECT_NE(&shared, &local);
-  EXPECT_EQ(&shared, &BufferPool::shared());
-  EXPECT_EQ(&local, &BufferPool::local());
+TEST(BufferPool, SharedIsOneProcessWidePool) {
+  EXPECT_EQ(&BufferPool::shared(), &BufferPool::shared());
 }
 
 TEST(BufferPool, FreeListIsBounded) {

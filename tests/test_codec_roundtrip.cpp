@@ -3,7 +3,9 @@
 // including the empty and 1-byte edge cases.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -108,7 +110,7 @@ Bytes huffman_pack(const std::vector<std::uint32_t>& symbols) {
 
 std::vector<std::uint32_t> huffman_unpack(const Bytes& encoded) {
   std::vector<std::uint32_t> out;
-  huffman_decode_into(encoded, out);
+  huffman_decode_into(encoded, std::numeric_limits<std::size_t>::max(), out);
   return out;
 }
 

@@ -15,8 +15,10 @@
 
 #include "common/error.hpp"
 #include "common/options.hpp"
+#include "compressor/compressor.hpp"
 #include "core/engine.hpp"
 #include "datagen/datasets.hpp"
+#include "io/block_container.hpp"
 #include "io/dataset_file.hpp"
 #include "server/client.hpp"
 #include "server/daemon.hpp"
@@ -415,6 +417,58 @@ TEST(Daemon, OversizedResponseAnswersErrorInsteadOfHanging) {
   // protocol violation.
   client.ping();
   daemon.shutdown();
+}
+
+/// An OCZ1 header declaring `shape` (sz3-interp, float), with no
+/// payload sections: all a reader needs to learn the field's size.
+Bytes ocz_header_only(const Shape& shape) {
+  BytesWriter out;
+  const std::uint8_t magic[] = {'O', 'C', 'Z', '1'};
+  out.put_bytes(magic);
+  out.put(std::uint8_t{0});  // float
+  out.put(std::uint8_t{2});  // sz3-interp
+  out.put(1e-3);
+  out.put_varint(32768);
+  out.put_varint(64);
+  out.put_varint(6);
+  write_shape(out, shape);
+  out.put_varint(0);  // no sections
+  return out.take();
+}
+
+TEST(Daemon, DeclaredShapeOverTheFrameCapAnswersBeforeAllocating) {
+  // 256^3 floats = 64 MiB of response against a 1 MiB cap: the daemon
+  // must refuse from the header alone, before decode allocates the
+  // field, for a bare blob and for a container index alike.
+  const Shape huge(256, 256, 256);
+  const Bytes blob = ocz_header_only(huge);
+  BlockContainerWriter writer(256);
+  writer.append_block(blob);
+  const Bytes container = writer.finish(huge);
+
+  const std::string path = test_socket_path("bigshape");
+  DaemonConfig config;
+  config.unix_path = path;
+  config.workers = 1;
+  config.max_frame_bytes = 1 << 20;
+  Daemon daemon(config);
+  daemon.start();
+
+  Client client = Client::connect_unix(path);
+  for (const Bytes* request : {&blob, &container}) {
+    try {
+      (void)client.decompress("tenant-a", *request);
+      FAIL() << "expected RequestRejected";
+    } catch (const RequestRejected& e) {
+      EXPECT_EQ(e.code(), error_code::kInternal);
+      EXPECT_NE(std::string(e.what()).find("frame-size cap"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  client.ping();
+  daemon.shutdown();
+  EXPECT_EQ(daemon.stats().requests_error, 2u);
 }
 
 TEST(Daemon, QuotaFloodSurfacesBusyBackpressure) {

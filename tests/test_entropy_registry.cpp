@@ -1,4 +1,4 @@
-// Entropy-stage registry and coder tests: registry semantics, per-stage
+// Entropy-stage table and coder tests: table lookups, per-stage
 // round-trip properties over code streams, packed-section dispatch,
 // retired wire ids, and corrupt-stream rejection. The container/advisor
 // integration of the stages is exercised further down in this file once
@@ -65,113 +65,80 @@ std::vector<std::vector<std::uint32_t>> code_corpus() {
   return corpus;
 }
 
-TEST(EntropyRegistry, ListsBuiltInStagesInWireIdOrder) {
-  const auto stages = EntropyRegistry::instance().list();
+TEST(EntropyTable, ListsLiveStagesInWireIdOrder) {
+  const auto stages = entropy_stages();
   ASSERT_EQ(stages.size(), 2u);
-  EXPECT_EQ(stages[0]->name(), "huffman");
-  EXPECT_EQ(stages[0]->wire_id(), kEntropyHuffmanId);
-  EXPECT_EQ(stages[1]->name(), "ans");
-  EXPECT_EQ(stages[1]->wire_id(), kEntropyAnsId);
-  for (std::size_t i = 1; i < stages.size(); ++i) {
-    EXPECT_LT(stages[i - 1]->wire_id(), stages[i]->wire_id());
+  EXPECT_EQ(stages[0]->name, "huffman");
+  EXPECT_EQ(stages[0]->wire_id, kEntropyHuffmanId);
+  EXPECT_EQ(stages[1]->name, "ans");
+  EXPECT_EQ(stages[1]->wire_id, kEntropyAnsId);
+  for (const EntropyStageEntry* stage : stages) {
+    EXPECT_NE(stage->stage, nullptr) << stage->name;
+    EXPECT_FALSE(stage->description.empty()) << stage->name;
   }
 }
 
-TEST(EntropyRegistry, ByNameAndByIdAgree) {
-  auto& reg = EntropyRegistry::instance();
-  for (const EntropyStage* s : reg.list()) {
-    EXPECT_EQ(&reg.by_name(s->name()), s);
-    EXPECT_EQ(&reg.by_id(s->wire_id()), s);
-    EXPECT_EQ(reg.find(s->name()), s);
-    EXPECT_EQ(reg.find_by_id(s->wire_id()), s);
+TEST(EntropyTable, ByNameAndByIdAgree) {
+  for (const EntropyStageEntry* s : entropy_stages()) {
+    EXPECT_EQ(&entropy_stage_by_name(s->name), s);
+    EXPECT_EQ(&entropy_stage_by_id(s->wire_id), s);
   }
-  EXPECT_THROW((void)reg.by_name("no-such-stage"), InvalidArgument);
-  EXPECT_EQ(reg.find("no-such-stage"), nullptr);
-  EXPECT_THROW((void)reg.by_id(200), CorruptStream);
-  EXPECT_EQ(reg.find_by_id(200), nullptr);
-  EXPECT_EQ(reg.find_by_id(kRetiredBwtMtfId), nullptr);
-  EXPECT_EQ(reg.find_by_id(kRetiredLzwId), nullptr);
-}
-
-/// Test-local stage with an arbitrary name and wire id, for checking
-/// which registrations the registry refuses.
-class FakeStage final : public EntropyStage {
- public:
-  FakeStage(std::string name, std::uint8_t id)
-      : name_(std::move(name)), id_(id) {}
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::uint8_t wire_id() const override { return id_; }
-  [[nodiscard]] std::string description() const override { return "fake"; }
-  void encode_into(std::span<const std::uint32_t>, ByteSink&) const override {}
-  void decode_into(std::span<const std::uint8_t>,
-                   std::vector<std::uint32_t>& out) const override {
-    out.clear();
+  try {
+    (void)entropy_stage_by_name("no-such-stage");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("huffman ans"), std::string::npos)
+        << e.what();
   }
-
- private:
-  std::string name_;
-  std::uint8_t id_;
-};
-
-TEST(EntropyRegistry, RejectsReservedAndDuplicateRegistrations) {
-  auto& reg = EntropyRegistry::instance();
-  EXPECT_THROW(reg.add(nullptr), InvalidArgument);
-  // Same name and wire id as the built-in "ans" stage.
-  EXPECT_THROW(reg.add(make_ans_stage()), InvalidArgument);
-  // Ids 1-2 alias the legacy chain's lossless byte; 4-5 belonged to the
-  // removed bwt-mtf and lzw stages and must never decode as a new one.
+  // Ids 1-2 are the legacy chain's lossless byte, not stages of their
+  // own; 200 was never assigned.
   for (const std::uint8_t id :
-       {std::uint8_t{1}, std::uint8_t{2}, kRetiredBwtMtfId, kRetiredLzwId}) {
-    EXPECT_THROW(reg.add(std::make_unique<FakeStage>("fake", id)),
-                 InvalidArgument)
+       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{6}, std::uint8_t{200}}) {
+    EXPECT_THROW((void)entropy_stage_by_id(id), CorruptStream)
         << "id " << static_cast<int>(id);
   }
-  // The refused registrations left nothing behind.
-  EXPECT_EQ(reg.find("fake"), nullptr);
-  EXPECT_EQ(reg.list().size(), 2u);
 }
 
 TEST(EntropyStage, CodeRoundTripPerStage) {
-  for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
+  for (const EntropyStageEntry* stage : entropy_stages()) {
     for (const auto& codes : code_corpus()) {
       Bytes buf;
       ByteSink sink(buf);
-      stage->encode_into(codes, sink);
+      stage->stage->encode_into(codes, sink);
       std::vector<std::uint32_t> back;
-      stage->decode_into(buf, back);
-      EXPECT_EQ(back, codes) << stage->name() << " n=" << codes.size();
+      stage->stage->decode_into(buf, codes.size(), back);
+      EXPECT_EQ(back, codes) << stage->name << " n=" << codes.size();
     }
   }
 }
 
 TEST(EntropyStage, PackedSectionDispatchRoundTrips) {
-  auto& reg = EntropyRegistry::instance();
-  for (const EntropyStage* stage : reg.list()) {
+  for (const EntropyStageEntry* stage : entropy_stages()) {
     for (const auto& codes : code_corpus()) {
       Bytes buf;
       ByteSink sink(buf);
       entropy_encode_codes(codes, histogram_symbols(codes), *stage,
                            LosslessBackend::kLzb, sink);
       ASSERT_FALSE(buf.empty());
-      if (stage->wire_id() == kEntropyHuffmanId) {
+      if (stage->wire_id == kEntropyHuffmanId) {
         // Legacy chain: leading byte is the lossless backend id.
         EXPECT_EQ(buf[0], static_cast<std::uint8_t>(LosslessBackend::kLzb));
       } else {
-        EXPECT_EQ(buf[0], stage->wire_id());
+        EXPECT_EQ(buf[0], stage->wire_id);
       }
       std::vector<std::uint32_t> back;
-      entropy_decode_codes_into(buf, back);
-      EXPECT_EQ(back, codes) << stage->name();
+      entropy_decode_codes_into(buf, codes.size(), back);
+      EXPECT_EQ(back, codes) << stage->name;
     }
   }
 }
 
 TEST(EntropyStage, HuffmanStageMatchesLegacyChainBytes) {
-  // The registry's stage 0 must reproduce the pre-registry writer
-  // bit for bit — the property the golden blobs pin end to end — both
-  // through the packed-section dispatch and through the stage itself.
+  // Stage 0 must reproduce the pre-registry writer bit for bit — the
+  // property the golden blobs pin end to end — both through the
+  // packed-section dispatch and through the stage itself.
   const auto corpus = code_corpus();
-  const auto& stage = EntropyRegistry::instance().by_name("huffman");
+  const EntropyStageEntry& stage = entropy_stage_by_name("huffman");
   for (const auto& codes : corpus) {
     for (const LosslessBackend lossless :
          {LosslessBackend::kNone, LosslessBackend::kLzb,
@@ -192,7 +159,7 @@ TEST(EntropyStage, HuffmanStageMatchesLegacyChainBytes) {
       if (lossless == LosslessBackend::kLzb) {
         Bytes via_stage;
         ByteSink stage_sink(via_stage);
-        stage.encode_into(codes, stage_sink);
+        stage.stage->encode_into(codes, stage_sink);
         EXPECT_EQ(via_stage, legacy) << "n=" << codes.size();
       }
     }
@@ -207,11 +174,13 @@ TEST(EntropyStage, RejectsCorruptStreams) {
 
   // Empty and unknown-id sections.
   std::vector<std::uint32_t> out;
-  EXPECT_THROW(entropy_decode_codes_into({}, out), CorruptStream);
+  EXPECT_THROW(entropy_decode_codes_into({}, codes.size(), out),
+               CorruptStream);
   Bytes unknown{0x77, 1, 2, 3};
-  EXPECT_THROW(entropy_decode_codes_into(unknown, out), CorruptStream);
+  EXPECT_THROW(entropy_decode_codes_into(unknown, codes.size(), out),
+               CorruptStream);
 
-  for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
+  for (const EntropyStageEntry* stage : entropy_stages()) {
     Bytes buf;
     ByteSink sink(buf);
     entropy_encode_codes(codes, histogram_symbols(codes), *stage,
@@ -223,8 +192,9 @@ TEST(EntropyStage, RejectsCorruptStreams) {
       std::vector<std::uint32_t> partial;
       try {
         entropy_decode_codes_into(
-            std::span<const std::uint8_t>(buf).first(cut), partial);
-        EXPECT_NE(partial, codes) << stage->name() << " cut=" << cut;
+            std::span<const std::uint8_t>(buf).first(cut), codes.size(),
+            partial);
+        EXPECT_NE(partial, codes) << stage->name << " cut=" << cut;
       } catch (const CorruptStream&) {
         // expected for most cuts
       }
@@ -241,7 +211,7 @@ TEST(EntropyStage, RejectsCorruptStreams) {
     broken[broken.size() / 2] ^= 0xA5;  // perturb the state stream
     std::vector<std::uint32_t> back;
     try {
-      ans_decode_into(broken, back);
+      ans_decode_into(broken, codes.size(), back);
       EXPECT_NE(back, codes);
     } catch (const CorruptStream&) {
     }
@@ -270,31 +240,31 @@ TEST(EntropyCompressor, BackendStageDtypeSweepHoldsBoundAndInspects) {
     using T = decltype(tag);
     const NdArray<T> data = wavy_array<T>(Shape(12, 9, 5), 0xD7);
     for (const std::string& backend : backends) {
-      for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
+      for (const EntropyStageEntry* stage : entropy_stages()) {
         CompressionConfig config;
         config.backend = backend;
         config.eb_mode = EbMode::kAbsolute;
         config.eb = 1e-3;
-        config.entropy = stage->name();
+        config.entropy = stage->name;
         const Bytes blob = compress(data, config);
         // The default stage keeps the OCZ1 magic (bit-compatible with
         // every pre-registry reader); anything else switches to OCZ2.
         ASSERT_GE(blob.size(), 7u);
         EXPECT_EQ(std::memcmp(blob.data(),
-                              stage->wire_id() == 0 ? "OCZ1" : "OCZ2", 4),
+                              stage->wire_id == 0 ? "OCZ1" : "OCZ2", 4),
                   0)
-            << backend << "/" << stage->name();
+            << backend << "/" << stage->name;
         const BlobInfo info = inspect_blob(blob);
         EXPECT_EQ(info.backend, backend);
-        EXPECT_EQ(info.entropy, stage->name());
-        EXPECT_EQ(info.entropy_id, stage->wire_id());
+        EXPECT_EQ(info.entropy, stage->name);
+        EXPECT_EQ(info.entropy_id, stage->wire_id);
         const NdArray<T> back = decompress<T>(blob);
         ASSERT_EQ(back.size(), data.size());
         for (std::size_t i = 0; i < data.size(); ++i) {
           ASSERT_LE(std::abs(static_cast<double>(data[i]) -
                              static_cast<double>(back[i])),
                     1e-3 + 1e-12)
-              << backend << "/" << stage->name() << " element " << i;
+              << backend << "/" << stage->name << " element " << i;
         }
       }
     }
@@ -478,7 +448,7 @@ void expect_names_removed_stage(Fn&& fn, const std::string& stage,
   }
 }
 
-TEST(EntropyRegistry, RetiredIdsFailByName) {
+TEST(EntropyTable, RetiredIdsFailByName) {
   const struct {
     std::uint8_t id;
     const char* name;
@@ -486,11 +456,12 @@ TEST(EntropyRegistry, RetiredIdsFailByName) {
   const FloatArray field = sine_field(Shape(12, 7, 5), 0x4E7);
   for (const auto& [id, name] : retired) {
     expect_names_removed_stage(
-        [&] { (void)EntropyRegistry::instance().by_id(id); }, name, "by_id");
+        [&] { (void)entropy_stage_by_id(id); }, name, "by_id");
     const Bytes section{id, 1, 2, 3};
     std::vector<std::uint32_t> codes;
     expect_names_removed_stage(
-        [&] { entropy_decode_codes_into(section, codes); }, name, "section");
+        [&] { entropy_decode_codes_into(section, 16, codes); }, name,
+        "section");
 
     // An OCZ2 blob as the removed stage wrote it, for every backend.
     for (const std::string& backend : registered_backend_names()) {

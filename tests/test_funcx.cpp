@@ -17,7 +17,7 @@ FuncXEndpointConfig test_endpoint() {
 }
 
 TEST(FuncX, ColdThenWarmInvocation) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep = faas.add_endpoint(test_endpoint());
   faas.register_function("compress");
@@ -35,7 +35,7 @@ TEST(FuncX, ColdThenWarmInvocation) {
 }
 
 TEST(FuncX, ContainerWarmthIsPerFunctionPerEndpoint) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep1 = faas.add_endpoint(test_endpoint());
   const std::size_t ep2 = faas.add_endpoint(test_endpoint());
@@ -56,7 +56,7 @@ TEST(FuncX, ContainerWarmthIsPerFunctionPerEndpoint) {
 }
 
 TEST(FuncX, BatchAmortizesDispatch) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep = faas.add_endpoint(test_endpoint());
   faas.register_function("compress");
@@ -81,7 +81,7 @@ TEST(FuncX, BatchAmortizesDispatch) {
 }
 
 TEST(FuncX, CompletedCounterTracksTasks) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep = faas.add_endpoint(test_endpoint());
   faas.register_function("f");
@@ -91,7 +91,7 @@ TEST(FuncX, CompletedCounterTracksTasks) {
 }
 
 TEST(FuncX, UnknownEntitiesThrow) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep = faas.add_endpoint(test_endpoint());
   EXPECT_THROW(faas.submit(ep, "nope", {0.1, nullptr}), NotFound);

@@ -17,7 +17,7 @@ TransferRequest request_of(std::size_t n_files, double bytes_each) {
 }
 
 TEST(Globus, CompletesAtEstimatedDuration) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   double completed_at = -1.0;
   auto task = globus.submit(request_of(100, 1e8),
@@ -28,7 +28,7 @@ TEST(Globus, CompletesAtEstimatedDuration) {
 }
 
 TEST(Globus, ProgressIsObservableMidFlight) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   auto task = globus.submit(request_of(100, 1e8));
   const double half = task->estimate().duration_s / 2.0;
@@ -43,7 +43,7 @@ TEST(Globus, ProgressIsObservableMidFlight) {
 }
 
 TEST(Globus, CancelFreezesProgressAndSuppressesCallback) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   bool callback_fired = false;
   auto task = globus.submit(request_of(50, 1e9),
@@ -60,7 +60,7 @@ TEST(Globus, CancelFreezesProgressAndSuppressesCallback) {
 }
 
 TEST(Globus, CancelAfterCompletionIsNoOp) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   auto task = globus.submit(request_of(10, 1e6));
   sim.run();
@@ -70,7 +70,7 @@ TEST(Globus, CancelAfterCompletionIsNoOp) {
 }
 
 TEST(Globus, EmptyRequestThrows) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   TransferRequest req;
   req.link = route("Anvil", "Cori");
@@ -78,7 +78,7 @@ TEST(Globus, EmptyRequestThrows) {
 }
 
 TEST(Globus, ConcurrentTransfersProgressIndependently) {
-  Simulation sim;
+  sim::Engine sim;
   GlobusService globus(sim);
   int completions = 0;
   auto t1 = globus.submit(request_of(10, 1e9),

@@ -1,6 +1,9 @@
 // Unit and property tests for the canonical Huffman codec.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "codec/huffman.hpp"
@@ -18,9 +21,13 @@ Bytes encode(const std::vector<std::uint32_t>& input) {
   return out;
 }
 
+/// No caller bound: the stream's own checks are what these tests
+/// exercise.
+constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
+
 std::vector<std::uint32_t> decode(const Bytes& encoded) {
   std::vector<std::uint32_t> out;
-  huffman_decode_into(encoded, out);
+  huffman_decode_into(encoded, kNoBound, out);
   return out;
 }
 
@@ -141,6 +148,35 @@ TEST(Huffman, SymbolCountBeyondThePayloadThrowsBeforeAllocating) {
   sink.put_bytes(payload);
   ASSERT_EQ(stream.size(), 12u);
   EXPECT_THROW((void)decode(stream), CorruptStream);
+}
+
+TEST(Huffman, SymbolCountAboveTheCallersBoundThrowsBeforeAllocating) {
+  // A one-symbol code carries no payload bits, so 5 bytes can claim
+  // 2^27 symbols; only the caller's bound (the shape size) stops it.
+  Bytes stream;
+  ByteSink sink(stream);
+  sink.put_varint(std::uint64_t{1} << 27);
+  sink.put_varint(1);
+  sink.put_varint(7);  // symbol 7, length 0
+  sink.put_varint(0);
+  sink.put_varint(0);  // empty payload
+  std::vector<std::uint32_t> out;
+  try {
+    huffman_decode_into(stream, 1000, out);
+    FAIL() << "expected CorruptStream";
+  } catch (const CorruptStream& e) {
+    EXPECT_NE(std::string(e.what()).find("134217728"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(out.capacity(), 0u);
+
+  // The bound is inclusive: a stream of exactly n symbols decodes.
+  const std::vector<std::uint32_t> input = {3, 1, 4, 1, 5, 9, 2, 6};
+  const Bytes encoded = encode(input);
+  huffman_decode_into(encoded, input.size(), out);
+  EXPECT_EQ(out, input);
+  EXPECT_THROW(huffman_decode_into(encoded, input.size() - 1, out),
+               CorruptStream);
 }
 
 TEST(Huffman, TableCountBeyondTheStreamThrowsBeforeAllocating) {

@@ -27,11 +27,11 @@
 #include "common/stats.hpp"
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
-#include "compressor/interpolation.hpp"
 #include "compressor/kernels/dispatch.hpp"
 #include "compressor/kernels/quant_kernels.hpp"
 #include "compressor/multigrid.hpp"
 #include "compressor/quantizer.hpp"
+#include "support/quant_reference.hpp"
 
 namespace ocelot {
 namespace {
@@ -265,7 +265,7 @@ TEST(Kernels, HuffmanWideSymbolRangeUsesSortedFallback) {
   BytesWriter writer;
   huffman_encode(symbols, writer);
   std::vector<std::uint32_t> decoded;
-  huffman_decode_into(writer.bytes(), decoded);
+  huffman_decode_into(writer.bytes(), symbols.size(), decoded);
   EXPECT_EQ(decoded, symbols);
 }
 
@@ -391,7 +391,7 @@ HierarchyCase<T> encode_case(const Shape& shape, const std::vector<T>& field,
   return c;
 }
 
-/// Reference decode: hierarchy_traverse + QuantDecoder. nullopt when
+/// Reference decode: the oracle traversal + QuantDecoder. nullopt when
 /// the streams are rejected.
 template <typename T>
 std::optional<std::vector<T>> reference_decode(const HierarchyCase<T>& c) {
@@ -400,12 +400,11 @@ std::optional<std::vector<T>> reference_decode(const HierarchyCase<T>& c) {
   QuantDecoder<T> coarse(coarse_eb(c), c.radius, c.coarse.codes,
                          c.coarse.raw);
   try {
-    hierarchy_traverse<T>(c.shape, std::span<T>(out), c.stride,
-                          /*cubic=*/!c.multigrid,
-                          [&](std::size_t, double pred, std::size_t level) {
-                            return (level == 1 || !c.multigrid ? fine : coarse)
-                                .decode(pred);
-                          });
+    reference::hierarchy_traverse<T>(
+        c.shape, std::span<T>(out), c.stride, /*cubic=*/!c.multigrid,
+        [&](std::size_t, double pred, std::size_t level) {
+          return (level == 1 || !c.multigrid ? fine : coarse).decode(pred);
+        });
   } catch (const CorruptStream&) {
     return std::nullopt;
   }

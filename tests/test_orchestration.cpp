@@ -8,9 +8,9 @@
 
 #include "exec/cluster_model.hpp"
 #include "faas/funcx.hpp"
-#include "netsim/simulation.hpp"
 #include "netsim/sites.hpp"
 #include "scheduler/batch.hpp"
+#include "sim/engine.hpp"
 #include "transfer/globus.hpp"
 
 namespace ocelot {
@@ -26,7 +26,7 @@ struct Burst {
 std::vector<Burst> run_pipeline(int n_bursts, double burst_interval,
                                 int machine_nodes, int nodes_per_job,
                                 std::unique_ptr<WaitModel> wait) {
-  Simulation sim;
+  sim::Engine sim;
   FuncXService faas(sim);
   const std::size_t ep = faas.add_endpoint({"ep"});
   faas.register_function("compress");

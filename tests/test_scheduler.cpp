@@ -10,7 +10,7 @@ namespace ocelot {
 namespace {
 
 TEST(Scheduler, ImmediateGrantWhenIdle) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 10, std::make_unique<ImmediateWait>());
   double granted_at = -1.0;
   sched.submit(4, [&](const Allocation& a) {
@@ -23,7 +23,7 @@ TEST(Scheduler, ImmediateGrantWhenIdle) {
 }
 
 TEST(Scheduler, TraceWaitDelaysGrant) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 10,
                        std::make_unique<TraceWait>(std::vector<double>{120.0}));
   double granted_at = -1.0;
@@ -33,7 +33,7 @@ TEST(Scheduler, TraceWaitDelaysGrant) {
 }
 
 TEST(Scheduler, CapacityBlocksUntilRelease) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 8, std::make_unique<ImmediateWait>());
   Allocation first_alloc;
   double second_granted = -1.0;
@@ -48,7 +48,7 @@ TEST(Scheduler, CapacityBlocksUntilRelease) {
 }
 
 TEST(Scheduler, FifoOrderingHolds) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 4, std::make_unique<ImmediateWait>());
   std::vector<int> grant_order;
   Allocation a0;
@@ -64,14 +64,14 @@ TEST(Scheduler, FifoOrderingHolds) {
 }
 
 TEST(Scheduler, OversizeRequestThrows) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 4, std::make_unique<ImmediateWait>());
   EXPECT_THROW(sched.submit(5, [](const Allocation&) {}), InvalidArgument);
   EXPECT_THROW(sched.submit(0, [](const Allocation&) {}), InvalidArgument);
 }
 
 TEST(Scheduler, DoubleReleaseDetected) {
-  Simulation sim;
+  sim::Engine sim;
   BatchScheduler sched(sim, 4, std::make_unique<ImmediateWait>());
   Allocation alloc;
   sched.submit(2, [&](const Allocation& a) { alloc = a; });

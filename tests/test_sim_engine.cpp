@@ -1,7 +1,6 @@
 // Tests for the sim/ discrete-event engine: cancellable events,
-// process handles and max-min fair sharing. (The legacy scheduling
-// semantics are covered by test_simulation.cpp through the
-// `Simulation` alias.)
+// process handles and max-min fair sharing. (The basic scheduling
+// semantics are covered by test_simulation.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdint>

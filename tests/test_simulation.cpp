@@ -3,13 +3,13 @@
 
 #include <vector>
 
-#include "netsim/simulation.hpp"
+#include "sim/engine.hpp"
 
 namespace ocelot {
 namespace {
 
 TEST(Simulation, EventsRunInTimeOrder) {
-  Simulation sim;
+  sim::Engine sim;
   std::vector<int> order;
   sim.schedule_at(3.0, [&] { order.push_back(3); });
   sim.schedule_at(1.0, [&] { order.push_back(1); });
@@ -20,7 +20,7 @@ TEST(Simulation, EventsRunInTimeOrder) {
 }
 
 TEST(Simulation, TiesBreakBySubmissionOrder) {
-  Simulation sim;
+  sim::Engine sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(5.0, [&order, i] { order.push_back(i); });
@@ -30,7 +30,7 @@ TEST(Simulation, TiesBreakBySubmissionOrder) {
 }
 
 TEST(Simulation, CallbacksCanScheduleMoreEvents) {
-  Simulation sim;
+  sim::Engine sim;
   int chain = 0;
   std::function<void()> step = [&] {
     if (++chain < 5) sim.schedule_in(1.0, step);
@@ -43,7 +43,7 @@ TEST(Simulation, CallbacksCanScheduleMoreEvents) {
 }
 
 TEST(Simulation, RunUntilStopsAtHorizon) {
-  Simulation sim;
+  sim::Engine sim;
   int fired = 0;
   sim.schedule_at(1.0, [&] { ++fired; });
   sim.schedule_at(10.0, [&] { ++fired; });
@@ -56,7 +56,7 @@ TEST(Simulation, RunUntilStopsAtHorizon) {
 }
 
 TEST(Simulation, SchedulingInThePastThrows) {
-  Simulation sim;
+  sim::Engine sim;
   sim.schedule_at(2.0, [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), InvalidArgument);
@@ -64,7 +64,7 @@ TEST(Simulation, SchedulingInThePastThrows) {
 }
 
 TEST(Simulation, ClockIsMonotone) {
-  Simulation sim;
+  sim::Engine sim;
   double last = -1.0;
   bool monotone = true;
   for (int i = 0; i < 100; ++i) {

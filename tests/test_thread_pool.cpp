@@ -1,11 +1,11 @@
-// Tests for the thread pool and parallel_for: task execution,
-// exception propagation (a worker throwing mid-batch must neither
-// deadlock the pool nor leak pooled scratch), and per-thread buffer
-// reuse on the streaming data path.
+// Tests for parallel_for: task execution, exception propagation (a
+// worker throwing mid-batch must not leak pooled scratch), and
+// per-thread buffer reuse on the streaming data path.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "common/buffer_pool.hpp"
 #include "exec/thread_pool.hpp"
@@ -13,38 +13,8 @@
 namespace ocelot {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++count;
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, ExceptionsLandInFutures) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ZeroThreadsThrows) {
-  EXPECT_THROW(ThreadPool(0), InvalidArgument);
+TEST(ParallelFor, ZeroThreadsThrows) {
+  EXPECT_THROW(parallel_for(4, 0, [](std::size_t) {}), InvalidArgument);
 }
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
@@ -76,63 +46,6 @@ TEST(ParallelFor, SingleThreadIsSequential) {
   std::vector<std::size_t> order;
   parallel_for(10, 1, [&](std::size_t i) { order.push_back(i); });
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, ThrowingTaskMidBatchDoesNotDeadlockOrPoisonThePool) {
-  ThreadPool pool(3);
-  std::atomic<int> completed{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 30; ++i) {
-    futures.push_back(pool.submit([&, i] {
-      if (i % 7 == 3) throw std::runtime_error("mid-batch failure");
-      ++completed;
-    }));
-  }
-  // wait_idle must return even though several tasks threw...
-  pool.wait_idle();
-  int failures = 0;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (const std::runtime_error&) {
-      ++failures;
-    }
-  }
-  EXPECT_EQ(failures, 4);  // i = 3, 10, 17, 24
-  EXPECT_EQ(completed.load(), 26);
-  // ...and the pool must keep accepting work afterwards.
-  auto after = pool.submit([&] { ++completed; });
-  after.get();
-  EXPECT_EQ(completed.load(), 27);
-}
-
-TEST(ThreadPool, ThrowingWorkerReturnsPooledBuffersViaLeases) {
-  // The executor's tasks hold pool leases while compressing; a task
-  // that throws mid-batch must hand its buffer back to the pool (RAII)
-  // instead of stranding it.
-  BufferPool pool;
-  ThreadPool workers(2);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(workers.submit([&pool, i] {
-      PooledBuffer lease(pool, 512);
-      lease->assign(100, static_cast<std::uint8_t>(i));
-      if (i % 4 == 1) throw std::runtime_error("worker failure");
-    }));
-  }
-  workers.wait_idle();
-  int failures = 0;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (const std::runtime_error&) {
-      ++failures;
-    }
-  }
-  EXPECT_EQ(failures, 4);
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.outstanding, 0u) << "a throwing task leaked its lease";
-  EXPECT_EQ(stats.created + stats.reused, 16u);
 }
 
 TEST(ParallelFor, ExceptionDoesNotLeakPooledScratch) {

@@ -6,9 +6,10 @@
 
 #include "common/ndarray.hpp"
 #include "common/rng.hpp"
-#include "compressor/interpolation.hpp"
+#include "compressor/kernels/quant_kernels.hpp"
 #include "compressor/regression.hpp"
 #include "compressor/traversal.hpp"
+#include "support/quant_reference.hpp"
 
 namespace ocelot {
 namespace {
@@ -40,7 +41,7 @@ TEST_P(CoverageShapes, InterpVisitsEachPointOnce) {
   const Shape shape = GetParam();
   const std::size_t stride = choose_anchor_stride(shape);
   expect_exact_coverage(shape, [&](std::span<float> recon, auto&& fn) {
-    interp_traverse<float>(shape, recon, stride, fn);
+    reference::interp_traverse<float>(shape, recon, stride, fn);
   });
 }
 

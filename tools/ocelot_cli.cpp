@@ -16,7 +16,7 @@
 //   info <file> [json=1]                       inspect OCF1/OCZ1/OCB1 headers
 //   stats <in.ocf|in.ocz|in.ocb> [json=1]      profile a (de)compression and
 //                                              print the per-stage breakdown
-//   backends                                   list registered backends
+//   backends                                   list backends and stages
 //   diff <a.ocf> <b.ocf>                       PSNR / max error
 //   simulate <campaign>... | --demo            multi-campaign orchestrator
 //   serve unix=/path [port=N] [tenants=...]    ocelotd: multi-tenant
@@ -30,8 +30,8 @@
 //
 // Files use the repo's self-describing formats: OCF1 raw fields, OCZ1
 // compressed blobs, and OCB1 block containers. Compression families
-// come from the name-keyed BackendRegistry, so a newly registered
-// backend is immediately selectable here without CLI changes.
+// come from the backend table, so a new row is immediately selectable
+// here without CLI changes.
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -106,12 +106,24 @@ int cmd_generate(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// Display name for a backend wire id from a container index ("#id"
+/// for foreign ids).
+std::string backend_label(std::uint8_t id) {
+  const auto table = backends();
+  if (id < table.size()) return table[id].name;
+  // Not "#" + std::to_string(id): GCC 12 flags that here with a false
+  // -Wrestrict.
+  return std::string("#").append(std::to_string(id));
+}
+
 /// Display name for an entropy-stage wire id from a container index or
 /// blob header ("?" for the unknown sentinel, "#id" for foreign ids).
 std::string entropy_stage_label(std::uint8_t id) {
   if (id == kUnknownEntropyId) return "?";
-  const EntropyStage* stage = EntropyRegistry::instance().find_by_id(id);
-  return stage != nullptr ? stage->name() : "#" + std::to_string(id);
+  for (const EntropyStageEntry* stage : entropy_stages()) {
+    if (stage->wire_id == id) return stage->name;
+  }
+  return "#" + std::to_string(id);
 }
 
 /// Parses "A" or "AxB" into streaming slab dimensions.
@@ -151,7 +163,7 @@ int cmd_compress(const std::vector<std::string>& args) {
               << "       trace=out.json writes a Perfetto span timeline; "
                  "stats=1 prints the per-stage breakdown\n"
               << "       entropy=<stage> swaps the quantized-code entropy "
-                 "coder (see `ocelot backends` for both registries)\n";
+                 "coder (see `ocelot backends` for both tables)\n";
     return 2;
   }
   const bool streaming = args[0] == "-";
@@ -285,32 +297,21 @@ int cmd_backends(const std::vector<std::string>& args) {
     std::cerr << "usage: ocelot backends\n";
     return 2;
   }
-  TextTable table({"backend", "id", "description", "tunables"});
-  for (const CompressorBackend* backend : BackendRegistry::instance().list()) {
-    std::string tunables;
-    for (const BackendParam& param : backend->params()) {
-      if (!tunables.empty()) tunables += ", ";
-      tunables += param.field;
-      tunables += '=';
-      tunables += fmt_double(param.default_value, 0);
-      tunables += " (";
-      tunables += param.description;
-      tunables += ')';
-    }
-    if (tunables.empty()) tunables.push_back('-');
-    table.add_row({backend->name(), std::to_string(backend->wire_id()),
-                   backend->description(), tunables});
+  TextTable table({"backend", "id", "description"});
+  for (const BackendEntry& backend : backends()) {
+    table.add_row({backend.name, std::to_string(backend.wire_id),
+                   backend.description});
   }
   table.print(std::cout);
 
-  // The entropy-stage registry is the other half of the pipeline: any
+  // The entropy stages are the other half of the pipeline: any
   // backend's quantized-code sections can run through any stage
   // (compress entropy=<stage>, or entropy_stages=a,b with the advisor).
   std::cout << "\n";
   TextTable stages({"entropy stage", "id", "description"});
-  for (const EntropyStage* stage : EntropyRegistry::instance().list()) {
-    stages.add_row({stage->name(), std::to_string(stage->wire_id()),
-                    stage->description()});
+  for (const EntropyStageEntry* stage : entropy_stages()) {
+    stages.add_row({stage->name, std::to_string(stage->wire_id),
+                    stage->description});
   }
   stages.print(std::cout);
   return 0;
@@ -376,20 +377,13 @@ int cmd_advise(const std::vector<std::string>& args) {
     TextTable table(
         {"block", "slabs", "backend", "entropy", "payload", "ratio"});
     for (std::size_t b = 0; b < info.blocks.size(); ++b) {
-      const CompressorBackend* backend =
-          info.blocks[b].backend_id == kUnknownBackendId
-              ? nullptr
-              : BackendRegistry::instance().find_by_id(
-                    info.blocks[b].backend_id);
       const double raw = static_cast<double>(
           block_shape(info.shape, spans[b]).size() * sizeof(float));
       table.add_row(
           {std::to_string(b),
            std::to_string(spans[b].slab_begin) + "+" +
                std::to_string(spans[b].slab_count),
-           backend != nullptr
-               ? backend->name()
-               : "#" + std::to_string(info.blocks[b].backend_id),
+           backend_label(info.blocks[b].backend_id),
            entropy_stage_label(info.blocks[b].entropy_id),
            fmt_bytes(static_cast<double>(info.blocks[b].size)),
            fmt_double(raw / static_cast<double>(info.blocks[b].size), 2)});
@@ -491,12 +485,6 @@ int cmd_info(const std::vector<std::string>& args) {
     std::size_t payload = 0;
     for (const auto& block : info.blocks) payload += block.size;
     const std::size_t raw = info.shape.size() * sizeof(float);
-    const auto backend_name = [](std::uint8_t id) {
-      const CompressorBackend* backend =
-          BackendRegistry::instance().find_by_id(id);
-      return backend != nullptr ? backend->name()
-                                : "#" + std::to_string(id);
-    };
     // v1.1 indexes name every block's compressor (v1.2 adds its
     // entropy stage); summarize both mixes.
     std::map<std::uint8_t, std::size_t> counts;
@@ -507,7 +495,7 @@ int cmd_info(const std::vector<std::string>& args) {
       for (const auto& block : info.blocks) ++counts[block.backend_id];
       for (const auto& [id, count] : counts) {
         if (!mix.empty()) mix += ' ';
-        mix += backend_name(id) + ':' + std::to_string(count);
+        mix += backend_label(id) + ':' + std::to_string(count);
       }
       for (const auto& block : info.blocks)
         ++entropy_counts[block.entropy_id];
@@ -533,7 +521,7 @@ int cmd_info(const std::vector<std::string>& args) {
       for (const auto& [id, count] : counts) {
         if (!first) std::cout << ",";
         first = false;
-        std::cout << json_quote(backend_name(id)) << ":" << count;
+        std::cout << json_quote(backend_label(id)) << ":" << count;
       }
       std::cout << "},\"entropy_mix\":{";
       first = true;
@@ -549,7 +537,7 @@ int cmd_info(const std::vector<std::string>& args) {
                   << ",\"size\":" << info.blocks[b].size;
         if (info.has_backend_ids) {
           std::cout << ",\"backend\":"
-                    << json_quote(backend_name(info.blocks[b].backend_id))
+                    << json_quote(backend_label(info.blocks[b].backend_id))
                     << ",\"entropy\":"
                     << json_quote(
                            entropy_stage_label(info.blocks[b].entropy_id));
