@@ -1,9 +1,9 @@
 // Zero-copy streaming data path: throughput and allocation profile.
 //
 // The block-parallel executor compresses slab blocks into pooled
-// buffers and assembles containers through a streaming arena
-// (BlockContainerWriter), so steady-state traffic should allocate
-// almost nothing per block. This bench measures that directly with the
+// buffers and hands them to build_block_container as views (one copy
+// per payload), so steady-state traffic should allocate almost
+// nothing per block. This bench measures that directly with the
 // global allocation counters (bench_common): a warmed-up block_compress
 // sweep per worker count (rows carry allocs_per_block / allocs_per_mb,
 // gated in CI), plus a "legacy_buffered" baseline that rebuilds the
@@ -58,7 +58,8 @@ Bytes legacy_buffered_compress(const FloatArray& field,
     payloads.push_back(compress(FloatArray(shape, std::move(data)),
                                 abs_config));
   }
-  return build_block_container(field.shape(), block_slabs, payloads);
+  return build_block_container(field.shape(), block_slabs,
+                               {payloads.begin(), payloads.end()});
 }
 
 }  // namespace

@@ -164,6 +164,11 @@ void ans_encode(std::span<const std::uint32_t> symbols, ByteSink& out) {
   for (std::size_t i = rev->size(); i-- > 0;) out.put((*rev)[i]);
 }
 
+std::size_t ans_max_stream_bytes(std::size_t symbols) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return symbols > (kMax - 32) / 10 ? kMax : 10 * symbols + 32;
+}
+
 void ans_decode_into(std::span<const std::uint8_t> data,
                      std::size_t max_symbols,
                      std::vector<std::uint32_t>& out) {

@@ -31,6 +31,14 @@ namespace ocelot {
 /// Encodes `symbols` into `out` (appended; no stage-id byte).
 void ans_encode(std::span<const std::uint32_t> symbols, ByteSink& out);
 
+/// Largest stream ans_encode emits for at most `symbols` symbols. The
+/// table mode spends <= 8 bytes per distinct symbol (a u32 delta and a
+/// frequency <= 2^15), <= 2 renormalization bytes per symbol, the
+/// 4-byte final state and five headers; the varint fallback <= 5 bytes
+/// per symbol. So under 10 bytes per symbol plus 32. Saturates instead
+/// of wrapping.
+std::size_t ans_max_stream_bytes(std::size_t symbols);
+
 /// Decodes a stream produced by ans_encode. Throws CorruptStream on
 /// malformed tables, a dangling final state, or trailing bytes, and
 /// before allocating when the stream claims more than `max_symbols`

@@ -35,7 +35,8 @@ void decode_huffman_chain(std::span<const std::uint8_t> section,
                           std::size_t max_symbols,
                           std::vector<std::uint32_t>& out) {
   PooledBuffer huff(BufferPool::shared());
-  lossless_decompress_into(section, *huff);
+  lossless_decompress_into(section, huffman_max_stream_bytes(max_symbols),
+                           *huff);
   huffman_decode_into(*huff, max_symbols, out);
 }
 
@@ -86,7 +87,8 @@ class AnsStage final : public EntropyStage {
                    std::size_t max_symbols,
                    std::vector<std::uint32_t>& out) const override {
     PooledBuffer stream(BufferPool::shared());
-    lossless_decompress_into(payload, *stream);
+    lossless_decompress_into(payload, ans_max_stream_bytes(max_symbols),
+                             *stream);
     ans_decode_into(*stream, max_symbols, out);
   }
 };

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/arena.hpp"
@@ -407,6 +408,11 @@ void huffman_encode(
   if (symbols.empty()) return;
   ArenaScope scope;
   encode_with_hist(symbols, hist, scope.arena(), out);
+}
+
+std::size_t huffman_max_stream_bytes(std::size_t symbols) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return symbols > (kMax - 32) / 14 ? kMax : 14 * symbols + 32;
 }
 
 void huffman_decode_into(std::span<const std::uint8_t> data,

@@ -84,6 +84,12 @@ void huffman_encode(
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     ByteSink& out);
 
+/// Largest stream huffman_encode emits for at most `symbols` symbols:
+/// three varint headers, a table entry of <= 6 bytes per distinct
+/// symbol (a u32 delta and a length <= 57) and codes of <= 57 bits, so
+/// under 14 bytes per symbol plus 32. Saturates instead of wrapping.
+std::size_t huffman_max_stream_bytes(std::size_t symbols);
+
 /// Decodes a stream produced by huffman_encode into `out` (cleared
 /// first; capacity is reused). Throws CorruptStream on malformed input,
 /// and before allocating when the stream claims more than

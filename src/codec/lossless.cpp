@@ -1,5 +1,7 @@
 #include "codec/lossless.hpp"
 
+#include <string>
+
 #include "codec/lzb.hpp"
 #include "codec/rle.hpp"
 #include "common/buffer_pool.hpp"
@@ -42,21 +44,26 @@ void lossless_compress(std::span<const std::uint8_t> raw,
 }
 
 void lossless_decompress_into(std::span<const std::uint8_t> compressed,
-                              Bytes& out) {
+                              std::size_t max_bytes, Bytes& out) {
   BytesReader in(compressed);
   const auto id = in.get<std::uint8_t>();
   const auto payload = in.get_bytes(in.remaining());
   switch (static_cast<LosslessBackend>(id)) {
     case LosslessBackend::kNone:
+      if (payload.size() > max_bytes)
+        throw CorruptStream("lossless: stream holds " +
+                            std::to_string(payload.size()) +
+                            " bytes, more than the " +
+                            std::to_string(max_bytes) + " allowed");
       out.assign(payload.begin(), payload.end());
       return;
     case LosslessBackend::kLzb:
-      lzb_decompress_into(payload, out);
+      lzb_decompress_into(payload, max_bytes, out);
       return;
     case LosslessBackend::kRleLzb: {
       PooledBuffer rle(BufferPool::shared());
-      lzb_decompress_into(payload, *rle);
-      rle_decompress_into(*rle, out);
+      lzb_decompress_into(payload, rle_max_stream_bytes(max_bytes), *rle);
+      rle_decompress_into(*rle, max_bytes, out);
       return;
     }
   }

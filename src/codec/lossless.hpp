@@ -7,9 +7,7 @@
 //
 // The sink/_into entry points are the streaming data path: they append
 // into caller-provided buffers (typically pooled scratch or the final
-// blob) so chained stages never materialize intermediate vectors. New
-// codec code must use these; the Bytes-returning forms are
-// compatibility wrappers.
+// blob) so chained stages never materialize intermediate vectors.
 
 #include <cstdint>
 #include <span>
@@ -34,9 +32,11 @@ void lossless_compress(std::span<const std::uint8_t> raw,
                        LosslessBackend backend, ByteSink& out);
 
 /// Inverts lossless_compress into `out` (cleared first; capacity is
-/// reused), dispatching on the embedded backend id.
+/// reused), dispatching on the embedded backend id. `max_bytes` is the
+/// most the caller's section can hold; a stream claiming more throws
+/// CorruptStream, naming the bound, before anything is reserved.
 /// Throws CorruptStream on malformed input.
 void lossless_decompress_into(std::span<const std::uint8_t> compressed,
-                              Bytes& out);
+                              std::size_t max_bytes, Bytes& out);
 
 }  // namespace ocelot

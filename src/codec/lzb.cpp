@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -196,11 +197,16 @@ void lzb_compress(std::span<const std::uint8_t> raw, ByteSink& sink) {
 }
 
 void lzb_decompress_into(std::span<const std::uint8_t> compressed,
-                         Bytes& out) {
+                         std::size_t max_bytes, Bytes& out) {
   out.clear();
   BytesReader in(compressed);
   const std::uint64_t raw_size = in.get_varint();
-  // A claim the payload cannot expand to is rejected before allocating.
+  // Claims above the caller's bound, or beyond what the payload can
+  // expand to, are rejected before allocating.
+  if (raw_size > max_bytes)
+    throw CorruptStream("lzb: stream claims " + std::to_string(raw_size) +
+                        " bytes, more than the " + std::to_string(max_bytes) +
+                        " allowed");
   if (raw_size > kMaxExpansion * in.remaining())
     throw CorruptStream("lzb: raw size exceeds what the payload can expand to");
   out.resize(static_cast<std::size_t>(raw_size));

@@ -26,7 +26,10 @@ namespace ocelot {
 void lzb_compress(std::span<const std::uint8_t> raw, ByteSink& out);
 
 /// Decompresses a stream produced by lzb_compress into `out` (cleared
-/// first; capacity is reused). Throws CorruptStream on malformed input.
-void lzb_decompress_into(std::span<const std::uint8_t> compressed, Bytes& out);
+/// first; capacity is reused). Throws CorruptStream on malformed input,
+/// and before allocating when the stream claims more than `max_bytes`
+/// bytes or more than its payload can expand to.
+void lzb_decompress_into(std::span<const std::uint8_t> compressed,
+                         std::size_t max_bytes, Bytes& out);
 
 }  // namespace ocelot

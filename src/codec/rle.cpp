@@ -1,5 +1,8 @@
 #include "codec/rle.hpp"
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace ocelot {
@@ -23,17 +26,21 @@ void rle_compress(std::span<const std::uint8_t> raw, ByteSink& out) {
   }
 }
 
-Bytes rle_compress(std::span<const std::uint8_t> raw) {
-  BytesWriter out;
-  rle_compress(raw, out);
-  return out.take();
+std::size_t rle_max_stream_bytes(std::size_t raw_bytes) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (raw_bytes > (kMax - 10) / 3 * 2) return kMax;
+  return 10 + raw_bytes + raw_bytes / 2;
 }
 
 void rle_decompress_into(std::span<const std::uint8_t> compressed,
-                         Bytes& out) {
+                         std::size_t max_bytes, Bytes& out) {
   out.clear();
   BytesReader in(compressed);
   const std::uint64_t raw_size = in.get_varint();
+  if (raw_size > max_bytes)
+    throw CorruptStream("rle: stream claims " + std::to_string(raw_size) +
+                        " bytes, more than the " + std::to_string(max_bytes) +
+                        " allowed");
   out.reserve(raw_size);
   while (out.size() < raw_size) {
     const auto v = in.get<std::uint8_t>();
@@ -51,12 +58,6 @@ void rle_decompress_into(std::span<const std::uint8_t> compressed,
       }
     }
   }
-}
-
-Bytes rle_decompress(std::span<const std::uint8_t> compressed) {
-  Bytes out;
-  rle_decompress_into(compressed, out);
-  return out;
 }
 
 }  // namespace ocelot

@@ -2,14 +2,15 @@
 // Typed key=value option parsing shared by the CLI and the daemon.
 //
 // Every front end speaks the same option dialect — `ocelot compress
-// eb=1e-3 backend=multigrid`, `ocelot serve unix=/tmp/o.sock`, and the
-// per-request option field of an ocelotd frame are all whitespace- or
-// argv-separated key=value pairs. OptionSet centralizes the parsing
-// that used to live as ad-hoc loops in the CLI: last-wins assignment,
-// typed getters with uniform error messages, and unknown-key rejection
-// after the known keys have been consumed, so a typo'd knob fails the
-// command instead of being silently ignored (on the wire: instead of
-// silently compressing with defaults).
+// eb=1e-3 backend=multigrid`, `ocelot serve unix=/tmp/o.sock`, the
+// per-request option field of an ocelotd frame, and each
+// `ocelot simulate app=RTM,at=30` campaign spec are all whitespace-,
+// argv- or comma-separated key=value pairs. OptionSet centralizes the
+// parsing that used to live as ad-hoc loops in the CLI: last-wins
+// assignment, typed getters with uniform error messages, and
+// unknown-key rejection after the known keys have been consumed, so a
+// typo'd knob fails the command instead of being silently ignored (on
+// the wire: instead of silently compressing with defaults).
 //
 // Usage pattern: construct from argv tail or a wire line, pull the
 // keys you understand through the typed getters (each marks its key
@@ -99,7 +100,9 @@ class OptionSet {
 };
 
 /// Standalone value parsers behind the typed getters, shared with call
-/// sites that validate values from other sources (campaign specs).
+/// sites that validate values inside a list (eb_scales entries, the
+/// name:weight:... parts of tenants=). Campaign specs need none of
+/// them: each comma-split spec is an OptionSet of its own.
 double parse_double_option(const std::string& key, const std::string& value);
 std::uint64_t parse_uint_option(const std::string& key,
                                 const std::string& value);

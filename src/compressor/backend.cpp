@@ -46,9 +46,9 @@ template void pack_raw_values<double>(std::span<const double>, LosslessBackend,
 
 template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
-                            std::vector<T>& out) {
+                            std::size_t max_values, std::vector<T>& out) {
   PooledBuffer bytes(BufferPool::shared());
-  lossless_decompress_into(packed, *bytes);
+  lossless_decompress_into(packed, max_values * sizeof(T), *bytes);
   if (bytes->size() % sizeof(T) != 0)
     throw CorruptStream("blob: raw value section misaligned");
   out.resize(bytes->size() / sizeof(T));
@@ -56,8 +56,9 @@ void unpack_raw_values_into(std::span<const std::uint8_t> packed,
 }
 
 template void unpack_raw_values_into<float>(std::span<const std::uint8_t>,
-                                            std::vector<float>&);
+                                            std::size_t, std::vector<float>&);
 template void unpack_raw_values_into<double>(std::span<const std::uint8_t>,
+                                             std::size_t,
                                              std::vector<double>&);
 
 const BackendEntry& backend_by_name(std::string_view name) {

@@ -1,11 +1,13 @@
 #pragma once
 // The compressor backends: one fixed table, indexed by wire id.
 //
-// compress<T>/decompress<T>/inspect_blob resolve a backend by name
-// (when writing) or by the wire id stored in the OCZ header (when
-// reading), and the backend's codec owns the payload encode/decode
-// against the shared section container, the uniform quantizer, and
-// the entropy stage (codec/entropy.hpp, "huffman" by default).
+// compress<T>/decompress<T>/decompress_into<T>/inspect_blob resolve a
+// backend by name (when writing) or by the wire id stored in the OCZ
+// header (when reading), and the backend's codec owns the payload
+// encode/decode against the shared section container, the uniform
+// quantizer, and the entropy stage (codec/entropy.hpp, "huffman" by
+// default). Decode writes into a span the caller owns, so a block
+// lands directly in its slab of the output field.
 //
 // The set is closed by the wire format: an id, once written, names
 // the same family forever, and the quality model keys its
@@ -163,9 +165,12 @@ void unpack_codes_into(std::span<const std::uint8_t> packed,
 template <typename T>
 void pack_raw_values(std::span<const T> values, LosslessBackend lossless,
                      ByteSink& out);
+/// `max_values` is the most raw values the header allows the section
+/// to hold; a section claiming more bytes than that throws
+/// CorruptStream before anything is reserved for it.
 template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
-                            std::vector<T>& out);
+                            std::size_t max_values, std::vector<T>& out);
 
 /// A compression family: encodes an array into payload sections under
 /// a resolved absolute error bound and decodes them back. The encode
@@ -182,18 +187,19 @@ class CompressorBackend {
                       const CompressionConfig& config,
                       SectionWriter& out) const = 0;
 
-  /// Decodes into `out`, pre-allocated with the header's shape.
+  /// Decodes into `out`, the caller's storage of exactly
+  /// header.shape.size() elements (a whole field or one block's slab).
   virtual void decode(const BlobHeader& header, const SectionReader& in,
-                      NdArray<float>& out) const = 0;
+                      std::span<float> out) const = 0;
   virtual void decode(const BlobHeader& header, const SectionReader& in,
-                      NdArray<double>& out) const = 0;
+                      std::span<double> out) const = 0;
 };
 
 /// CRTP helper: implement
 ///   template <typename T> void encode_impl(const NdArray<T>&, double,
 ///       const CompressionConfig&, SectionWriter&) const;
 ///   template <typename T> void decode_impl(const BlobHeader&,
-///       const SectionReader&, NdArray<T>&) const;
+///       const SectionReader&, std::span<T> out) const;
 /// once and get both dtype overloads.
 template <typename Derived>
 class TypedBackend : public CompressorBackend {
@@ -209,11 +215,11 @@ class TypedBackend : public CompressorBackend {
     self().template encode_impl<double>(data, abs_eb, config, out);
   }
   void decode(const BlobHeader& header, const SectionReader& in,
-              NdArray<float>& out) const final {
+              std::span<float> out) const final {
     self().template decode_impl<float>(header, in, out);
   }
   void decode(const BlobHeader& header, const SectionReader& in,
-              NdArray<double>& out) const final {
+              std::span<double> out) const final {
     self().template decode_impl<double>(header, in, out);
   }
 

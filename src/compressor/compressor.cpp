@@ -43,6 +43,22 @@ BlobHeader read_header(BytesReader& in) {
   return h;
 }
 
+/// The one decode path: header, dtype and backend checks and the
+/// section index come first; `destination(declared_shape)` then
+/// returns the span the backend decodes into.
+template <typename T, typename Destination>
+void decode_blob(std::span<const std::uint8_t> blob,
+                 Destination&& destination) {
+  BytesReader in(blob);
+  const BlobHeader h = read_header(in);
+  if (h.dtype != dtype_id<T>())
+    throw InvalidArgument("decompress: dtype mismatch");
+  const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
+  SectionReader sections(in);
+  const std::span<T> out = destination(h.shape);
+  backend.decode(h, sections, out);
+}
+
 }  // namespace
 
 void write_shape(ByteSink& out, const Shape& shape) {
@@ -149,15 +165,11 @@ BlobInfo inspect_blob(std::span<const std::uint8_t> blob) {
 
 template <typename T>
 NdArray<T> decompress(std::span<const std::uint8_t> blob) {
-  BytesReader in(blob);
-  const BlobHeader h = read_header(in);
-  if (h.dtype != dtype_id<T>())
-    throw InvalidArgument("decompress: dtype mismatch");
-  const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
-
-  SectionReader sections(in);
-  NdArray<T> out(h.shape);
-  backend.decode(h, sections, out);
+  NdArray<T> out;
+  decode_blob<T>(blob, [&](const Shape& shape) {
+    out = NdArray<T>(shape);
+    return out.values();
+  });
   return out;
 }
 
@@ -165,32 +177,21 @@ template NdArray<float> decompress<float>(std::span<const std::uint8_t>);
 template NdArray<double> decompress<double>(std::span<const std::uint8_t>);
 
 template <typename T>
-NdArray<T> decompress_reusing(std::span<const std::uint8_t> blob,
-                              std::vector<T>& storage) {
-  BytesReader in(blob);
-  const BlobHeader h = read_header(in);
-  if (h.dtype != dtype_id<T>())
-    throw InvalidArgument("decompress: dtype mismatch");
-  const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
-
-  SectionReader sections(in);
-  storage.assign(h.shape.size(), T{});
-  NdArray<T> out(h.shape, std::move(storage));
-  try {
-    backend.decode(h, sections, out);
-  } catch (...) {
-    // Hand the storage back so a pooled caller's lease still returns
-    // it; a corrupt blob must not bleed capacity out of the pool.
-    storage = out.release();
-    throw;
-  }
-  return out;
+void decompress_into(std::span<const std::uint8_t> blob, const Shape& shape,
+                     std::span<T> out) {
+  require(out.size() == shape.size(),
+          "decompress_into: storage does not match the shape");
+  decode_blob<T>(blob, [&](const Shape& declared) {
+    if (!(declared == shape))
+      throw CorruptStream("blob: declared shape does not match the storage");
+    return out;
+  });
 }
 
-template NdArray<float> decompress_reusing<float>(std::span<const std::uint8_t>,
-                                                  std::vector<float>&);
-template NdArray<double> decompress_reusing<double>(
-    std::span<const std::uint8_t>, std::vector<double>&);
+template void decompress_into<float>(std::span<const std::uint8_t>,
+                                     const Shape&, std::span<float>);
+template void decompress_into<double>(std::span<const std::uint8_t>,
+                                      const Shape&, std::span<double>);
 
 template <typename T>
 RoundTripStats measure_roundtrip(const NdArray<T>& data,

@@ -2,8 +2,11 @@
 // Error-bounded lossy compression of scientific arrays.
 //
 // Public entry points of the compressor library: compress an NdArray
-// into a self-describing blob and decompress it back. The contract is
-// the error-bound invariant: for the resolved absolute bound e,
+// into a self-describing blob and decompress it back, either into a
+// fresh array (decompress) or into storage the caller owns
+// (decompress_into, which the OCB1 block decoder uses to decode each
+// block straight into its slab). The contract is the error-bound
+// invariant: for the resolved absolute bound e,
 // max |original[i] - decompressed[i]| <= e for all i.
 //
 // Dispatch goes through the backend table (see backend.hpp): the blob
@@ -30,8 +33,8 @@ namespace ocelot {
 
 /// Compresses `data` under `config`, streaming header and payload
 /// sections straight into `out` — the zero-copy path: pointing the
-/// sink at a pooled buffer or a container arena produces the blob with
-/// no intermediate vectors. Throws InvalidArgument for empty arrays or
+/// sink at a pooled buffer produces the blob with no intermediate
+/// vectors. Throws InvalidArgument for empty arrays or
 /// non-positive error bounds.
 template <typename T>
 void compress_into(const NdArray<T>& data, const CompressionConfig& config,
@@ -41,20 +44,19 @@ void compress_into(const NdArray<T>& data, const CompressionConfig& config,
 template <typename T>
 Bytes compress(const NdArray<T>& data, const CompressionConfig& config);
 
-/// Decompresses a blob produced by compress<T>. Throws CorruptStream on
+/// Decompresses a blob produced by compress<T>: allocates an array of
+/// the blob's shape, then decodes into it. Throws CorruptStream on
 /// malformed input and InvalidArgument if the blob's dtype is not T.
 template <typename T>
 NdArray<T> decompress(std::span<const std::uint8_t> blob);
 
-/// Like decompress, but builds the output array on `storage` (resized
-/// to the blob's shape, capacity reused). The pooled block codec hands
-/// the vector back to its ScratchPool afterwards via
-/// NdArray::release(). Exception-safe for pooling: when decoding
-/// throws, the storage is moved back into `storage`, so a ScratchLease
-/// holding it still returns it to the pool.
+/// Decodes a blob into `out`, storage the caller owns and sized for
+/// `shape` (e.g. one block's slab of a field). Throws CorruptStream,
+/// before anything is decoded into `out`, when the blob's header
+/// declares a shape other than `shape`; otherwise as decompress.
 template <typename T>
-NdArray<T> decompress_reusing(std::span<const std::uint8_t> blob,
-                              std::vector<T>& storage);
+void decompress_into(std::span<const std::uint8_t> blob, const Shape& shape,
+                     std::span<T> out);
 
 /// Metadata recovered from a blob without decompressing the payload.
 struct BlobInfo {

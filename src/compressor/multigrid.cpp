@@ -56,7 +56,7 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
 
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   NdArray<T>& out) const {
+                   std::span<T> out) const {
     const std::size_t stride =
         choose_anchor_stride(header.shape, header.anchor_stride);
     ScratchLease<std::uint32_t> coarse_codes(
@@ -64,20 +64,21 @@ class MultigridBackend final : public TypedBackend<MultigridBackend> {
     unpack_codes_into(in.get("mg_coarse_codes"), header.shape.size(),
                       *coarse_codes);
     ScratchLease<T> coarse_raw(ScratchPool<T>::shared());
-    unpack_raw_values_into(in.get("mg_coarse_raw"), *coarse_raw);
+    unpack_raw_values_into(in.get("mg_coarse_raw"), header.shape.size(),
+                           *coarse_raw);
     ScratchLease<std::uint32_t> fine_codes(
         ScratchPool<std::uint32_t>::shared());
     unpack_codes_into(in.get("codes"), header.shape.size(), *fine_codes);
     ScratchLease<T> fine_raw(ScratchPool<T>::shared());
-    unpack_raw_values_into(in.get("raw"), *fine_raw);
+    unpack_raw_values_into(in.get("raw"), header.shape.size(), *fine_raw);
     if (coarse_codes->size() + fine_codes->size() != header.shape.size())
       throw CorruptStream("blob: multigrid code count does not match shape");
     QuantDecoder<T> coarse(header.abs_eb / kMultigridCoarseTighten,
                            header.quant_radius, *coarse_codes, *coarse_raw);
     QuantDecoder<T> fine(header.abs_eb, header.quant_radius, *fine_codes,
                          *fine_raw);
-    kernels::hierarchy_decode<T>(header.shape, out.values(), stride,
-                                 /*cubic=*/false, fine, &coarse);
+    kernels::hierarchy_decode<T>(header.shape, out, stride, /*cubic=*/false,
+                                 fine, &coarse);
   }
 };
 

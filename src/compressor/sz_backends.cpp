@@ -69,7 +69,7 @@ void quantized_decode(const BlobHeader& header, const SectionReader& in,
   ScratchLease<std::uint32_t> codes(ScratchPool<std::uint32_t>::shared());
   unpack_codes_into(in.get("codes"), header.shape.size(), *codes);
   ScratchLease<T> raw(ScratchPool<T>::shared());
-  unpack_raw_values_into(in.get("raw"), *raw);
+  unpack_raw_values_into(in.get("raw"), header.shape.size(), *raw);
   if (codes->size() != header.shape.size())
     throw CorruptStream("blob: code count does not match shape");
   QuantDecoder<T> quant(header.abs_eb, header.quant_radius, *codes, *raw);
@@ -80,10 +80,9 @@ void quantized_decode(const BlobHeader& header, const SectionReader& in,
 /// Lorenzo family and SZ2, whose predictions feed on each other).
 template <typename T, typename Traverse>
 void traversal_decode(const BlobHeader& header, const SectionReader& in,
-                      NdArray<T>& out, Traverse&& traverse) {
+                      std::span<T> out, Traverse&& traverse) {
   quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
-    traverse(out.values(),
-             [&](std::size_t, double pred) { return quant.decode(pred); });
+    traverse(out, [&](std::size_t, double pred) { return quant.decode(pred); });
   });
 }
 
@@ -105,7 +104,7 @@ class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
 
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   NdArray<T>& out) const {
+                   std::span<T> out) const {
     traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
       lorenzo_traverse<T>(header.shape, values, fn);
     });
@@ -130,7 +129,7 @@ class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
 
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   NdArray<T>& out) const {
+                   std::span<T> out) const {
     traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
       lorenzo2_traverse<T>(header.shape, values, fn);
     });
@@ -154,12 +153,12 @@ class Sz3InterpBackend final : public TypedBackend<Sz3InterpBackend> {
 
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   NdArray<T>& out) const {
+                   std::span<T> out) const {
     const std::size_t stride =
         choose_anchor_stride(header.shape, header.anchor_stride);
     quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
-      kernels::hierarchy_decode<T>(header.shape, out.values(), stride,
-                                   /*cubic=*/true, quant);
+      kernels::hierarchy_decode<T>(header.shape, out, stride, /*cubic=*/true,
+                                   quant);
     });
   }
 };
@@ -326,17 +325,20 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
 
   template <typename T>
   void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   NdArray<T>& out) const {
+                   std::span<T> out) const {
+    // One choice byte and at most kMaxCoeffsPerBlock coefficients per
+    // regression block.
+    const std::size_t n_blocks =
+        regression_blocks(header.shape, header.block_size);
     PooledBuffer choice_bytes(BufferPool::shared());
-    lossless_decompress_into(in.get("choices"), *choice_bytes);
+    lossless_decompress_into(in.get("choices"), n_blocks, *choice_bytes);
     ScratchLease<std::uint32_t> coef_codes(
         ScratchPool<std::uint32_t>::shared());
-    unpack_codes_into(
-        in.get("coef_codes"),
-        kMaxCoeffsPerBlock * regression_blocks(header.shape, header.block_size),
-        *coef_codes);
+    unpack_codes_into(in.get("coef_codes"), kMaxCoeffsPerBlock * n_blocks,
+                      *coef_codes);
     ScratchLease<double> coef_raw(ScratchPool<double>::shared());
-    unpack_raw_values_into(in.get("coef_raw"), *coef_raw);
+    unpack_raw_values_into(in.get("coef_raw"), kMaxCoeffsPerBlock * n_blocks,
+                           *coef_raw);
     QuantDecoder<double> coef_quant(coeff_eb(header.abs_eb, header.block_size),
                                     kDefaultQuantRadius, *coef_codes,
                                     *coef_raw);

@@ -52,7 +52,12 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
   const std::size_t chunk_elems = config.block_slabs * slab_elems;
   const std::size_t chunk_bytes = chunk_elems * sizeof(float);
 
-  BlockContainerWriter writer(config.block_slabs);
+  // Chunks compress back to back into one pooled buffer; `ends` marks
+  // where each block's payload stops, and the builder gets views into
+  // the buffer once EOF fixes the shape.
+  PooledBuffer payloads(BufferPool::shared());
+  ByteSink sink(*payloads);
+  std::vector<std::size_t> ends;
   // The lease owns the chunk storage across iterations; compression
   // borrows it via the array wrapper and hands it back (also on
   // throw), so a malformed stream cannot bleed capacity from the pool.
@@ -72,19 +77,19 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
     const std::size_t slabs = elems / slab_elems;
     chunk->resize(elems);
 
-    // Wrap the pooled chunk, compress it straight into the container
-    // arena, then take the storage back for the next chunk.
+    // Wrap the pooled chunk, compress it onto the payload buffer, then
+    // take the storage back for the next chunk.
     FloatArray block(chunk_shape(slabs, config.slab_dims),
                      std::move(*chunk));
     try {
       OCELOT_SPAN("stream.chunk");
-      compress_into(block, config.compression, writer.begin_block());
+      compress_into(block, config.compression, sink);
     } catch (...) {
       *chunk = block.release();
       throw;
     }
-    writer.end_block();
     *chunk = block.release();
+    ends.push_back(payloads->size());
 
     total_slabs += slabs;
     if (got < chunk_bytes) break;  // EOF inside this chunk
@@ -93,15 +98,20 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
 
   StreamStats stats;
   stats.shape = chunk_shape(total_slabs, config.slab_dims);
-  stats.blocks = writer.block_count();
+  stats.blocks = ends.size();
   stats.raw_bytes = total_slabs * slab_elems * sizeof(float);
 
-  PooledBuffer container(BufferPool::shared());
-  ByteSink sink(*container);
-  writer.finish(stats.shape, sink);
-  stats.compressed_bytes = container->size();
-  out.write(reinterpret_cast<const char*>(container->data()),
-            static_cast<std::streamsize>(container->size()));
+  std::vector<std::span<const std::uint8_t>> views;
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    views.emplace_back(payloads->data() + begin, end - begin);
+    begin = end;
+  }
+  const Bytes container =
+      build_block_container(stats.shape, config.block_slabs, views);
+  stats.compressed_bytes = container.size();
+  out.write(reinterpret_cast<const char*>(container.data()),
+            static_cast<std::streamsize>(container.size()));
   require(out.good(), "stream_compress: write failed");
   return stats;
 }
@@ -138,18 +148,15 @@ StreamStats stream_decompress(std::istream& in, std::ostream& out) {
   const BlockContainerInfo info = read_block_index(*data);
   stats.shape = info.shape;
   stats.blocks = info.blocks.size();
-  ScratchLease<float> storage(ScratchPool<float>::shared());
-  for (std::size_t b = 0; b < info.blocks.size(); ++b) {
-    FloatArray block =
-        decompress_reusing<float>(block_payload(*data, info, b), *storage);
-    stats.raw_bytes += block.byte_size();
-    try {
-      write_floats(out, block.values());
-    } catch (...) {
-      *storage = block.release();
-      throw;
-    }
-    *storage = block.release();
+  const std::size_t slab_elems = info.shape.size() / info.shape.dim(0);
+  ScratchLease<float> block(ScratchPool<float>::shared());
+  std::size_t b = 0;
+  for (const BlockSpan& span :
+       plan_blocks(info.shape.dim(0), info.block_slabs)) {
+    block->resize(span.slab_count * slab_elems);
+    decode_block_into(*data, info, b++, *block);
+    stats.raw_bytes += block->size() * sizeof(float);
+    write_floats(out, *block);
   }
   return stats;
 }

@@ -4,10 +4,13 @@
 // The block-parallel codec needs the whole field in memory; this layer
 // removes that requirement for sequential producers: raw float32
 // samples are read in block-sized chunks, each chunk is compressed as
-// one OCB1 block through the zero-copy sink path (pooled scratch, no
-// per-chunk allocation in steady state), and the container is emitted
-// once the leading dimension is known at EOF. `ocelot compress - ...`
-// and examples/streaming_pipe.cpp drive it.
+// one OCB1 block onto one pooled payload buffer (no per-chunk
+// allocation in steady state), and once EOF fixes the leading
+// dimension build_block_container assembles the container from views
+// into that buffer. Decompression replays the container block by
+// block through decode_block_into, the same checked decoder the block
+// executor uses. `ocelot compress - ...` and
+// examples/streaming_pipe.cpp drive it.
 //
 // Bound semantics: an absolute bound behaves exactly like the block
 // codec. A value-range-relative bound is resolved per chunk (the full
@@ -57,9 +60,10 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
                             const StreamCompressConfig& config);
 
 /// Reads one OCB1 container (or a bare OCZ1 blob) from `in` and writes
-/// the reconstructed raw float32 samples to `out`, block by block —
-/// the full field is never materialized. Throws CorruptStream on
-/// malformed input.
+/// the reconstructed raw float32 samples to `out`, block by block into
+/// one pooled block buffer — the full field is never materialized.
+/// Throws CorruptStream on malformed input, including a block whose
+/// header does not match the container's plan.
 StreamStats stream_decompress(std::istream& in, std::ostream& out);
 
 }  // namespace ocelot

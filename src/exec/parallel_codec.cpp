@@ -1,7 +1,6 @@
 #include "exec/parallel_codec.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/buffer_pool.hpp"
 #include "common/error.hpp"
@@ -214,45 +213,21 @@ ParallelCompressResult blocked_compress_impl(
     }
   }
 
-  // Streaming assembly: payloads append into one arena per field; the
-  // pooled block buffers are recycled as they are consumed.
+  // The pooled block buffers go straight into the builder as views, so
+  // each payload is copied once, then return to the pool.
   OCELOT_SPAN("container.finish");
+  std::vector<std::span<const std::uint8_t>> payloads;
   for (std::size_t f = 0; f < fields.size(); ++f) {
-    BlockContainerWriter writer(block_slabs);
-    std::size_t payload_total = 0;
-    for (PooledBuffer& blob : block_blobs[f]) payload_total += blob->size();
-    writer.reserve_payload(payload_total, block_blobs[f].size());
-    for (PooledBuffer& blob : block_blobs[f]) {
-      writer.append_block(*blob);
-      blob.reset();
+    payloads.clear();
+    for (const PooledBuffer& blob : block_blobs[f]) {
+      payloads.emplace_back(*blob);
     }
-    result.blobs[f] = writer.finish(fields[f].shape());
+    result.blobs[f] =
+        build_block_container(fields[f].shape(), block_slabs, payloads);
+    block_blobs[f].clear();
   }
   result.wall_seconds = timer.seconds();
   return result;
-}
-
-/// Decompresses one container's blocks into `out` (pre-allocated with
-/// the container's full shape); `block` indexes the container's plan.
-void decode_block_into(std::span<const std::uint8_t> container,
-                       const BlockContainerInfo& info, std::size_t block,
-                       const BlockSpan& span, FloatArray& out) {
-  OCELOT_SPAN("decompress.block");
-  const std::span<const std::uint8_t> payload =
-      block_payload(container, info, block);
-  // The block's own header must match the plan before decode sizes
-  // anything from it.
-  if (!(inspect_blob(payload).shape == block_shape(info.shape, span)))
-    throw CorruptStream("block container: block shape does not match the plan");
-  // The lease survives any decode throw: decompress_reusing restores
-  // the storage on failure and the decoded array hands it back below,
-  // so corrupt blocks cannot drain the pool.
-  ScratchLease<float> lease(ScratchPool<float>::shared());
-  FloatArray decoded = decompress_reusing<float>(payload, *lease);
-  const std::size_t slab_elems = info.shape.dim(1) * info.shape.dim(2);
-  std::memcpy(out.values().data() + span.slab_begin * slab_elems,
-              decoded.values().data(), decoded.byte_size());
-  *lease = decoded.release();
 }
 
 }  // namespace
@@ -324,8 +299,13 @@ ParallelDecompressResult parallel_decompress(
   parallel_for(tasks.size(), workers, [&](std::size_t t) {
     const DecodeTask& task = tasks[t];
     if (task.blocked) {
-      decode_block_into(blobs[task.blob], infos[task.blob], task.block,
-                        task.span, result.fields[task.blob]);
+      // Each block decodes straight into its slab of the output.
+      FloatArray& field = result.fields[task.blob];
+      const std::size_t slab_elems = field.size() / field.shape().dim(0);
+      decode_block_into(
+          blobs[task.blob], infos[task.blob], task.block,
+          field.values().subspan(task.span.slab_begin * slab_elems,
+                                 task.span.slab_count * slab_elems));
     } else {
       result.fields[task.blob] = decompress<float>(blobs[task.blob]);
     }

@@ -9,8 +9,10 @@
 //   * block-parallel: each file is split into fixed-size blocks along
 //     its slowest dimension and every (file, block) pair is an
 //     independent task, so a single large field keeps all cores busy.
-//     Blobs become OCB1 block containers (see io/block_container.hpp)
-//     and decompression is block-parallel too.
+//     Each field's pooled block payloads go to build_block_container
+//     as views (one copy each), and decompression is block-parallel
+//     too: every block decodes through decode_block_into straight
+//     into its slab of the output field (see io/block_container.hpp).
 //
 // The block mode optionally takes a BlockPolicy (see block_policy.hpp)
 // that picks each block's backend and error bound online; the policy
@@ -65,7 +67,8 @@ ParallelCompressResult parallel_compress(
 /// Decompresses `blobs` with `workers` threads; returns arrays in
 /// order. Each blob may be a plain OCZ1 blob or an OCB1 block
 /// container (detected by magic); container blocks decompress
-/// concurrently.
+/// concurrently, each into its own slab of the output, after
+/// decode_block_into has checked it against the container's plan.
 struct ParallelDecompressResult {
   std::vector<FloatArray> fields;
   double wall_seconds = 0.0;

@@ -5,6 +5,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "compressor/compressor.hpp"
+#include "obs/trace.hpp"
 
 namespace ocelot {
 
@@ -52,6 +53,15 @@ std::uint8_t sniff_entropy_id(std::span<const std::uint8_t> payload) {
   return kUnknownEntropyId;
 }
 
+/// Shape of block `i` under the index's plan, computed arithmetically
+/// (like read_block_index's count check) so random access never
+/// materializes the whole plan.
+Shape planned_block_shape(const BlockContainerInfo& info, std::size_t i) {
+  const std::size_t dim0 = info.shape.dim(0);
+  const std::size_t bs = std::min(info.block_slabs, dim0);
+  return block_shape(info.shape, {i * bs, std::min(bs, dim0 - i * bs)});
+}
+
 }  // namespace
 
 std::vector<BlockSpan> plan_blocks(std::size_t dim0,
@@ -84,87 +94,40 @@ bool is_block_container(std::span<const std::uint8_t> data) {
   return data.size() >= 4 && std::memcmp(data.data(), kMagic, 4) == 0;
 }
 
-BlockContainerWriter::BlockContainerWriter(std::size_t block_slabs)
-    : block_slabs_(block_slabs), arena_sink_(arena_) {
-  require(block_slabs_ > 0, "BlockContainerWriter: zero block size");
-}
-
-void BlockContainerWriter::reserve_payload(std::size_t payload_bytes,
-                                           std::size_t blocks) {
-  arena_.reserve(arena_.size() + payload_bytes);
-  index_.reserve(index_.size() + blocks);
-}
-
-ByteSink& BlockContainerWriter::begin_block() {
-  require(!finished_, "BlockContainerWriter: begin_block after finish");
-  require(!open_, "BlockContainerWriter: block already open");
-  open_ = true;
-  open_offset_ = arena_.size();
-  return arena_sink_;
-}
-
-void BlockContainerWriter::end_block() {
-  require(open_, "BlockContainerWriter: no open block");
-  open_ = false;
-  const std::size_t size = arena_.size() - open_offset_;
-  require(size > 0, "BlockContainerWriter: empty block payload");
-  const std::span<const std::uint8_t> payload{arena_.data() + open_offset_,
-                                              size};
-  index_.push_back({size, crc32(payload), sniff_backend_id(payload),
-                    sniff_entropy_id(payload)});
-}
-
-void BlockContainerWriter::append_block(
-    std::span<const std::uint8_t> payload) {
-  begin_block().put_bytes(payload);
-  end_block();
-}
-
-void BlockContainerWriter::finish(const Shape& shape, ByteSink& out) {
-  require(!finished_, "BlockContainerWriter: finish called twice");
-  require(!open_, "BlockContainerWriter: finish with an open block");
-  const auto spans = plan_blocks(shape.dim(0), block_slabs_);
-  require(index_.size() == spans.size(),
-          "BlockContainerWriter: block count does not match the plan");
-  finished_ = true;
+Bytes build_block_container(
+    const Shape& shape, std::size_t block_slabs,
+    const std::vector<std::span<const std::uint8_t>>& payloads) {
+  const auto spans = plan_blocks(shape.dim(0), block_slabs);
+  require(payloads.size() == spans.size(),
+          "build_block_container: block count does not match the plan");
   // v1.2 is only worth its extra index bytes when some block actually
   // carries a non-default entropy stage; all-default (and non-OCZ)
   // containers keep the exact v1.1 bytes.
+  std::size_t payload_bytes = 0;
   bool mixed_entropy = false;
-  for (const auto& entry : index_) {
-    if (entry.entropy_id != 0 && entry.entropy_id != kUnknownEntropyId) {
-      mixed_entropy = true;
-      break;
-    }
+  for (const auto payload : payloads) {
+    require(!payload.empty(), "build_block_container: empty block payload");
+    payload_bytes += payload.size();
+    const std::uint8_t entropy_id = sniff_entropy_id(payload);
+    mixed_entropy |= entropy_id != 0 && entropy_id != kUnknownEntropyId;
   }
+  BytesWriter out;
+  // Exact-fit upper bound: magic + version + shape + geometry varints
+  // plus <= 16 bytes per index entry, then the payloads.
+  out.target().reserve(payload_bytes + payloads.size() * 16 + 64);
   out.put_bytes(kMagic);
   out.put(mixed_entropy ? kVersion12 : kVersion11);
   write_shape(out, shape);
-  out.put_varint(block_slabs_);
-  out.put_varint(index_.size());
-  for (const auto& entry : index_) {
-    out.put_varint(entry.size);
-    out.put(entry.crc);
-    out.put(entry.backend_id);
-    if (mixed_entropy) out.put(entry.entropy_id);
+  out.put_varint(block_slabs);
+  out.put_varint(payloads.size());
+  for (const auto payload : payloads) {
+    out.put_varint(payload.size());
+    out.put(crc32(payload));
+    out.put(sniff_backend_id(payload));
+    if (mixed_entropy) out.put(sniff_entropy_id(payload));
   }
-  out.put_bytes(arena_);
-}
-
-Bytes BlockContainerWriter::finish(const Shape& shape) {
-  BytesWriter out;
-  // Exact-fit upper bound: magic + version + shape + geometry varints
-  // plus <= 16 bytes per index entry, then the payload arena.
-  out.target().reserve(arena_.size() + index_.size() * 16 + 64);
-  finish(shape, out);
+  for (const auto payload : payloads) out.put_bytes(payload);
   return out.take();
-}
-
-Bytes build_block_container(const Shape& shape, std::size_t block_slabs,
-                            const std::vector<Bytes>& block_payloads) {
-  BlockContainerWriter writer(block_slabs);
-  for (const auto& payload : block_payloads) writer.append_block(payload);
-  return writer.finish(shape);
 }
 
 BlockContainerInfo read_block_index(
@@ -249,10 +212,28 @@ std::span<const std::uint8_t> block_payload(
   return payload;
 }
 
+void decode_block_into(std::span<const std::uint8_t> container,
+                       const BlockContainerInfo& info, std::size_t i,
+                       std::span<float> out) {
+  OCELOT_SPAN("decompress.block");
+  const std::span<const std::uint8_t> payload =
+      block_payload(container, info, i);
+  const Shape planned = planned_block_shape(info, i);
+  // The block's own header must match the plan before anything is
+  // decoded into the caller's storage (decompress_into checks its
+  // size).
+  if (!(inspect_blob(payload).shape == planned))
+    throw CorruptStream("block container: block shape does not match the plan");
+  decompress_into<float>(payload, planned, out);
+}
+
 FloatArray decompress_block(std::span<const std::uint8_t> container,
                             std::size_t i) {
   const BlockContainerInfo info = read_block_index(container);
-  return decompress<float>(block_payload(container, info, i));
+  require(i < info.blocks.size(), "decompress_block: block index out of range");
+  FloatArray block(planned_block_shape(info, i));
+  decode_block_into(container, info, i, block.values());
+  return block;
 }
 
 }  // namespace ocelot

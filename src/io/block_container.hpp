@@ -20,7 +20,7 @@
 //
 // v1.2 extends each index entry with one more byte: the block's
 // entropy-stage wire id (see codec/entropy.hpp), sniffed from the
-// payload header the same way the backend byte is. The writer only
+// payload header the same way the backend byte is. The builder only
 // emits v1.2 when some block actually uses a non-default entropy
 // stage (an OCZ2 payload); all-default containers keep the exact v1.1
 // bytes, so advisor-less pipelines and their golden containers are
@@ -29,10 +29,14 @@
 // v1.0 containers (written before the backend byte existed) carry no
 // version byte: the byte after the magic is the shape rank, which is
 // always 1-3 and therefore disjoint from the 0x11/0x12 version
-// markers. Readers accept all three; writers emit v1.1 or v1.2 as
+// markers. Readers accept all three; the builder emits v1.1 or v1.2 as
 // described. Because block order and per-block compression are
 // deterministic, container bytes do not depend on how many threads
 // produced them.
+//
+// One path each way: build_block_container assembles every container,
+// and decode_block_into decodes every block for the block executor,
+// the stream codec and random access (decompress_block).
 
 #include <cstdint>
 #include <span>
@@ -94,73 +98,16 @@ struct BlockContainerInfo {
 /// True iff `data` starts with the OCB1 magic.
 bool is_block_container(std::span<const std::uint8_t> data);
 
-/// Streaming container assembly: block payloads append (in slab order)
-/// into one contiguous arena — either through the sink returned by
-/// begin_block() (zero-copy: the compressor streams straight into the
-/// arena) or via append_block — and finish() emits the complete OCB1
-/// container. The full shape is only needed at finish(), so chunked
-/// producers (stdin streaming) can discover dim 0 as they go.
-/// Container bytes are identical to build_block_container's.
-class BlockContainerWriter {
- public:
-  explicit BlockContainerWriter(std::size_t block_slabs);
-
-  // The internal sink is bound to the arena; moving would dangle it.
-  BlockContainerWriter(const BlockContainerWriter&) = delete;
-  BlockContainerWriter& operator=(const BlockContainerWriter&) = delete;
-
-  /// Capacity hint: reserves the payload arena and the index up front
-  /// so a caller that knows its totals assembles without reallocation.
-  void reserve_payload(std::size_t payload_bytes, std::size_t blocks);
-
-  /// Opens the next block: returns the sink its payload streams into.
-  /// Must be paired with end_block().
-  [[nodiscard]] ByteSink& begin_block();
-
-  /// Seals the open block, recording its length, CRC-32, backend wire
-  /// id, and entropy-stage wire id (both sniffed from the payload's
-  /// OCZ1/OCZ2 header; non-OCZ payloads record the unknown sentinels).
-  /// Throws InvalidArgument on an empty payload.
-  void end_block();
-
-  /// Convenience: begin_block + copy + end_block.
-  void append_block(std::span<const std::uint8_t> payload);
-
-  [[nodiscard]] std::size_t block_count() const { return index_.size(); }
-  [[nodiscard]] std::size_t payload_bytes() const { return arena_.size(); }
-
-  /// Emits magic, `shape`, geometry, index, and the payload arena into
-  /// `out`. Validates that the appended block count matches
-  /// plan_blocks(shape.dim(0), block_slabs). The writer is spent
-  /// afterwards.
-  void finish(const Shape& shape, ByteSink& out);
-
-  /// Convenience wrapper returning a fresh buffer.
-  [[nodiscard]] Bytes finish(const Shape& shape);
-
- private:
-  std::size_t block_slabs_;
-  Bytes arena_;         ///< payloads concatenated in block order
-  ByteSink arena_sink_;
-  std::size_t open_offset_ = 0;
-  bool open_ = false;
-  bool finished_ = false;
-  /// Per-block (payload length, CRC-32, backend id, entropy id), in
-  /// append order.
-  struct PendingEntry {
-    std::size_t size = 0;
-    std::uint32_t crc = 0;
-    std::uint8_t backend_id = kUnknownBackendId;
-    std::uint8_t entropy_id = kUnknownEntropyId;
-  };
-  std::vector<PendingEntry> index_;
-};
-
-/// Assembles a container from per-block compressed payloads, which
-/// must be in slab order and match plan_blocks(shape.dim(0),
-/// block_slabs) in count.
-Bytes build_block_container(const Shape& shape, std::size_t block_slabs,
-                            const std::vector<Bytes>& block_payloads);
+/// The one container builder: magic, version, `shape`, geometry, the
+/// index, then `payloads` (views, in slab order), each copied once. The
+/// index records every payload's length, CRC-32, and the backend and
+/// entropy-stage wire ids sniffed from its OCZ1/OCZ2 header (non-OCZ
+/// payloads record the unknown sentinels). Throws InvalidArgument on a
+/// zero block size, an empty payload, or a payload count that does not
+/// match plan_blocks(shape.dim(0), block_slabs).
+Bytes build_block_container(
+    const Shape& shape, std::size_t block_slabs,
+    const std::vector<std::span<const std::uint8_t>>& payloads);
 
 /// Parses the header/index. Throws CorruptStream on malformed input.
 BlockContainerInfo read_block_index(std::span<const std::uint8_t> container);
@@ -172,6 +119,17 @@ BlockContainerInfo read_block_index(std::span<const std::uint8_t> container);
 std::span<const std::uint8_t> block_payload(
     std::span<const std::uint8_t> container, const BlockContainerInfo& info,
     std::size_t i);
+
+/// The one block decoder behind every OCB1 reader: runs
+/// block_payload's checks on block `i`, requires the block's own header
+/// to declare exactly its planned shape (CorruptStream "block
+/// container: block shape does not match the plan" otherwise), and only
+/// then decodes into `out`, the caller's storage for the block's slab
+/// (block_shape(info.shape, plan_blocks(...)[i]).size() floats; any
+/// other size throws InvalidArgument).
+void decode_block_into(std::span<const std::uint8_t> container,
+                       const BlockContainerInfo& info, std::size_t i,
+                       std::span<float> out);
 
 /// Random access: decompresses only block `i` of the container.
 FloatArray decompress_block(std::span<const std::uint8_t> container,

@@ -1,5 +1,6 @@
-# Runs `ocelot simulate` fleet mode on malformed values: each run must
-# exit non-zero and name the offending key ("bad <key> value").
+# Runs `ocelot simulate` on malformed values, in fleet mode and in
+# campaign specs: each run must exit non-zero and name the offending
+# key ("bad <key> value").
 #   cmake -DOCELOT=path/to/ocelot -P tests/cli_fleet_bad_values.cmake
 if(NOT OCELOT)
   message(FATAL_ERROR "pass -DOCELOT=<path to the ocelot binary>")
@@ -22,3 +23,8 @@ endfunction()
 expect_rejected(campaigns campaigns=-1)
 expect_rejected(campaigns campaigns=5x)
 expect_rejected(seed campaigns=5 seed=-2)
+expect_rejected(prio app=RTM,prio=1x)
+expect_rejected(nodes app=RTM,nodes=16abc)
+expect_rejected(ratio app=RTM,ratio=12junk)
+expect_rejected(at app=RTM,at=abc)
+expect_rejected(nodes app=RTM,nodes=-4)

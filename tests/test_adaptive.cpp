@@ -72,7 +72,7 @@ TEST(BlockContainerV11, MixedBackendsRoundTripAndIndexNamesEveryBlock) {
   ASSERT_GE(table.size(), 2u);
   const std::size_t slab_elems =
       field.shape().dim(1) * field.shape().dim(2);
-  BlockContainerWriter writer(4);
+  std::vector<Bytes> payloads;
   std::vector<std::uint8_t> expected_ids;
   for (std::size_t b = 0; b < spans.size(); ++b) {
     CompressionConfig block_config = config;
@@ -87,10 +87,11 @@ TEST(BlockContainerV11, MixedBackendsRoundTripAndIndexNamesEveryBlock) {
         field.values().begin() +
             static_cast<std::ptrdiff_t>(spans[b].slab_begin * slab_elems +
                                         shape.size()));
-    writer.append_block(
+    payloads.push_back(
         compress(FloatArray(shape, std::move(data)), block_config));
   }
-  const Bytes container = writer.finish(field.shape());
+  const Bytes container = build_block_container(
+      field.shape(), 4, {payloads.begin(), payloads.end()});
 
   // Per-block backend ids are recoverable from the index alone.
   const BlockContainerInfo info = read_block_index(container);

@@ -60,6 +60,12 @@ std::vector<Bytes> serial_block_blobs(const FloatArray& field,
   return blobs;
 }
 
+/// Views over `blobs`, the form build_block_container takes.
+std::vector<std::span<const std::uint8_t>> views(
+    const std::vector<Bytes>& blobs) {
+  return {blobs.begin(), blobs.end()};
+}
+
 TEST(PlanBlocks, CoversEverySlabOnce) {
   for (const std::size_t dim0 : {1u, 7u, 8u, 9u, 64u}) {
     for (const std::size_t block : {1u, 3u, 8u, 100u}) {
@@ -87,7 +93,8 @@ TEST(BlockCodec, RoundTripMatchesSerialCodecAtSeveralBlockSizes) {
         block_compress(field, config, 4, block_slabs);
     const auto reference = serial_block_blobs(field, config, block_slabs);
     EXPECT_EQ(r.container,
-              build_block_container(field.shape(), block_slabs, reference))
+              build_block_container(field.shape(), block_slabs,
+                                    views(reference)))
         << "block_slabs=" << block_slabs;
 
     // Reconstruction is bit-exact with serially decompressing each
@@ -314,45 +321,16 @@ TEST(ClusterModel, BlockTasksBreakWholeFileSaturation) {
   EXPECT_GE(dwhole, dblocked);
 }
 
-TEST(BlockContainerWriter, StreamedBytesMatchBufferedAssembly) {
-  // The streaming writer (begin_block sink / append_block + finish)
-  // must emit exactly the bytes of the one-shot builder.
-  const std::vector<Bytes> payloads = {
-      {1, 2, 3, 4}, {5, 6}, {7, 8, 9, 10, 11}};
-  const Shape shape(5, 2);
-  const Bytes reference = build_block_container(shape, 2, payloads);
-
-  BlockContainerWriter writer(2);
-  // Mix both append styles: a sink-streamed block and copied blocks.
-  ByteSink& sink = writer.begin_block();
-  sink.put_bytes(payloads[0]);
-  writer.end_block();
-  writer.append_block(payloads[1]);
-  writer.append_block(payloads[2]);
-  EXPECT_EQ(writer.block_count(), 3u);
-  EXPECT_EQ(writer.payload_bytes(), 4u + 2u + 5u);
-  EXPECT_EQ(writer.finish(shape), reference);
-}
-
-TEST(BlockContainerWriter, MisuseThrows) {
-  {
-    BlockContainerWriter writer(2);
-    (void)writer.begin_block();
-    EXPECT_THROW((void)writer.begin_block(), InvalidArgument);  // reopen
-    EXPECT_THROW((void)writer.finish(Shape(2)), InvalidArgument);  // open
-  }
-  {
-    BlockContainerWriter writer(2);
-    (void)writer.begin_block();
-    EXPECT_THROW(writer.end_block(), InvalidArgument);  // empty payload
-  }
-  {
-    BlockContainerWriter writer(2);
-    writer.append_block(Bytes{1});
-    // 1 block appended, but Shape(5) at block_slabs=2 plans 3.
-    EXPECT_THROW((void)writer.finish(Shape(5)), InvalidArgument);
-  }
-  EXPECT_THROW(BlockContainerWriter(0), InvalidArgument);
+TEST(BlockContainerBuilder, MisuseThrows) {
+  const Bytes one{1};
+  // An empty payload.
+  EXPECT_THROW((void)build_block_container(Shape(2), 2, {Bytes{}}),
+               InvalidArgument);
+  // 1 payload, but Shape(5) at block_slabs=2 plans 3.
+  EXPECT_THROW((void)build_block_container(Shape(5), 2, {one}),
+               InvalidArgument);
+  EXPECT_THROW((void)build_block_container(Shape(2), 0, {one}),
+               InvalidArgument);
 }
 
 TEST(ClusterModel, CalibrateRatesInvertsMeasurement) {

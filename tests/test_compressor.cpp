@@ -274,7 +274,7 @@ TEST(StreamingBlobPath, CompressIntoMatchesCompressByteForByte) {
   }
 }
 
-TEST(StreamingBlobPath, DecompressReusingMatchesDecompress) {
+TEST(StreamingBlobPath, DecompressIntoMatchesDecompress) {
   const FloatArray data = smooth_test_field(Shape(21, 11), 78);
   CompressionConfig config;
   config.eb_mode = EbMode::kAbsolute;
@@ -282,26 +282,21 @@ TEST(StreamingBlobPath, DecompressReusingMatchesDecompress) {
   const Bytes blob = compress(data, config);
 
   const FloatArray fresh = decompress<float>(blob);
-  // Oversized, dirty storage must be resized and overwritten.
-  std::vector<float> storage(10 * data.size(), -1.0f);
-  const FloatArray reused = decompress_reusing<float>(blob, storage);
-  EXPECT_EQ(reused.shape(), fresh.shape());
-  EXPECT_EQ(reused.vector(), fresh.vector());
+  // Dirty caller storage is overwritten with exactly decompress's values.
+  std::vector<float> storage(data.size(), -1.0f);
+  decompress_into<float>(blob, data.shape(), storage);
+  EXPECT_EQ(storage, fresh.vector());
 
-  // Exception safety: a corrupt blob hands the storage back to the
-  // caller (so pooled leases keep their buffer in circulation).
-  Bytes corrupt = blob;
-  corrupt[corrupt.size() / 2] ^= 0x5A;
-  corrupt.resize(corrupt.size() - 7);
-  std::vector<float> pooled_storage(64, 0.0f);
-  try {
-    (void)decompress_reusing<float>(corrupt, pooled_storage);
-  } catch (const Error&) {
-    // Either path is fine: throw before the storage is consumed, or
-    // restore it on the decode path — it must end up non-dangling
-    // here with its capacity intact.
-  }
-  EXPECT_GE(pooled_storage.capacity(), 64u);
+  // A shape other than the declared one is rejected before decoding,
+  // even when the element counts agree: the storage stays untouched.
+  std::vector<float> other(data.size(), -1.0f);
+  EXPECT_THROW(decompress_into<float>(blob, Shape(11, 21), other),
+               CorruptStream);
+  EXPECT_EQ(other, std::vector<float>(data.size(), -1.0f));
+  // Storage that does not fit the shape is a caller error.
+  std::vector<float> short_storage(data.size() - 1);
+  EXPECT_THROW(decompress_into<float>(blob, data.shape(), short_storage),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -442,9 +442,7 @@ TEST(Daemon, DeclaredShapeOverTheFrameCapAnswersBeforeAllocating) {
   // field, for a bare blob and for a container index alike.
   const Shape huge(256, 256, 256);
   const Bytes blob = ocz_header_only(huge);
-  BlockContainerWriter writer(256);
-  writer.append_block(blob);
-  const Bytes container = writer.finish(huge);
+  const Bytes container = build_block_container(huge, 256, {blob});
 
   const std::string path = test_socket_path("bigshape");
   DaemonConfig config;

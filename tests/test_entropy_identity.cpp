@@ -311,7 +311,7 @@ TEST(EntropyIdentity, LzbMatchesGreedyOracleAcrossTheWindow) {
       EXPECT_TRUE(packed == reference::lzb_compress(raw))
           << name << " size " << size;
       Bytes unpacked;
-      lzb_decompress_into(packed, unpacked);
+      lzb_decompress_into(packed, size, unpacked);
       EXPECT_TRUE(std::equal(unpacked.begin(), unpacked.end(), raw.begin(),
                              raw.end()))
           << name << " size " << size;

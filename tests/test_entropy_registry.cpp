@@ -133,6 +133,42 @@ TEST(EntropyStage, PackedSectionDispatchRoundTrips) {
   }
 }
 
+TEST(EntropyStage, AllDistinctSymbolsDecodeUnderTheSectionBound) {
+  // The worst case for the stream-size bounds the decoders enforce:
+  // every symbol distinct and spread over the u32 range (5-byte table
+  // deltas), through every stage and lossless backend, bounded by
+  // exactly n symbols. 40000 distinct symbols also push ans onto its
+  // varint fallback.
+  for (const std::size_t n : {1u, 2u, 300u, 40000u}) {
+    std::vector<std::uint32_t> codes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      codes[i] = static_cast<std::uint32_t>(i * 2654435761u);  // a bijection
+    }
+    Bytes huffman;
+    ByteSink huffman_sink(huffman);
+    huffman_encode(codes, huffman_sink);
+    EXPECT_LE(huffman.size(), huffman_max_stream_bytes(n)) << "n=" << n;
+    Bytes ans;
+    ByteSink ans_sink(ans);
+    ans_encode(codes, ans_sink);
+    EXPECT_LE(ans.size(), ans_max_stream_bytes(n)) << "n=" << n;
+
+    for (const EntropyStageEntry* stage : entropy_stages()) {
+      for (const auto lossless : {LosslessBackend::kNone, LosslessBackend::kLzb,
+                                  LosslessBackend::kRleLzb}) {
+        Bytes buf;
+        ByteSink sink(buf);
+        entropy_encode_codes(codes, histogram_symbols(codes), *stage, lossless,
+                             sink);
+        std::vector<std::uint32_t> back;
+        entropy_decode_codes_into(buf, n, back);
+        EXPECT_EQ(back, codes)
+            << stage->name << " " << to_string(lossless) << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(EntropyStage, HuffmanStageMatchesLegacyChainBytes) {
   // Stage 0 must reproduce the pre-registry writer bit for bit — the
   // property the golden blobs pin end to end — both through the
@@ -286,8 +322,8 @@ std::size_t varint_len(std::uint64_t v) {
 
 Bytes mixed_stage_container(const FloatArray& field, std::size_t block_slabs,
                             const std::vector<std::string>& stages) {
-  BlockContainerWriter writer(block_slabs);
   const auto spans = plan_blocks(field.shape().dim(0), block_slabs);
+  std::vector<Bytes> payloads;
   for (std::size_t b = 0; b < spans.size(); ++b) {
     std::vector<float> vals(
         field.values().begin() +
@@ -301,12 +337,12 @@ Bytes mixed_stage_container(const FloatArray& field, std::size_t block_slabs,
     config.eb_mode = EbMode::kAbsolute;
     config.eb = 1e-3;
     config.entropy = stages[b % stages.size()];
-    compress_into(FloatArray(block_shape(field.shape(), spans[b]),
-                             std::move(vals)),
-                  config, writer.begin_block());
-    writer.end_block();
+    payloads.push_back(compress(
+        FloatArray(block_shape(field.shape(), spans[b]), std::move(vals)),
+        config));
   }
-  return writer.finish(field.shape());
+  return build_block_container(field.shape(), block_slabs,
+                               {payloads.begin(), payloads.end()});
 }
 
 FloatArray sine_field(const Shape& shape, std::uint64_t seed) {

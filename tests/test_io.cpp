@@ -152,7 +152,8 @@ TEST(BlockContainer, EveryTruncationEitherParsesOrThrows) {
     }
     payloads.push_back(std::move(payload));
   }
-  const Bytes container = build_block_container(Shape(10, 3), 2, payloads);
+  const Bytes container = build_block_container(
+      Shape(10, 3), 2, {payloads.begin(), payloads.end()});
 
   ASSERT_NO_THROW((void)read_block_index(container));
   for (std::size_t len = 0; len < container.size(); ++len) {

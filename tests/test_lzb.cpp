@@ -1,6 +1,7 @@
 // Unit and property tests for the LZ77-style byte codec.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "codec/lzb.hpp"
@@ -18,9 +19,10 @@ Bytes pack(const Bytes& input) {
   return out;
 }
 
-Bytes unpack(const Bytes& packed) {
+Bytes unpack(const Bytes& packed,
+             std::size_t max_bytes = std::numeric_limits<std::size_t>::max()) {
   Bytes out;
-  lzb_decompress_into(packed, out);
+  lzb_decompress_into(packed, max_bytes, out);
   return out;
 }
 
@@ -126,6 +128,20 @@ TEST(Lzb, HostileRawSizeIsRejectedBeforeAllocating) {
   tight.put_varint(256);
   tight.put<std::uint8_t>(0x00);
   EXPECT_THROW((void)unpack(tight.bytes()), CorruptStream);
+}
+
+TEST(Lzb, ClaimAboveTheCallersBoundThrowsNamingIt) {
+  const Bytes input(1000, 7);
+  const Bytes packed = pack(input);
+  EXPECT_EQ(unpack(packed, input.size()), input);
+  try {
+    (void)unpack(packed, input.size() - 1);
+    FAIL() << "expected CorruptStream";
+  } catch (const CorruptStream& e) {
+    EXPECT_NE(std::string(e.what()).find("more than the 999 allowed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Lzb, NonOverlappingMatchCopiesExactly) {

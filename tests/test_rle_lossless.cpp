@@ -1,12 +1,42 @@
 // Unit tests for RLE and the pluggable lossless backend chain.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "codec/lossless.hpp"
 #include "codec/rle.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace ocelot {
 namespace {
+
+constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
+
+Bytes rle_compress(const Bytes& input) {
+  Bytes out;
+  ByteSink sink(out);
+  ocelot::rle_compress(input, sink);
+  return out;
+}
+
+Bytes rle_decompress(const Bytes& packed, std::size_t max_bytes = kNoBound) {
+  Bytes out;
+  rle_decompress_into(packed, max_bytes, out);
+  return out;
+}
+
+/// Runs `decode` and returns the CorruptStream message ("" if none).
+template <typename Fn>
+std::string corrupt_message(Fn&& decode) {
+  try {
+    decode();
+  } catch (const CorruptStream& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(Rle, EmptyInput) {
   EXPECT_TRUE(rle_decompress(rle_compress({})).empty());
@@ -49,6 +79,25 @@ TEST(Rle, RunOverflowThrows) {
   EXPECT_THROW((void)rle_decompress(w.bytes()), CorruptStream);
 }
 
+TEST(Rle, ClaimAboveTheCallersBoundThrowsNamingIt) {
+  const Bytes input(1000, 4);
+  const Bytes packed = rle_compress(input);
+  EXPECT_EQ(rle_decompress(packed, input.size()), input);
+  const std::string what =
+      corrupt_message([&] { (void)rle_decompress(packed, input.size() - 1); });
+  EXPECT_NE(what.find("1000 bytes, more than the 999 allowed"),
+            std::string::npos)
+      << what;
+}
+
+TEST(Rle, StreamBoundCoversTheWorstCase) {
+  // Pairs are the only expanding unit (2 bytes -> 3).
+  Bytes pairs;
+  for (int i = 0; i < 5000; ++i) pairs.insert(pairs.end(), 2, i & 1 ? 7 : 9);
+  EXPECT_LE(rle_compress(pairs).size(), rle_max_stream_bytes(pairs.size()));
+  EXPECT_EQ(rle_max_stream_bytes(kNoBound), kNoBound);
+}
+
 /// Sink-form lossless compress/decompress (the Bytes-returning
 /// overloads are deprecated; tests drive the streaming entry points).
 Bytes lossless_pack(const Bytes& input, LosslessBackend backend) {
@@ -58,9 +107,9 @@ Bytes lossless_pack(const Bytes& input, LosslessBackend backend) {
   return out;
 }
 
-Bytes lossless_unpack(const Bytes& packed) {
+Bytes lossless_unpack(const Bytes& packed, std::size_t max_bytes = kNoBound) {
   Bytes out;
-  lossless_decompress_into(packed, out);
+  lossless_decompress_into(packed, max_bytes, out);
   return out;
 }
 
@@ -78,6 +127,24 @@ TEST(Lossless, AllBackendsRoundTrip) {
     const Bytes packed = lossless_pack(input, backend);
     EXPECT_EQ(lossless_unpack(packed), input)
         << "backend=" << to_string(backend);
+  }
+}
+
+TEST(Lossless, EveryBackendHonorsTheCallersBound) {
+  // An exact-fit bound decodes; one byte less throws a CorruptStream
+  // naming the bound before anything is reserved.
+  Bytes input(3000, 0);
+  for (std::size_t i = 0; i < input.size(); i += 7) input[i] = 0x5A;
+  for (const auto backend :
+       {LosslessBackend::kNone, LosslessBackend::kLzb,
+        LosslessBackend::kRleLzb}) {
+    const Bytes packed = lossless_pack(input, backend);
+    EXPECT_EQ(lossless_unpack(packed, input.size()), input)
+        << to_string(backend);
+    const std::string what = corrupt_message(
+        [&] { (void)lossless_unpack(packed, input.size() - 1); });
+    EXPECT_NE(what.find("the 2999 allowed"), std::string::npos)
+        << to_string(backend) << ": " << what;
   }
 }
 

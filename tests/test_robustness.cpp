@@ -7,13 +7,20 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 
+#include "codec/entropy.hpp"
+#include "codec/huffman.hpp"
 #include "codec/lossless.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
+#include "core/adaptive.hpp"
+#include "core/stream_codec.hpp"
 #include "exec/parallel_codec.hpp"
 #include "io/block_container.hpp"
 
@@ -159,9 +166,7 @@ TEST(HostileHeader, WrappingShapeRejectedByEveryReader) {
 
     // The same header inside an OCB1 block, sealed with a valid CRC so
     // the block reaches the codec.
-    BlockContainerWriter writer(2);
-    writer.append_block(blob);
-    const Bytes container = writer.finish(Shape(2, 2));
+    const Bytes container = build_block_container(Shape(2, 2), 2, {blob});
     EXPECT_THROW((void)decompress_block(container, 0), CorruptStream)
         << backend;
     EXPECT_THROW((void)block_decompress(container, 2), CorruptStream)
@@ -171,29 +176,39 @@ TEST(HostileHeader, WrappingShapeRejectedByEveryReader) {
 
 TEST(HostileHeader, BlockHeaderLargerThanItsSlabRejectedBeforeDecoding) {
   // A sealed block whose own header claims 4M elements inside a 2x2
-  // container: the parallel decoder checks the header against the
-  // container's plan before sizing its output from it.
+  // container: every OCB1 reader checks the header against the
+  // container's plan before sizing or decoding anything from it.
   FloatArray data(Shape(2, 2));
   const Bytes blob =
       with_shape(compress(data, CompressionConfig{}), Shape(1 << 12, 1 << 10));
-  BlockContainerWriter writer(2);
-  writer.append_block(blob);
-  const Bytes container = writer.finish(Shape(2, 2));
-  try {
-    (void)block_decompress(container, 1);
-    FAIL() << "expected CorruptStream";
-  } catch (const CorruptStream& e) {
-    EXPECT_NE(std::string(e.what()).find("does not match the plan"),
-              std::string::npos)
-        << e.what();
-  }
+  const Bytes container = build_block_container(Shape(2, 2), 2, {blob});
+  const auto expect_plan_mismatch = [](const char* reader, auto&& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << reader << ": expected CorruptStream";
+    } catch (const CorruptStream& e) {
+      EXPECT_NE(std::string(e.what()).find("does not match the plan"),
+                std::string::npos)
+          << reader << ": " << e.what();
+    }
+  };
+  expect_plan_mismatch("block_decompress",
+                       [&] { (void)block_decompress(container, 1); });
+  expect_plan_mismatch("decompress_block",
+                       [&] { (void)decompress_block(container, 0); });
+  expect_plan_mismatch("stream_decompress", [&] {
+    std::istringstream in(std::string(container.begin(), container.end()));
+    std::ostringstream out;
+    (void)stream_decompress(in, out);
+  });
 }
 
 /// A blob over `shape` whose codes section is `codes_section` and whose
-/// raw section is empty, written through the default lorenzo path's
-/// section layout.
+/// raw section is `raw_section` (empty when not given), written through
+/// the default lorenzo path's section layout.
 Bytes blob_with_codes(const Shape& shape, std::uint8_t entropy_id,
-                      const Bytes& codes_section) {
+                      const Bytes& codes_section,
+                      const Bytes& raw_section = {}) {
   BytesWriter out;
   const std::uint8_t magic1[] = {'O', 'C', 'Z', '1'};
   const std::uint8_t magic2[] = {'O', 'C', 'Z', '2'};
@@ -208,9 +223,11 @@ Bytes blob_with_codes(const Shape& shape, std::uint8_t entropy_id,
   write_shape(out, shape);
   SectionWriter sections(out);
   sections.add("codes", codes_section);
-  Bytes raw;
-  ByteSink raw_sink(raw);
-  lossless_compress({}, LosslessBackend::kNone, raw_sink);
+  Bytes raw = raw_section;
+  if (raw.empty()) {
+    ByteSink raw_sink(raw);
+    lossless_compress({}, LosslessBackend::kNone, raw_sink);
+  }
   sections.add("raw", raw);
   sections.finish();
   return out.take();
@@ -250,6 +267,267 @@ TEST(HostileHeader, CodeCountAboveTheShapeThrowsBeforeDecoding) {
           << e.what();
     }
   }
+}
+
+TEST(HostileHeader, RawSectionClaimAboveTheShapeThrowsBeforeExpanding) {
+  // A 4-element field whose codes are all zero-bin hits and whose raw
+  // section is rle+lzb claiming 2^24 bytes in a dozen: rejected by the
+  // raw-value bound (4 floats = 16 bytes), not after expanding 16 MiB.
+  const std::vector<std::uint32_t> codes(4, kDefaultQuantRadius);
+  Bytes codes_section;
+  ByteSink codes_sink(codes_section);
+  entropy_encode_codes(codes, histogram_symbols(codes),
+                       entropy_stage_by_name("huffman"), LosslessBackend::kNone,
+                       codes_sink);
+  Bytes raw_section;
+  ByteSink raw_sink(raw_section);
+  lossless_compress(Bytes(std::size_t{1} << 24, 0x78),
+                    LosslessBackend::kRleLzb, raw_sink);
+  ASSERT_LT(raw_section.size(), 32u);
+
+  const Bytes blob = blob_with_codes(Shape(4), 0, codes_section, raw_section);
+  try {
+    (void)decompress<float>(blob);
+    FAIL() << "expected CorruptStream";
+  } catch (const CorruptStream& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("16777216"), std::string::npos) << what;
+    EXPECT_NE(what.find("the 16 allowed"), std::string::npos) << what;
+  }
+}
+
+// --- seeded OCB1 mutation sweep ---------------------------------------
+
+/// Where an OCB1 container's index keeps its varints (dims, block
+/// slabs, block count, per-block lengths) and each block's CRC slot.
+struct IndexLayout {
+  struct Varint {
+    std::size_t offset = 0;
+    std::size_t length = 0;
+    std::uint64_t value = 0;
+  };
+  BlockContainerInfo info;
+  std::vector<Varint> varints;
+  std::vector<std::size_t> crc_offsets;
+};
+
+IndexLayout index_layout(const Bytes& container) {
+  IndexLayout layout;
+  layout.info = read_block_index(container);
+  BytesReader in(container);
+  const auto at = [&] { return container.size() - in.remaining(); };
+  const auto varint = [&] {
+    const std::size_t offset = at();
+    const std::uint64_t value = in.get_varint();
+    layout.varints.push_back({offset, at() - offset, value});
+  };
+  (void)in.get_bytes(4);
+  const std::uint8_t lead = in.get<std::uint8_t>();
+  const int rank = layout.info.has_backend_ids ? in.get<std::uint8_t>() : lead;
+  for (int d = 0; d < rank; ++d) varint();
+  varint();  // block_slabs
+  varint();  // block count
+  for (std::size_t b = 0; b < layout.info.blocks.size(); ++b) {
+    varint();  // payload length
+    layout.crc_offsets.push_back(at());
+    (void)in.get<std::uint32_t>();
+    if (layout.info.has_backend_ids) (void)in.get<std::uint8_t>();
+    if (layout.info.has_entropy_ids) (void)in.get<std::uint8_t>();
+  }
+  return layout;
+}
+
+std::size_t pick(Rng& rng, std::size_t lo, std::size_t hi_inclusive) {
+  return static_cast<std::size_t>(rng.uniform_int(
+      static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi_inclusive)));
+}
+
+/// One mutant of `container`. The 4 magic bytes stay intact, so every
+/// mutant takes the OCB1 path of each reader (OCZ blobs have their own
+/// sweep, BlobFuzz).
+Bytes mutate(const Bytes& container, const IndexLayout& layout, Rng& rng) {
+  Bytes m = container;
+  const auto at = [&](std::size_t offset) {
+    return m.begin() + static_cast<std::ptrdiff_t>(offset);
+  };
+  const auto any_byte = [&](std::int64_t lo) {
+    return static_cast<std::uint8_t>(rng.uniform_int(lo, 255));
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0:  // byte flip
+      m[pick(rng, 4, m.size() - 1)] ^= any_byte(1);
+      break;
+    case 1:  // insert
+      m.insert(at(pick(rng, 4, m.size())), any_byte(0));
+      break;
+    case 2:  // delete
+      m.erase(at(pick(rng, 4, m.size() - 1)));
+      break;
+    case 3: {  // rewrite one index varint
+      const auto& v = layout.varints[pick(rng, 0, layout.varints.size() - 1)];
+      const std::uint64_t candidates[] = {
+          0, 1, 2, v.value - 1, v.value + 1, v.value * 2, v.value / 2,
+          std::uint64_t{1} << 22, std::uint64_t{1} << 40,
+          std::uint64_t{1} << pick(rng, 1, 63)};
+      BytesWriter enc;
+      enc.put_varint(candidates[pick(rng, 0, std::size(candidates) - 1)]);
+      m.erase(at(v.offset), at(v.offset + v.length));
+      m.insert(at(v.offset), enc.bytes().begin(), enc.bytes().end());
+      break;
+    }
+    default: {  // payload flips, CRC re-sealed so they reach the codecs
+      const std::size_t b = pick(rng, 0, layout.info.blocks.size() - 1);
+      const BlockIndexEntry& entry = layout.info.blocks[b];
+      for (std::size_t f = pick(rng, 1, 4); f > 0; --f) {
+        m[entry.offset + pick(rng, 0, entry.size - 1)] ^= any_byte(1);
+      }
+      const std::uint32_t crc = crc32(
+          std::span<const std::uint8_t>(m).subspan(entry.offset, entry.size));
+      std::memcpy(m.data() + layout.crc_offsets[b], &crc, sizeof(crc));
+      break;
+    }
+  }
+  return m;
+}
+
+/// What one reader made of one mutant: the decoded floats, or nullopt
+/// when it threw a typed error. Any other exception fails the test.
+using Outcome = std::optional<std::vector<float>>;
+
+template <typename Fn>
+Outcome typed_outcome(Fn&& decode) {
+  try {
+    return decode();
+  } catch (const CorruptStream&) {
+    return std::nullopt;
+  } catch (const InvalidArgument&) {
+    return std::nullopt;
+  }
+}
+
+Outcome whole_decode(const Bytes& m, std::size_t workers) {
+  return typed_outcome(
+      [&] { return block_decompress(m, workers).field.vector(); });
+}
+
+Outcome streamed_decode(const Bytes& m) {
+  return typed_outcome([&] {
+    std::istringstream in(std::string(m.begin(), m.end()));
+    std::ostringstream out;
+    (void)stream_decompress(in, out);
+    const std::string bytes = out.str();
+    std::vector<float> values(bytes.size() / sizeof(float));
+    std::memcpy(values.data(), bytes.data(), values.size() * sizeof(float));
+    return values;
+  });
+}
+
+Outcome block_decode(const Bytes& m, std::size_t b) {
+  return typed_outcome([&] { return decompress_block(m, b).vector(); });
+}
+
+/// Bitwise equality, so NaN payloads compare too.
+bool same_floats(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(OcbMutation, ThreeReadersAgreeOnSeededMutants) {
+  // Inputs: a fixed-backend executor container (v1.1 index), an
+  // advisor container over huffman and ans (v1.2 index), and a
+  // stream_compress container, over a random walk with spikes.
+  FloatArray field(Shape(20, 9, 7));
+  Rng rng(0x0CB1);
+  double walk = 0.0;
+  for (float& v : field.values()) {
+    walk += rng.normal(0.0, 0.05);
+    const double spike = rng.chance(0.2) ? rng.normal(0.0, 1.0) : 0.0;
+    v = static_cast<float>(walk + spike);
+  }
+  CompressionConfig config;
+  config.eb_mode = EbMode::kAbsolute;
+  config.eb = 1e-3;
+  config.backend = "lorenzo";
+  std::vector<Bytes> inputs;
+  inputs.push_back(block_compress(field, config, 2, 6).container);
+  AdaptiveOptions options;
+  options.entropy_stages = {"huffman", "ans"};
+  AdvisorPolicy policy(options);
+  inputs.push_back(block_compress(field, config, 2, 4, &policy).container);
+  ASSERT_TRUE(read_block_index(inputs.back()).has_entropy_ids);
+  {
+    const auto* raw = reinterpret_cast<const char*>(field.values().data());
+    std::istringstream in(std::string(raw, field.byte_size()));
+    std::ostringstream out;
+    StreamCompressConfig stream_config;
+    stream_config.compression = config;
+    stream_config.slab_dims = {9, 7};
+    stream_config.block_slabs = 5;
+    (void)stream_compress(in, out, stream_config);
+    const std::string bytes = out.str();
+    inputs.emplace_back(bytes.begin(), bytes.end());
+  }
+
+  constexpr int kMutantsPerInput = 1000;
+  // ocelotd's frame cap refuses larger declared fields before decoding.
+  constexpr std::size_t kMaxDecodedElements = std::size_t{1} << 22;
+  std::size_t index_rejected = 0, too_large = 0, decoded = 0, rejected = 0;
+  for (const Bytes& input : inputs) {
+    const IndexLayout layout = index_layout(input);
+    for (int trial = 0; trial < kMutantsPerInput; ++trial) {
+      const Bytes m = mutate(input, layout, rng);
+      std::optional<BlockContainerInfo> info;
+      try {
+        info = read_block_index(m);
+      } catch (const CorruptStream&) {
+      }
+      if (info && info->shape.size() > kMaxDecodedElements) {
+        ++too_large;
+        continue;
+      }
+      const Outcome w1 = whole_decode(m, 1);
+      const Outcome w3 = whole_decode(m, 3);
+      const Outcome streamed = streamed_decode(m);
+      if (!info) {
+        // Every reader refuses what the index parser refuses.
+        ++index_rejected;
+        EXPECT_FALSE(w1 || w3 || streamed || block_decode(m, 0))
+            << "trial " << trial;
+        continue;
+      }
+      // A whole decode succeeds exactly when every block does, and each
+      // block equals its slab of the whole.
+      bool every_block = true;
+      const auto spans = plan_blocks(info->shape.dim(0), info->block_slabs);
+      const std::size_t slab_elems = info->shape.size() / info->shape.dim(0);
+      for (std::size_t b = 0; b < spans.size(); ++b) {
+        const Outcome block = block_decode(m, b);
+        every_block = every_block && block.has_value();
+        if (block && w1) {
+          EXPECT_TRUE(same_floats(
+              *block, std::span<const float>(*w1).subspan(
+                          spans[b].slab_begin * slab_elems, block->size())))
+              << "trial " << trial << " block " << b;
+        }
+      }
+      EXPECT_EQ(w1.has_value(), every_block) << "trial " << trial;
+      EXPECT_EQ(w3.has_value(), every_block) << "trial " << trial;
+      EXPECT_EQ(streamed.has_value(), every_block) << "trial " << trial;
+      if (w1 && w3 && streamed) {
+        EXPECT_TRUE(same_floats(*w1, *w3)) << "trial " << trial;
+        EXPECT_TRUE(same_floats(*w1, *streamed)) << "trial " << trial;
+      }
+      ++(every_block ? decoded : rejected);
+    }
+  }
+  // The sweep must reach every outcome class.
+  EXPECT_GT(index_rejected, 0u);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+  RecordProperty("index_rejected", static_cast<int>(index_rejected));
+  RecordProperty("too_large", static_cast<int>(too_large));
+  RecordProperty("decoded", static_cast<int>(decoded));
+  RecordProperty("rejected", static_cast<int>(rejected));
 }
 
 }  // namespace

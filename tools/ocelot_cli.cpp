@@ -35,6 +35,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -707,43 +708,27 @@ std::string mode_tag(TransferMode mode) {
 ///   app=RTM,src=Anvil,dst=Cori,mode=op,at=0,prio=0,ratio=10
 /// (app is required; everything else has defaults).
 CampaignSpec parse_campaign(const std::string& arg) {
+  OptionSet options = OptionSet::from_args(split(arg, ','), "campaign");
   CampaignSpec spec;
-  spec.config.compression_ratio = 10.0;
-  std::string app;
-  for (const std::string& field : split(arg, ',')) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("bad campaign field: " + field);
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "app") {
-      app = value;
-    } else if (key == "src") {
-      spec.config.src = value;
-    } else if (key == "dst") {
-      spec.config.dst = value;
-    } else if (key == "mode") {
-      spec.mode = parse_mode(value);
-    } else if (key == "at") {
-      spec.submit_time = std::stod(value);
-    } else if (key == "prio") {
-      spec.priority = std::stoi(value);
-    } else if (key == "ratio") {
-      spec.config.compression_ratio = std::stod(value);
-    } else if (key == "nodes") {
-      spec.config.compress_nodes = std::stoi(value);
-    } else if (key == "adaptive") {
-      if (value != "0" && value != "1")
-        throw InvalidArgument("bad adaptive value: " + value +
-                              " (expected 0|1)");
-      spec.config.adaptive = value == "1";
-    } else if (key == "name") {
-      spec.name = value;
-    } else {
-      throw InvalidArgument("unknown campaign key: " + key);
-    }
-  }
+  const std::string app = options.get_string("app");
+  spec.config.src = options.get_string("src", spec.config.src);
+  spec.config.dst = options.get_string("dst", spec.config.dst);
+  if (options.has("mode")) spec.mode = parse_mode(options.get_string("mode"));
+  spec.submit_time = options.get_double("at", spec.submit_time);
+  // Priorities and node counts are ints: a larger value fails by name
+  // instead of wrapping.
+  const auto narrow = [](const std::string& key, std::uint64_t v) {
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+      throw InvalidArgument("bad " + key + " value: " + std::to_string(v));
+    return static_cast<int>(v);
+  };
+  spec.priority = narrow("prio", options.get_uint("prio", 0));
+  spec.config.compression_ratio = options.get_double("ratio", 10.0);
+  spec.config.compress_nodes = narrow(
+      "nodes", options.get_count("nodes", spec.config.compress_nodes));
+  spec.config.adaptive = options.get_flag("adaptive", spec.config.adaptive);
+  spec.name = options.get_string("name");
+  options.reject_unknown("campaign", "key");
   if (app.empty()) throw InvalidArgument("campaign needs app=...");
   spec.inventory = paper_inventory(app);
   spec.config.rates = paper_compute_rates(app);
