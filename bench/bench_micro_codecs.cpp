@@ -41,6 +41,51 @@ void BM_HuffmanEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanEncode)->Arg(1 << 14)->Arg(1 << 18);
 
+/// The shape of one ocelotd request's code stream: daemon-small's
+/// 12x19x19 field is 4,332 codes over ~300 distinct values, so the
+/// per-call cost (histogram, code build, table) shows next to the
+/// per-symbol cost.
+void BM_HuffmanEncodeSmallField(benchmark::State& state) {
+  Rng rng(29);
+  std::vector<std::uint32_t> syms(12 * 19 * 19);
+  for (auto& s : syms) {
+    s = rng.chance(0.5) ? 32768u
+                        : static_cast<std::uint32_t>(
+                              rng.uniform_int(32768 - 150, 32768 + 150));
+  }
+  Bytes out;
+  for (auto _ : state) {
+    out.clear();
+    ByteSink sink(out);
+    huffman_encode(syms, sink);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["distinct"] =
+      static_cast<double>(histogram_symbols(syms).size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(syms.size()));
+}
+BENCHMARK(BM_HuffmanEncodeSmallField);
+
+/// The code builder alone on 1,000 distinct symbols with counts 1-16:
+/// its cost grows with the alphabet, not with the stream.
+void BM_HuffmanBuildCode(benchmark::State& state) {
+  Rng rng(31);
+  SymbolHist hist;
+  for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(state.range(0));
+       ++s) {
+    hist.emplace_back(32000 + s,
+                      static_cast<std::uint64_t>(rng.uniform_int(1, 16)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HuffmanCode::from_histogram(hist));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(hist.size()));
+}
+BENCHMARK(BM_HuffmanBuildCode)->Arg(1000);
+
 void BM_HuffmanDecode(benchmark::State& state) {
   const auto syms = skewed_symbols(
       static_cast<std::size_t>(state.range(0)), 0.9);

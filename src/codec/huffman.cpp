@@ -33,85 +33,83 @@ constexpr std::uint64_t kEmitTableSpan = 1u << 17;
 /// tail symbols) take the canonical walk.
 constexpr int kDecodeLutBits = 11;
 
+/// The low `len` bits of `w`, reversed: all 64 bits reversed by swapping
+/// ever wider groups, then shifted down so the bits above `len` drop.
 std::uint64_t bit_reverse(std::uint64_t w, int len) {
-  std::uint64_t r = 0;
-  for (int i = 0; i < len; ++i) {
-    r = (r << 1) | (w & 1u);
-    w >>= 1;
-  }
-  return r;
+  if (len == 0) return 0;
+  w = ((w >> 1) & 0x5555555555555555u) | ((w & 0x5555555555555555u) << 1);
+  w = ((w >> 2) & 0x3333333333333333u) | ((w & 0x3333333333333333u) << 2);
+  w = ((w >> 4) & 0x0F0F0F0F0F0F0F0Fu) | ((w & 0x0F0F0F0F0F0F0F0Fu) << 4);
+  return __builtin_bswap64(w) >> (64 - len);
 }
 
-/// Huffman tree depths for `syms`/`weights` (symbol-sorted), written
-/// into `lengths` (aligned with syms). Returns the max depth; may
-/// exceed kMaxCodeLength for pathological weights — the caller
-/// rescales and retries. The heap replays std::priority_queue's exact
-/// push/pop sequence (push_back+push_heap / pop_heap+pop_back with the
-/// same ((weight, height), index) ordering), so tie-breaking — and
-/// with it every emitted table byte — matches the historical coder.
+/// Huffman tree depths by van Leeuwen's two-queue merge (ICALP 1976).
+/// `leaves` holds (weight, leaf) pairs sorted ascending, where leaf is
+/// the symbol's index in `lengths`; each leaf's depth is written to
+/// lengths[leaf].second. Returns the max depth; it may exceed
+/// kMaxCodeLength for pathological weights, and the caller then
+/// rescales and retries.
+///
+/// The codes must equal those of the historical builder, a min-heap
+/// over ((weight, height), node index) keys: leaves are nodes 0..u-1
+/// in symbol order with height 0, and the k-th merge creates node
+/// u + k with the summed weight and height max + 1. All keys differ,
+/// so the heap's pop sequence is fixed, and the merge below replays it:
+///  - Pops are increasing. A merge weighs no less than the second node
+///    it took and stands higher, so its key exceeds every key popped
+///    so far.
+///  - Merges are created in non-decreasing (weight, height) order. Let
+///    merge k take pops p1 < p2 and merge k+1 take p3 < p4. Pops
+///    increase, so w3 >= w1 and w4 >= w2, and merge k+1 weighs at least
+///    as much as merge k. If the weights tie, w1 <= w2 <= w3 = w1 makes
+///    all four equal, so the pops are ordered by height, and
+///    h4 + 1 >= h2 + 1 is merge k+1's height against merge k's.
+///  - So the FIFO of merges is sorted by key (equal (weight, height)
+///    fall back to the creation index), and so are the leaves by
+///    (weight, leaf). The heap's next pop is the smaller front. A leaf
+///    and a merge of equal weight compare by height, where the leaf's 0
+///    wins; hence "leaf when its weight is <= the merge's".
+/// Depths then need no tree walk: a parent is created after its
+/// children, so one pass from the root down over the parent links
+/// sets every merge's depth before the leaves read theirs.
 int tree_depths_into(
-    std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
-    std::span<const std::uint64_t> weights, ScratchArena& arena,
-    std::span<std::pair<std::uint32_t, int>> lengths) {
-  struct TreeNode {
-    std::uint64_t weight;
-    int height;
-    std::int64_t symbol;  // >= 0 for leaves, -1 for internal
-    int left = -1;
-    int right = -1;
-  };
-  using QItem = std::pair<std::pair<std::uint64_t, int>, int>;  // ((w,h), idx)
-
-  const std::size_t u = hist.size();
+    std::span<const std::pair<std::uint64_t, std::uint32_t>> leaves,
+    ScratchArena& arena, std::span<std::pair<std::uint32_t, int>> lengths) {
+  const std::size_t u = leaves.size();
   const ScratchArena::Mark m = arena.mark();
-  std::span<TreeNode> nodes = arena.alloc<TreeNode>(2 * u);
-  std::span<QItem> heap = arena.alloc<QItem>(u);
-  std::size_t n_nodes = 0;
-  std::size_t hn = 0;
-  const auto greater = std::greater<>{};
-  for (std::size_t i = 0; i < u; ++i) {
-    nodes[n_nodes] = {weights[i], 0, static_cast<std::int64_t>(hist[i].first),
-                      -1, -1};
-    heap[hn++] = {{weights[i], 0}, static_cast<int>(n_nodes)};
-    std::push_heap(heap.begin(), heap.begin() + hn, greater);
-    ++n_nodes;
-  }
-  while (hn > 1) {
-    std::pop_heap(heap.begin(), heap.begin() + hn, greater);
-    const QItem a = heap[--hn];
-    std::pop_heap(heap.begin(), heap.begin() + hn, greater);
-    const QItem b = heap[--hn];
-    TreeNode parent;
-    parent.weight = a.first.first + b.first.first;
-    parent.height = std::max(a.first.second, b.first.second) + 1;
-    parent.symbol = -1;
-    parent.left = a.second;
-    parent.right = b.second;
-    nodes[n_nodes] = parent;
-    heap[hn++] = {{parent.weight, parent.height}, static_cast<int>(n_nodes)};
-    std::push_heap(heap.begin(), heap.begin() + hn, greater);
-    ++n_nodes;
+  // Node ids: leaf i is i, merge k is u + k.
+  std::span<std::uint64_t> merged = arena.alloc<std::uint64_t>(u - 1);
+  std::span<std::uint32_t> parent = arena.alloc<std::uint32_t>(2 * u - 1);
+  std::size_t next_leaf = 0;
+  std::size_t front = 0;  // FIFO head; merges front..k-1 are queued
+  for (std::size_t k = 0; k + 1 < u; ++k) {
+    std::uint64_t sum = 0;
+    for (int side = 0; side < 2; ++side) {
+      std::size_t node = u + front;
+      if (next_leaf < u &&
+          (front == k || leaves[next_leaf].first <= merged[front])) {
+        sum += leaves[next_leaf].first;
+        node = leaves[next_leaf++].second;
+      } else {
+        sum += merged[front++];
+      }
+      parent[node] = static_cast<std::uint32_t>(u + k);
+    }
+    merged[k] = sum;
   }
 
-  // Iterative DFS from the root (last node), then sort by symbol.
-  std::span<std::pair<int, int>> stack =
-      arena.alloc<std::pair<int, int>>(2 * u);
-  std::size_t sn = 0;
-  stack[sn++] = {static_cast<int>(n_nodes) - 1, 0};
-  std::size_t out = 0;
-  int max_depth = 0;
-  while (sn > 0) {
-    const auto [idx, depth] = stack[--sn];
-    const TreeNode& n = nodes[static_cast<std::size_t>(idx)];
-    if (n.symbol >= 0) {
-      lengths[out++] = {static_cast<std::uint32_t>(n.symbol), depth};
-      max_depth = std::max(max_depth, depth);
-    } else {
-      stack[sn++] = {n.left, depth + 1};
-      stack[sn++] = {n.right, depth + 1};
-    }
+  // The merges' depths, root (merge u-2) first, reuse `merged`.
+  std::span<std::uint64_t> depth = merged;
+  depth[u - 2] = 0;
+  for (std::size_t k = u - 2; k-- > 0;) {
+    depth[k] = depth[parent[u + k] - u] + 1;
   }
-  std::sort(lengths.begin(), lengths.end());
+  int max_depth = 0;
+  for (std::size_t i = 0; i < u; ++i) {
+    const int d = static_cast<int>(depth[parent[i] - u]) + 1;
+    lengths[i].second = d;
+    max_depth = std::max(max_depth, d);
+  }
   arena.rewind(m);
   return max_depth;
 }
@@ -124,9 +122,9 @@ struct CodeView {
 
 /// Builds the canonical code for a symbol-sorted histogram: tree
 /// depths (with the historical rescale-retry depth cap), then
-/// canonical codewords assigned by (length, symbol), stored
-/// bit-reversed so LSB-first accumulator emission reproduces the
-/// MSB-first bit order of the original per-bit writer.
+/// canonical codewords in (length, symbol) order, stored bit-reversed
+/// so LSB-first accumulator emission reproduces the MSB-first bit
+/// order of the original per-bit writer.
 CodeView build_canonical(
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     ScratchArena& arena) {
@@ -134,40 +132,50 @@ CodeView build_canonical(
   std::span<std::pair<std::uint32_t, int>> lengths =
       arena.alloc<std::pair<std::uint32_t, int>>(u);
   std::span<std::uint64_t> rev = arena.alloc<std::uint64_t>(u);
+  for (std::size_t i = 0; i < u; ++i) lengths[i] = {hist[i].first, 0};
   if (u == 1) {
     // Degenerate code: a single symbol encoded in zero bits.
-    lengths[0] = {hist[0].first, 0};
     rev[0] = 0;
     return {lengths, rev};
   }
 
-  std::span<std::uint64_t> scaled = arena.alloc<std::uint64_t>(u);
-  for (std::size_t i = 0; i < u; ++i) scaled[i] = hist[i].second;
-  while (tree_depths_into(hist, scaled, arena, lengths) > kMaxCodeLength) {
-    // Flatten the distribution and retry; halving weights (floor at 1)
-    // strictly reduces the weight ratio that causes deep trees.
-    for (std::uint64_t& w : scaled) w = std::max<std::uint64_t>(1, w / 2);
-  }
-
-  // Canonical assignment: sort by (length, symbol); codewords count
-  // up, shifting left at every length increase.
   const ScratchArena::Mark m = arena.mark();
-  std::span<std::uint32_t> order = arena.alloc<std::uint32_t>(u);
-  for (std::size_t i = 0; i < u; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (lengths[a].second != lengths[b].second)
-      return lengths[a].second < lengths[b].second;
-    return lengths[a].first < lengths[b].first;
-  });
-  std::uint64_t next = 0;
-  int prev_len = lengths[order[0]].second;
-  for (const std::uint32_t idx : order) {
-    const int len = lengths[idx].second;
-    next <<= (len - prev_len);
-    prev_len = len;
-    rev[idx] = bit_reverse(next++, len);
+  std::span<std::pair<std::uint64_t, std::uint32_t>> leaves =
+      arena.alloc<std::pair<std::uint64_t, std::uint32_t>>(u);
+  for (std::size_t i = 0; i < u; ++i) {
+    leaves[i] = {hist[i].second, static_cast<std::uint32_t>(i)};
+  }
+  std::sort(leaves.begin(), leaves.end());
+  while (tree_depths_into(leaves, arena, lengths) > kMaxCodeLength) {
+    // Flatten the distribution and retry; halving weights (floor at 1)
+    // strictly reduces the weight ratio that causes deep trees. Halving
+    // merges neighbouring weights into ties, which the (weight, leaf)
+    // order must break by leaf again, hence the re-sort.
+    for (auto& leaf : leaves) {
+      leaf.first = std::max<std::uint64_t>(1, leaf.first / 2);
+    }
+    std::sort(leaves.begin(), leaves.end());
   }
   arena.rewind(m);
+
+  // Canonical assignment in (length, symbol) order without sorting
+  // (DEFLATE's next_code, RFC 1951 3.2.2): each length's first
+  // codeword follows from the counts of the shorter lengths, and a
+  // symbol-order pass hands them out.
+  std::array<std::uint64_t, kMaxCodeLength + 1> next_code{};
+  for (const auto& entry : lengths) {
+    ++next_code[static_cast<std::size_t>(entry.second)];
+  }
+  std::uint64_t code = 0;
+  for (std::size_t len = 1; len <= kMaxCodeLength; ++len) {
+    const std::uint64_t count = next_code[len];
+    next_code[len] = code;
+    code = (code + count) << 1;
+  }
+  for (std::size_t i = 0; i < u; ++i) {
+    const int len = lengths[i].second;
+    rev[i] = bit_reverse(next_code[static_cast<std::size_t>(len)]++, len);
+  }
   return {lengths, rev};
 }
 
@@ -435,20 +443,29 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
     throw CorruptStream("huffman: code table exceeds the stream");
   ArenaScope scope;
   ScratchArena& arena = scope.arena();
-  std::span<std::pair<std::uint32_t, int>> lengths =
-      arena.alloc<std::pair<std::uint32_t, int>>(unique);
+  // The table as (length << 32 | symbol) keys: sorting them gives the
+  // canonical (length, symbol) order. Equal keys are equal entries
+  // (hostile tables may repeat a symbol), so the order of the decoded
+  // entries does not depend on how the sort treats ties.
+  std::span<std::uint64_t> keys = arena.alloc<std::uint64_t>(unique);
   std::uint32_t sym = 0;
   for (std::uint64_t i = 0; i < unique; ++i) {
     sym += static_cast<std::uint32_t>(in.get_varint());
     const int len = static_cast<int>(in.get_varint());
     if (len < 0 || len > kMaxCodeLength)
       throw CorruptStream("huffman: bad code length");
-    lengths[i] = {sym, len};
+    keys[i] = static_cast<std::uint64_t>(len) << 32 | sym;
   }
+  const auto key_len = [](std::uint64_t key) {
+    return static_cast<int>(key >> 32);
+  };
+  const auto key_sym = [](std::uint64_t key) {
+    return static_cast<std::uint32_t>(key);
+  };
 
   if (unique == 1) {
     // Zero-bit degenerate code.
-    out.assign(n, lengths[0].first);
+    out.assign(n, key_sym(keys[0]));
     (void)in.get_blob();
     return;
   }
@@ -457,21 +474,14 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
   // symbols of that length in canonical order; codes up to
   // kDecodeLutBits also get a direct (reversed-prefix -> symbol,
   // length) lookup.
-  std::span<std::uint32_t> order = arena.alloc<std::uint32_t>(unique);
-  for (std::uint64_t i = 0; i < unique; ++i)
-    order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (lengths[a].second != lengths[b].second)
-      return lengths[a].second < lengths[b].second;
-    return lengths[a].first < lengths[b].first;
-  });
+  std::sort(keys.begin(), keys.end());
 
   std::array<std::uint64_t, kMaxCodeLength + 2> first_code{};
   std::array<std::uint64_t, kMaxCodeLength + 2> count_at{};
   std::array<std::size_t, kMaxCodeLength + 2> offset_at{};
   std::span<std::uint32_t> symbols_in_order =
       arena.alloc<std::uint32_t>(unique);
-  const int max_len = lengths[order[unique - 1]].second;
+  const int max_len = key_len(keys[unique - 1]);
   const int lut_bits = std::min(kDecodeLutBits, max_len);
   const std::size_t lut_size = std::size_t{1} << lut_bits;
   std::span<std::uint32_t> lut = arena.alloc<std::uint32_t>(lut_size);
@@ -479,10 +489,10 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
   {
     std::uint64_t next = 0;
     std::size_t pos = 0;
-    int prev_len = lengths[order[0]].second;
+    int prev_len = key_len(keys[0]);
     if (prev_len == 0) throw CorruptStream("huffman: zero-length code");
-    for (const std::uint32_t idx : order) {
-      const int len = lengths[idx].second;
+    for (const std::uint64_t key : keys) {
+      const int len = key_len(key);
       next <<= (len - prev_len);
       prev_len = len;
       if (count_at[static_cast<std::size_t>(len)] == 0) {
@@ -490,7 +500,7 @@ void huffman_decode_into(std::span<const std::uint8_t> data,
         offset_at[static_cast<std::size_t>(len)] = pos;
       }
       ++count_at[static_cast<std::size_t>(len)];
-      symbols_in_order[pos] = lengths[idx].first;
+      symbols_in_order[pos] = key_sym(key);
       if (len <= lut_bits) {
         const std::uint64_t rev = bit_reverse(next, len);
         const std::uint32_t entry =

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "compressor/compressor.hpp"
 
 namespace ocelot {
 
@@ -32,16 +33,9 @@ LoadedField load_field(std::span<const std::uint8_t> blob) {
 
   LoadedField out;
   out.name = in.get_string();
-  const int rank = in.get<std::uint8_t>();
-  if (rank < 1 || rank > 3) throw CorruptStream("field file: bad rank");
-  std::size_t dims[3] = {1, 1, 1};
-  for (int d = 0; d < rank; ++d) {
-    dims[d] = in.get_varint();
-    if (dims[d] == 0) throw CorruptStream("field file: zero dimension");
-  }
-  Shape shape = rank == 1   ? Shape(dims[0])
-                : rank == 2 ? Shape(dims[0], dims[1])
-                            : Shape(dims[0], dims[1], dims[2]);
+  // The checked shape reader the OCZ and OCB1 headers share: a product
+  // past kMaxShapeElements would wrap the payload size check below.
+  const Shape shape = read_shape(in, in.get<std::uint8_t>());
 
   const auto payload = in.get_blob();
   if (payload.size() != shape.size() * sizeof(float))

@@ -34,6 +34,16 @@ std::size_t declared_elements(std::span<const std::uint8_t> blob) {
                                   : inspect_blob(blob).shape.size();
 }
 
+/// A request's codec threads all start at once, so its `workers` may
+/// not pass the host's hardware threads (what workers=0 resolves to).
+void check_request_workers(std::size_t workers) {
+  const std::size_t limit = Engine::resolve_workers(0);
+  if (workers > limit)
+    throw InvalidArgument("workers=" + std::to_string(workers) +
+                          " exceeds the limit of " + std::to_string(limit) +
+                          " (this host's hardware threads)");
+}
+
 /// The reply to a request whose response cannot fit the frame cap.
 Frame frame_cap_error(std::uint64_t id, std::size_t max_frame_bytes) {
   OCELOT_COUNT("daemon.response_too_large", 1);
@@ -258,6 +268,7 @@ void Daemon::process(const std::shared_ptr<Connection>& conn, Frame request) {
       const EngineRequest engine_request =
           parse_compression_options(options, rules);
       options.reject_unknown("request");
+      check_request_workers(engine_request.workers);
       const LoadedField field = load_field(request.payload);
       Bytes out;
       const EngineResult result =
@@ -272,6 +283,7 @@ void Daemon::process(const std::shared_ptr<Connection>& conn, Frame request) {
       OptionSet options = OptionSet::from_line(request.options, "request");
       const std::size_t workers = options.get_count("workers", 0);
       options.reject_unknown("request");
+      check_request_workers(workers);
       // The response carries the whole field, so a blob declaring more
       // floats than the cap holds is refused before any of it is
       // allocated.

@@ -12,14 +12,19 @@
 // byte, and symbol for symbol or throw for throw on hostile input;
 // tests/test_entropy_identity.cpp diffs the two.
 //
-// The Huffman encoder takes its canonical code from HuffmanCode, so the
-// oracle pins the table framing and the payload packing, not the tree
-// construction (the golden blobs and the engine fingerprints pin that).
+// The Huffman encoder takes its canonical code from the historical
+// builder kept here too: a binary heap over ((weight, height), node)
+// keys, a DFS for the depths, and codewords assigned after a (length,
+// symbol) comparator sort. Production builds the same code by a
+// two-queue merge and per-length counts, so the oracle pins the tree
+// construction, the table framing and the payload packing.
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,6 +53,97 @@ struct CodeView {
   std::vector<std::pair<std::uint32_t, int>> lengths;
   std::vector<std::uint64_t> rev;
 };
+
+/// The historical heap builder: Huffman tree depths for `weights`
+/// (aligned with the symbol-sorted `hist`), written to `lengths` sorted
+/// by symbol. Leaves are nodes 0..u-1 in symbol order with height 0;
+/// each merge pops the two smallest ((weight, height), node) keys and
+/// pushes a new node with the summed weight and height max + 1. Every
+/// key is distinct, so any min-heap pops the same sequence. Returns the
+/// max depth.
+inline int heap_tree_depths(
+    const SymbolHist& hist, const std::vector<std::uint64_t>& weights,
+    std::vector<std::pair<std::uint32_t, int>>& lengths) {
+  struct Node {
+    std::int64_t symbol;  // >= 0 for leaves, -1 for merges
+    int left;
+    int right;
+  };
+  using Key = std::pair<std::pair<std::uint64_t, int>, int>;  // ((w,h), node)
+  std::vector<Node> nodes;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    heap.push({{weights[i], 0}, static_cast<int>(nodes.size())});
+    nodes.push_back({static_cast<std::int64_t>(hist[i].first), -1, -1});
+  }
+  while (heap.size() > 1) {
+    const Key a = heap.top();
+    heap.pop();
+    const Key b = heap.top();
+    heap.pop();
+    heap.push({{a.first.first + b.first.first,
+                std::max(a.first.second, b.first.second) + 1},
+               static_cast<int>(nodes.size())});
+    nodes.push_back({-1, a.second, b.second});
+  }
+
+  lengths.clear();
+  int max_depth = 0;
+  std::vector<std::pair<int, int>> stack{
+      {static_cast<int>(nodes.size()) - 1, 0}};
+  while (!stack.empty()) {
+    const auto [idx, depth] = stack.back();
+    stack.pop_back();
+    const Node& n = nodes[static_cast<std::size_t>(idx)];
+    if (n.symbol >= 0) {
+      lengths.emplace_back(static_cast<std::uint32_t>(n.symbol), depth);
+      max_depth = std::max(max_depth, depth);
+    } else {
+      stack.emplace_back(n.left, depth + 1);
+      stack.emplace_back(n.right, depth + 1);
+    }
+  }
+  std::sort(lengths.begin(), lengths.end());
+  return max_depth;
+}
+
+/// The historical canonical code for a symbol-sorted histogram: heap
+/// depths, halving every weight (floor 1) while the tree is deeper than
+/// kMaxCodeLength, then codewords counted up in (length, symbol) order,
+/// shifting left at every length increase.
+inline CodeView huffman_code(const SymbolHist& hist) {
+  CodeView code;
+  const std::size_t u = hist.size();
+  if (u == 1) {
+    code.lengths = {{hist[0].first, 0}};
+    code.rev = {0};
+    return code;
+  }
+  std::vector<std::uint64_t> scaled(u);
+  for (std::size_t i = 0; i < u; ++i) scaled[i] = hist[i].second;
+  while (heap_tree_depths(hist, scaled, code.lengths) > kMaxCodeLength) {
+    for (std::uint64_t& w : scaled) w = std::max<std::uint64_t>(1, w / 2);
+  }
+
+  std::vector<std::size_t> order(u);
+  for (std::size_t i = 0; i < u; ++i) order[i] = i;
+  const auto& lengths = code.lengths;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (lengths[a].second != lengths[b].second)
+      return lengths[a].second < lengths[b].second;
+    return lengths[a].first < lengths[b].first;
+  });
+  code.rev.assign(u, 0);
+  std::uint64_t next = 0;
+  int prev_len = lengths[order[0]].second;
+  for (const std::size_t idx : order) {
+    const int len = lengths[idx].second;
+    next <<= (len - prev_len);
+    prev_len = len;
+    code.rev[idx] = bit_reverse(next++, len);
+  }
+  return code;
+}
 
 /// The bytewise payload packer: a 64-bit accumulator flushed with one
 /// push_back per completed byte.
@@ -92,20 +188,15 @@ inline void emit_payload(std::span<const std::uint32_t> symbols,
   if (nbits > 0) dst.push_back(static_cast<std::uint8_t>(acc));
 }
 
-/// huffman_encode's stream (count, table, payload) over the bytewise
-/// packer.
+/// huffman_encode's stream (count, table, payload) over the heap
+/// builder's code and the bytewise packer.
 inline Bytes huffman_encode(std::span<const std::uint32_t> symbols) {
   Bytes out;
   ByteSink sink(out);
   sink.put_varint(symbols.size());
   if (symbols.empty()) return out;
   const SymbolHist hist = histogram_symbols(symbols);
-  const HuffmanCode huff = HuffmanCode::from_histogram(hist);
-  CodeView code;
-  code.lengths = huff.lengths();
-  for (const auto& [sym, len] : code.lengths) {
-    code.rev.push_back(bit_reverse(huff.codeword(sym), len));
-  }
+  const CodeView code = huffman_code(hist);
 
   sink.put_varint(code.lengths.size());
   std::uint32_t prev = 0;

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -469,6 +470,96 @@ TEST(Daemon, DeclaredShapeOverTheFrameCapAnswersBeforeAllocating) {
   EXPECT_EQ(daemon.stats().requests_error, 2u);
 }
 
+/// Sends one raw request frame and returns the daemon's reply.
+Frame call_raw(const std::string& path, FrameType type,
+               const std::string& options, const Bytes& payload) {
+  const int fd = raw_unix_connect(path);
+  Frame request;
+  request.type = type;
+  request.id = 7;
+  request.tenant = "tenant-a";
+  request.options = options;
+  request.payload = payload;
+  write_frame(fd, request);
+  auto reply = read_frame(fd, kDefaultMaxFrameBytes);
+  ::close(fd);
+  EXPECT_TRUE(reply.has_value());
+  return reply.value_or(Frame{});
+}
+
+TEST(Daemon, WrappingFieldShapeAnswersBadRequest) {
+  // A 21-byte OCF1 field: rank 1, 2^62 + 1 elements and a 4-byte
+  // payload. The element count times 4 wraps to 4, so only the shared
+  // shape reader's element cap stops it before the field is sized.
+  BytesWriter field;
+  const std::uint8_t magic[] = {'O', 'C', 'F', '1'};
+  field.put_bytes(magic);
+  field.put_string("x");
+  write_shape(field, Shape((std::size_t{1} << 62) + 1));
+  const std::uint8_t payload[4] = {};
+  field.put_blob(payload);
+  const Bytes ocf = field.take();
+  ASSERT_EQ(ocf.size(), 21u);
+
+  const std::string path = test_socket_path("wrapshape");
+  DaemonConfig config;
+  config.unix_path = path;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+  const Frame reply = call_raw(path, FrameType::kCompress, "eb=1e-3", ocf);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.options, error_code::kBadRequest);
+  daemon.shutdown();
+  EXPECT_EQ(daemon.stats().requests_error, 1u);
+}
+
+TEST(Daemon, WorkersAboveTheHostLimitAnswersBadRequest) {
+  // Every codec thread of a request starts at once, so a request may
+  // not ask for more than the host's hardware threads. The 3-block
+  // container and the 1-block compress below keep the threads this
+  // test could start, had the check been missing, at 3.
+  std::vector<float> values(6 * 16 * 16);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<float>(std::sin(0.05 * static_cast<double>(i)));
+  }
+  const Bytes field_bytes = save_field(
+      "workers/sine", FloatArray(Shape(6, 16, 16), std::move(values)));
+  const Bytes container = engine_reference_compress(
+      field_bytes, "eb=1e-3 policy=adaptive block_slabs=2 workers=1");
+  ASSERT_EQ(read_block_index(container).blocks.size(), 3u);
+  const std::string too_many =
+      "workers=" + std::to_string(Engine::resolve_workers(0) + 1);
+  const std::string limit = std::to_string(Engine::resolve_workers(0));
+
+  const std::string path = test_socket_path("workers");
+  DaemonConfig config;
+  config.unix_path = path;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+
+  for (const auto& [type, options, payload] :
+       {std::tuple{FrameType::kDecompress, too_many, container},
+        std::tuple{FrameType::kCompress,
+                   "eb=1e-3 policy=adaptive block_slabs=64 " + too_many,
+                   field_bytes}}) {
+    const Frame reply = call_raw(path, type, options, payload);
+    EXPECT_EQ(reply.type, FrameType::kError) << options;
+    EXPECT_EQ(reply.options, error_code::kBadRequest) << options;
+    const std::string message(reply.payload.begin(), reply.payload.end());
+    EXPECT_NE(message.find("limit of " + limit), std::string::npos)
+        << message;
+  }
+
+  const Frame reply =
+      call_raw(path, FrameType::kDecompress, "workers=1", container);
+  ASSERT_EQ(reply.type, FrameType::kOk);
+  const FloatArray expected = Engine::shared().decompress(container, 1);
+  EXPECT_EQ(reply.payload, save_field("decompressed", expected));
+  daemon.shutdown();
+}
+
 TEST(Daemon, QuotaFloodSurfacesBusyBackpressure) {
   const std::string path = test_socket_path("quota");
   DaemonConfig config;
@@ -480,7 +571,11 @@ TEST(Daemon, QuotaFloodSurfacesBusyBackpressure) {
   Daemon daemon(config);
   daemon.start();
 
-  const Bytes field_bytes = small_field_bytes();
+  // A field that takes milliseconds to compress keeps the one worker
+  // busy while the burst arrives; the 17 KB field can compress faster
+  // than eight loaded client threads connect, and then none is refused.
+  const Bytes field_bytes = save_field(
+      "Miranda/density", generate_field("Miranda", "density", 0.15, 7));
   std::atomic<int> ok{0};
   std::atomic<int> busy{0};
   std::vector<std::thread> clients;

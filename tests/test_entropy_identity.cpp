@@ -3,7 +3,9 @@
 // The production coders pack and unpack Huffman bits a word at a time,
 // decode through a pair table and probe LZB candidates without
 // branches; the bytewise coders they replaced live on as oracles in
-// tests/support/entropy_reference.hpp. These tests diff the two:
+// tests/support/entropy_reference.hpp, next to the heap code builder
+// the two-queue merge replaced. These tests diff the two: seeded
+// histograms must get the heap builder's code lengths and codewords,
 // Huffman streams over alphabets from 1 to 70,000 symbols and three
 // skews must encode to the oracle's bytes, and every truncation, byte
 // flip and hostile table must decode to the oracle's symbols or make
@@ -19,6 +21,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/huffman.hpp"
@@ -174,6 +177,147 @@ Bytes with_count(std::span<const std::uint8_t> stream, std::uint64_t n) {
 constexpr std::size_t kAlphabets[] = {1, 2, 3, 256, 4096, 70000};
 constexpr Skew kSkews[] = {Skew::kUniform, Skew::kZipf, Skew::kGeometric};
 
+/// Whether `hist` gets the heap builder's code: the same length and
+/// the same codeword for every symbol.
+bool code_matches_heap_oracle(const SymbolHist& hist) {
+  const HuffmanCode code = HuffmanCode::from_histogram(hist);
+  const reference::CodeView ref = reference::huffman_code(hist);
+  if (code.lengths() != ref.lengths) return false;
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    const auto [sym, len] = ref.lengths[i];
+    if (len > 0 &&
+        reference::bit_reverse(code.codeword(sym), len) != ref.rev[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A histogram over `weights.size()` ascending symbols: mostly 1-3
+/// apart, now and then up to 2^16 apart.
+SymbolHist histogram_of(const std::vector<std::uint64_t>& weights, Rng& rng) {
+  SymbolHist hist;
+  auto sym = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+  for (const std::uint64_t w : weights) {
+    hist.emplace_back(sym, w);
+    sym += static_cast<std::uint32_t>(
+        rng.chance(0.02) ? rng.uniform_int(1, 1 << 16) : rng.uniform_int(1, 3));
+  }
+  return hist;
+}
+
+TEST(EntropyIdentity, HuffmanCodeMatchesHeapOracle) {
+  // 100,800 seeded histograms in seven shapes, then wide alphabets.
+  // Equal weights, weights from 1-3 and Fibonacci runs are tie-heavy,
+  // where the merge must break ties as the heap's ((weight, height),
+  // node) keys do. Doubling and Fibonacci runs of 59 or more symbols
+  // build trees deeper than 57, so their codes come from the
+  // rescale-retry path. Run weights go to random symbols, so sorting
+  // by weight reorders the leaves. Runs cost a tree per retry, so they
+  // take 2 trials in 32, and most other histograms are small, which
+  // keeps the sanitizer builds' run short.
+  enum Shape {
+    kEqual,
+    kTwo,
+    kOneToThree,
+    kToThousand,
+    kPowers,
+    kDoubling,
+    kFibonacci,
+  };
+  Rng rng(1976);
+  int failures = 0;
+  int retried = 0;
+  const auto check = [&](const SymbolHist& hist, int trial) {
+    if (!code_matches_heap_oracle(hist) && ++failures <= 5) {
+      ADD_FAILURE() << "trial " << trial << ", " << hist.size()
+                    << " symbols";
+    }
+  };
+  for (int trial = 0; trial < 100800; ++trial) {
+    const int slot = trial % 32;
+    const Shape shape = slot == 30   ? kDoubling
+                        : slot == 31 ? kFibonacci
+                                     : static_cast<Shape>(slot % 5);
+    const auto small_u = [&](std::int64_t lo) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(lo, rng.chance(0.95) ? 16 : 200));
+    };
+    std::vector<std::uint64_t> w;
+    switch (shape) {
+      case kEqual: {
+        const std::uint64_t v = rng.chance(0.3)
+                                    ? 1
+                                    : static_cast<std::uint64_t>(
+                                          rng.uniform_int(1, 1000000));
+        w.assign(small_u(1), v);
+        break;
+      }
+      case kTwo:
+        for (int i = 0; i < 2; ++i) {
+          w.push_back(static_cast<std::uint64_t>(
+              rng.uniform_int(1, std::int64_t{1} << 40)));
+        }
+        break;
+      case kOneToThree:
+      case kToThousand:
+        w.resize(small_u(2));
+        for (auto& v : w) {
+          v = static_cast<std::uint64_t>(
+              rng.uniform_int(1, shape == kOneToThree ? 3 : 1000));
+        }
+        break;
+      case kPowers:
+        w.resize(small_u(2));
+        for (auto& v : w) v = std::uint64_t{1} << rng.uniform_int(0, 40);
+        break;
+      case kDoubling:
+      case kFibonacci: {
+        // Runs of 48-63 (doubling, sum < 2^63) or 48-66 (Fibonacci,
+        // sum < 2^46) weights, a few 1-3 weights mixed in, shuffled.
+        const auto run = static_cast<std::size_t>(
+            rng.uniform_int(48, shape == kDoubling ? 63 : 66));
+        std::uint64_t a = 1, b = 1;
+        for (std::size_t i = 0; i < run; ++i) {
+          w.push_back(shape == kDoubling ? std::uint64_t{1} << i : a);
+          a = std::exchange(b, a + b);
+        }
+        for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i) {
+          w.push_back(static_cast<std::uint64_t>(rng.uniform_int(1, 3)));
+        }
+        for (std::size_t i = w.size() - 1; i > 0; --i) {
+          std::swap(w[i], w[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(i)))]);
+        }
+        break;
+      }
+    }
+    const SymbolHist hist = histogram_of(w, rng);
+    if (shape == kDoubling || shape == kFibonacci) {
+      std::vector<std::pair<std::uint32_t, int>> depths;
+      retried += reference::heap_tree_depths(hist, w, depths) >
+                 reference::kMaxCodeLength;
+    }
+    check(hist, trial);
+  }
+  EXPECT_GT(retried, 500);
+
+  // Wide alphabets: 1-1,000 weights and Zipf-like counts, up to 70,000
+  // symbols.
+  int trial = 100800;
+  for (const std::size_t u : {1000u, 4096u, 70000u}) {
+    for (const bool zipf : {false, true}) {
+      std::vector<std::uint64_t> w(u);
+      for (std::size_t i = 0; i < u; ++i) {
+        w[i] = zipf ? 1 + 100000 / (i + 1)
+                    : static_cast<std::uint64_t>(rng.uniform_int(1, 1000));
+      }
+      check(histogram_of(w, rng), trial++);
+    }
+  }
+  EXPECT_EQ(failures, 0);
+}
+
 TEST(EntropyIdentity, HuffmanEncodeMatchesBytewiseOracle) {
   std::uint64_t seed = 1;
   for (const std::size_t alphabet : kAlphabets) {
@@ -270,6 +414,52 @@ TEST(EntropyIdentity, HuffmanDecodeMatchesOracleOnHostileTables) {
   }
   // Both outcomes must be exercised, not only the throwing one.
   EXPECT_GT(decoded, 100);
+
+  // Tables whose symbols are not ascending: deltas that wrap 2^32 step
+  // a symbol down (2^32 - k), repeat it (2^32) or step it up past the
+  // wrap (2^33 + 5), so the decoder's sort has to reorder symbols and
+  // meets duplicate (length, symbol) entries.
+  int unsorted_decoded = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Bytes stream;
+    ByteSink sink(stream);
+    sink.put_varint(static_cast<std::uint64_t>(rng.uniform_int(1, 2000)));
+    const auto unique = static_cast<std::uint64_t>(rng.uniform_int(2, 40));
+    sink.put_varint(unique);
+    const std::int64_t max_len =
+        rng.chance(0.2) ? rng.uniform_int(17, 57) : rng.uniform_int(1, 16);
+    constexpr std::uint64_t kWrap = std::uint64_t{1} << 32;
+    for (std::uint64_t i = 0; i < unique; ++i) {
+      std::uint64_t delta = 0;
+      switch (rng.uniform_int(0, 4)) {
+        case 0:
+          delta = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+          break;
+        case 1:
+          delta = kWrap - 1;
+          break;
+        case 2:
+          delta = kWrap - static_cast<std::uint64_t>(rng.uniform_int(2, 1000));
+          break;
+        case 3:
+          delta = kWrap;
+          break;
+        default:
+          delta = 2 * kWrap + 5;
+          break;
+      }
+      sink.put_varint(delta);
+      sink.put_varint(static_cast<std::uint64_t>(rng.uniform_int(1, max_len)));
+    }
+    Bytes payload(static_cast<std::size_t>(rng.uniform_int(0, 300)));
+    for (auto& b : payload) {
+      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    sink.put_blob(payload);
+    unsorted_decoded += expect_same_decode(
+        stream, "unsorted trial " + std::to_string(trial));
+  }
+  EXPECT_GT(unsorted_decoded, 100);
 }
 
 Bytes lzb_bytes(std::span<const std::uint8_t> raw) {

@@ -23,6 +23,7 @@
 #include "core/stream_codec.hpp"
 #include "exec/parallel_codec.hpp"
 #include "io/block_container.hpp"
+#include "io/dataset_file.hpp"
 
 namespace ocelot {
 namespace {
@@ -172,6 +173,20 @@ TEST(HostileHeader, WrappingShapeRejectedByEveryReader) {
     EXPECT_THROW((void)block_decompress(container, 2), CorruptStream)
         << backend;
   }
+
+  // An OCF1 field file (what every ocelotd compress request carries):
+  // rank 1, 2^62 + 1 elements and a 4-byte payload. The element count
+  // times 4 bytes wraps to 4, which once passed the payload size check.
+  BytesWriter field;
+  const std::uint8_t magic[] = {'O', 'C', 'F', '1'};
+  field.put_bytes(magic);
+  field.put_string("x");
+  write_shape(field, Shape((std::size_t{1} << 62) + 1));
+  const std::uint8_t payload[4] = {};
+  field.put_blob(payload);
+  const Bytes ocf = field.take();
+  ASSERT_EQ(ocf.size(), 21u);
+  EXPECT_THROW((void)load_field(ocf), CorruptStream);
 }
 
 TEST(HostileHeader, BlockHeaderLargerThanItsSlabRejectedBeforeDecoding) {
