@@ -67,7 +67,7 @@ int main() {
 
   // The pools that carried every chunk: steady-state streaming reuses
   // these buffers instead of allocating per block.
-  const auto bytes_stats = BufferPool::shared().stats();
+  const auto bytes_stats = ScratchPool<std::uint8_t>::shared().stats();
   const auto float_stats = ScratchPool<float>::shared().stats();
   std::cout << "buffer pool: " << bytes_stats.created << " byte buffers, "
             << bytes_stats.reused << " reuses; float scratch: "

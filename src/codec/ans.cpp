@@ -138,7 +138,7 @@ void ans_encode(std::span<const std::uint32_t> symbols, ByteSink& out) {
   // rANS is last-in-first-out: symbols fold in reverse so the decoder
   // reads them forward, and the emitted bytes come out backwards into
   // scratch before one reversed append lands them in the sink.
-  PooledBuffer rev(BufferPool::shared());
+  ScratchLease<std::uint8_t> rev(ScratchPool<std::uint8_t>::shared());
   std::uint64_t x = kRansLow;
   for (std::size_t i = symbols.size(); i-- > 0;) {
     const auto it = std::lower_bound(

@@ -21,7 +21,7 @@ void encode_huffman_chain(
     std::span<const std::uint32_t> codes,
     std::span<const std::pair<std::uint32_t, std::uint64_t>> hist,
     LosslessBackend lossless, ByteSink& out) {
-  PooledBuffer huff(BufferPool::shared());
+  ScratchLease<std::uint8_t> huff(ScratchPool<std::uint8_t>::shared());
   ByteSink huff_sink(*huff);
   {
     OCELOT_SPAN("codec.huffman");
@@ -34,7 +34,7 @@ void encode_huffman_chain(
 void decode_huffman_chain(std::span<const std::uint8_t> section,
                           std::size_t max_symbols,
                           std::vector<std::uint32_t>& out) {
-  PooledBuffer huff(BufferPool::shared());
+  ScratchLease<std::uint8_t> huff(ScratchPool<std::uint8_t>::shared());
   lossless_decompress_into(section, huffman_max_stream_bytes(max_symbols),
                            *huff);
   huffman_decode_into(*huff, max_symbols, out);
@@ -70,13 +70,13 @@ class AnsStage final : public EntropyStage {
   // chain's ratio on run-heavy quantized codes.
   void encode_into(std::span<const std::uint32_t> codes,
                    ByteSink& out) const override {
-    PooledBuffer stream(BufferPool::shared());
+    ScratchLease<std::uint8_t> stream(ScratchPool<std::uint8_t>::shared());
     ByteSink stream_sink(*stream);
     ans_encode(codes, stream_sink);
-    PooledBuffer lzb(BufferPool::shared());
+    ScratchLease<std::uint8_t> lzb(ScratchPool<std::uint8_t>::shared());
     ByteSink lzb_sink(*lzb);
     lossless_compress(*stream, LosslessBackend::kLzb, lzb_sink);
-    PooledBuffer rle(BufferPool::shared());
+    ScratchLease<std::uint8_t> rle(ScratchPool<std::uint8_t>::shared());
     ByteSink rle_sink(*rle);
     lossless_compress(*stream, LosslessBackend::kRleLzb, rle_sink);
     const Bytes& best = rle->size() < lzb->size() ? *rle : *lzb;
@@ -86,7 +86,7 @@ class AnsStage final : public EntropyStage {
   void decode_into(std::span<const std::uint8_t> payload,
                    std::size_t max_symbols,
                    std::vector<std::uint32_t>& out) const override {
-    PooledBuffer stream(BufferPool::shared());
+    ScratchLease<std::uint8_t> stream(ScratchPool<std::uint8_t>::shared());
     lossless_decompress_into(payload, ans_max_stream_bytes(max_symbols),
                              *stream);
     ans_decode_into(*stream, max_symbols, out);

@@ -32,7 +32,8 @@ void lossless_compress(std::span<const std::uint8_t> raw,
       lzb_compress(raw, out);
       break;
     case LosslessBackend::kRleLzb: {
-      PooledBuffer rle(BufferPool::shared(), raw.size());
+      ScratchLease<std::uint8_t> rle(ScratchPool<std::uint8_t>::shared(),
+                                     raw.size());
       ByteSink rle_sink(*rle);
       rle_compress(raw, rle_sink);
       lzb_compress(*rle, out);
@@ -61,7 +62,7 @@ void lossless_decompress_into(std::span<const std::uint8_t> compressed,
       lzb_decompress_into(payload, max_bytes, out);
       return;
     case LosslessBackend::kRleLzb: {
-      PooledBuffer rle(BufferPool::shared());
+      ScratchLease<std::uint8_t> rle(ScratchPool<std::uint8_t>::shared());
       lzb_decompress_into(payload, rle_max_stream_bytes(max_bytes), *rle);
       rle_decompress_into(*rle, max_bytes, out);
       return;

@@ -90,11 +90,4 @@ ScratchArena::Persistent ScratchArena::persistent(Slot slot,
   return {{buf.data.get(), bytes}, fresh};
 }
 
-std::size_t ScratchArena::capacity_bytes() const {
-  std::size_t total = 0;
-  for (const Chunk& c : chunks_) total += c.cap;
-  for (const PersistentBuf& s : slots_) total += s.cap;
-  return total;
-}
-
 }  // namespace ocelot

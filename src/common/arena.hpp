@@ -9,7 +9,7 @@
 // workers are short-lived std::threads, so the lease returns the arena
 // (chunks and all) to the pool at thread exit and the next wave's
 // workers pick it back up, the same layering that makes
-// BufferPool/ScratchPool carry capacity across parallel_for calls.
+// ScratchPool carry capacity across parallel_for calls.
 //
 // Allocation discipline is stack-like: take a Mark (ArenaScope does it
 // via RAII), bump-allocate POD spans, rewind. Chunks are never freed
@@ -75,9 +75,6 @@ class ScratchArena {
     bool fresh;
   };
   [[nodiscard]] Persistent persistent(Slot slot, std::size_t bytes);
-
-  /// Total chunk + persistent capacity held by this arena.
-  [[nodiscard]] std::size_t capacity_bytes() const;
 
   /// The calling thread's leased arena: acquired from the process-wide
   /// pool on first use, returned (capacity intact) at thread exit.

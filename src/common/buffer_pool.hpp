@@ -12,36 +12,42 @@
 // be shared across the executor's worker threads (the workers are
 // short-lived std::threads, so thread_local storage would die with
 // them — a process-wide pool is what actually carries capacity from
-// one parallel_for call to the next). shared() is that process-wide
-// instance. Prefer the RAII PooledBuffer lease: it returns the buffer
-// even when the borrowing code throws.
+// one parallel_for call to the next). ScratchPool<T>::shared() is
+// that process-wide instance; ScratchPool<std::uint8_t> holds the
+// byte buffers (Bytes) the ByteSink data path streams into. Prefer
+// the RAII ScratchLease: it returns the buffer even when the
+// borrowing code throws.
 
 #include <cstdint>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace ocelot {
 
-namespace detail {
-
-/// Mutex-protected free list of vectors with capacity preserved across
-/// acquire/release cycles. Shared base of BufferPool/ScratchPool.
-template <typename V>
-class VectorPool {
+/// Mutex-protected free list of element vectors with capacity
+/// preserved across acquire/release cycles.
+template <typename T>
+class ScratchPool {
  public:
-  VectorPool() = default;
-  VectorPool(const VectorPool&) = delete;
-  VectorPool& operator=(const VectorPool&) = delete;
+  ScratchPool() = default;
+  ScratchPool(const ScratchPool&) = delete;
+  ScratchPool& operator=(const ScratchPool&) = delete;
 
-  /// Pops a cleared buffer (or creates one) with at least
-  /// `reserve_hint` bytes/elements of capacity.
-  [[nodiscard]] V acquire(std::size_t reserve_hint = 0) {
-    V buf;
+  /// Process-wide pool: survives the executor's short-lived worker
+  /// threads, so block N+1 reuses block N's capacity.
+  static ScratchPool& shared() {
+    static ScratchPool pool;
+    return pool;
+  }
+
+  /// Pops a cleared vector (or creates one) with at least
+  /// `reserve_hint` elements of capacity.
+  [[nodiscard]] std::vector<T> acquire(std::size_t reserve_hint = 0) {
+    std::vector<T> buf;
     // Lease-wait accounting costs one flag load when profiling is
     // off; when on, it measures time spent blocked on the pool mutex.
     const bool timed = obs::profiling_enabled();
@@ -62,9 +68,9 @@ class VectorPool {
     return buf;
   }
 
-  /// Returns a buffer to the pool: cleared, capacity kept. Buffers
+  /// Returns a vector to the pool: cleared, capacity kept. Vectors
   /// beyond the free-list cap are simply destroyed (bounds memory).
-  void release(V buf) {
+  void release(std::vector<T> buf) {
     buf.clear();
     const std::scoped_lock lock(mu_);
     if (outstanding_ > 0) --outstanding_;
@@ -72,11 +78,11 @@ class VectorPool {
   }
 
   struct Stats {
-    std::size_t created = 0;      ///< buffers ever allocated fresh
+    std::size_t created = 0;      ///< vectors ever allocated fresh
     std::size_t reused = 0;       ///< acquires served from the free list
     std::size_t outstanding = 0;  ///< currently leased
     std::size_t free = 0;         ///< currently pooled
-    std::size_t pooled_capacity = 0;  ///< summed capacity of free buffers
+    std::size_t pooled_capacity = 0;  ///< summed capacity of free vectors
     /// Total time acquire() spent blocked on the pool mutex; only
     /// accumulated while obs profiling is enabled.
     std::uint64_t wait_ns = 0;
@@ -89,7 +95,7 @@ class VectorPool {
     s.reused = reused_;
     s.outstanding = outstanding_;
     s.free = free_.size();
-    for (const V& b : free_) s.pooled_capacity += b.capacity();
+    for (const std::vector<T>& b : free_) s.pooled_capacity += b.capacity();
     s.wait_ns = wait_ns_;
     return s;
   }
@@ -98,34 +104,14 @@ class VectorPool {
   static constexpr std::size_t kMaxFree = 64;
 
   mutable std::mutex mu_;
-  std::vector<V> free_;
+  std::vector<std::vector<T>> free_;
   std::size_t created_ = 0;
   std::size_t reused_ = 0;
   std::size_t outstanding_ = 0;
   std::uint64_t wait_ns_ = 0;
 };
 
-}  // namespace detail
-
-/// Pool of byte buffers (the unit the ByteSink data path streams into).
-class BufferPool : public detail::VectorPool<Bytes> {
- public:
-  /// Process-wide pool: survives the executor's short-lived worker
-  /// threads, so block N+1 reuses block N's capacity.
-  static BufferPool& shared();
-};
-
-/// Pool of element scratch vectors (slab slices, code streams).
-template <typename T>
-class ScratchPool : public detail::VectorPool<std::vector<T>> {
- public:
-  static ScratchPool& shared() {
-    static ScratchPool pool;
-    return pool;
-  }
-};
-
-/// RAII lease on pooled element scratch: releases on destruction, so a
+/// RAII lease on pooled scratch: releases on destruction, so a
 /// throwing stage cannot leak the vector out of circulation.
 template <typename T>
 class ScratchLease {
@@ -150,6 +136,7 @@ class ScratchLease {
 
   ~ScratchLease() { reset(); }
 
+  /// Returns the vector to its pool early (no-op when not leased).
   void reset() {
     if (pool_ != nullptr) {
       pool_->release(std::move(buf_));
@@ -158,62 +145,13 @@ class ScratchLease {
     buf_.clear();
   }
 
-  /// Moves the vector out (e.g. to back an NdArray); the lease is
-  /// disarmed — return the storage with ScratchPool::release yourself.
-  [[nodiscard]] std::vector<T> take() {
-    pool_ = nullptr;
-    return std::move(buf_);
-  }
-
   [[nodiscard]] std::vector<T>& operator*() { return buf_; }
+  [[nodiscard]] const std::vector<T>& operator*() const { return buf_; }
   [[nodiscard]] std::vector<T>* operator->() { return &buf_; }
 
  private:
   ScratchPool<T>* pool_ = nullptr;
   std::vector<T> buf_;
-};
-
-/// RAII lease on a pooled byte buffer: releases on destruction, so a
-/// throwing stage cannot leak the buffer out of circulation.
-class PooledBuffer {
- public:
-  PooledBuffer() = default;
-  explicit PooledBuffer(BufferPool& pool, std::size_t reserve_hint = 0)
-      : pool_(&pool), buf_(pool.acquire(reserve_hint)) {}
-
-  PooledBuffer(PooledBuffer&& other) noexcept
-      : pool_(std::exchange(other.pool_, nullptr)),
-        buf_(std::move(other.buf_)) {}
-  PooledBuffer& operator=(PooledBuffer&& other) noexcept {
-    if (this != &other) {
-      reset();
-      pool_ = std::exchange(other.pool_, nullptr);
-      buf_ = std::move(other.buf_);
-    }
-    return *this;
-  }
-  PooledBuffer(const PooledBuffer&) = delete;
-  PooledBuffer& operator=(const PooledBuffer&) = delete;
-
-  ~PooledBuffer() { reset(); }
-
-  /// Returns the buffer to its pool early (no-op when empty-leased).
-  void reset() {
-    if (pool_ != nullptr) {
-      pool_->release(std::move(buf_));
-      pool_ = nullptr;
-    }
-    buf_.clear();
-  }
-
-  [[nodiscard]] Bytes& operator*() { return buf_; }
-  [[nodiscard]] const Bytes& operator*() const { return buf_; }
-  [[nodiscard]] Bytes* operator->() { return &buf_; }
-  [[nodiscard]] bool leased() const { return pool_ != nullptr; }
-
- private:
-  BufferPool* pool_ = nullptr;
-  Bytes buf_;
 };
 
 }  // namespace ocelot

@@ -40,9 +40,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Derives an independent child generator (for per-entity streams).
-  [[nodiscard]] Rng fork() { return Rng(engine_()); }
-
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -47,7 +47,7 @@ template void pack_raw_values<double>(std::span<const double>, LosslessBackend,
 template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
                             std::size_t max_values, std::vector<T>& out) {
-  PooledBuffer bytes(BufferPool::shared());
+  ScratchLease<std::uint8_t> bytes(ScratchPool<std::uint8_t>::shared());
   lossless_decompress_into(packed, max_values * sizeof(T), *bytes);
   if (bytes->size() % sizeof(T) != 0)
     throw CorruptStream("blob: raw value section misaligned");

@@ -84,7 +84,7 @@ class SectionWriter {
   /// steady-state section assembly allocates nothing fresh.
   template <typename Fn>
   void add_streamed(const std::string& tag, Fn&& fn) {
-    PooledBuffer scratch(BufferPool::shared());
+    ScratchLease<std::uint8_t> scratch(ScratchPool<std::uint8_t>::shared());
     ByteSink sink(*scratch);
     fn(sink);
     add(tag, *scratch);

@@ -330,7 +330,8 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
     // regression block.
     const std::size_t n_blocks =
         regression_blocks(header.shape, header.block_size);
-    PooledBuffer choice_bytes(BufferPool::shared());
+    ScratchLease<std::uint8_t> choice_bytes(
+        ScratchPool<std::uint8_t>::shared());
     lossless_decompress_into(in.get("choices"), n_blocks, *choice_bytes);
     ScratchLease<std::uint32_t> coef_codes(
         ScratchPool<std::uint32_t>::shared());

@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "codec/entropy.hpp"
@@ -127,7 +129,9 @@ EngineResult Engine::compress(const FloatArray& field,
 
   if (request.adaptive) {
     const std::size_t block_slabs =
-        request.block_slabs > 0 ? request.block_slabs : 8;
+        request.block_slabs > 0
+            ? request.block_slabs
+            : default_block_slabs(field.shape().dim(1) * field.shape().dim(2));
     AdvisorPolicy local(request.adaptive_options);
     AdvisorPolicy* active = policy != nullptr ? policy : &local;
     const BlockCompressResult r =
@@ -163,8 +167,17 @@ ParallelCompressResult Engine::compress_fields(
     const std::vector<FloatArray>& fields, const EngineRequest& request,
     AdaptiveSummary* adaptive_out) const {
   if (request.adaptive) {
-    const std::size_t block_slabs =
-        request.block_slabs > 0 ? request.block_slabs : 8;
+    // One block size serves every field: the default of the field with
+    // the smallest slabs, so no field's blocks fall under the minimum.
+    std::size_t block_slabs = request.block_slabs;
+    if (block_slabs == 0) {
+      std::size_t slab_values = std::numeric_limits<std::size_t>::max();
+      for (const FloatArray& f : fields) {
+        slab_values =
+            std::min(slab_values, f.shape().dim(1) * f.shape().dim(2));
+      }
+      block_slabs = default_block_slabs(slab_values);
+    }
     AdvisorPolicy policy(request.adaptive_options);
     ParallelCompressResult r =
         parallel_compress(fields, request.config,
@@ -184,7 +197,7 @@ StreamStats Engine::compress_stream(
   StreamCompressConfig config;
   config.compression = request.config;
   config.slab_dims = slab_dims;
-  config.block_slabs = request.block_slabs > 0 ? request.block_slabs : 8;
+  config.block_slabs = request.block_slabs;
   return stream_compress(in, out, config);
 }
 

@@ -46,7 +46,8 @@ struct EngineRequest {
   bool adaptive = false;
   AdaptiveOptions adaptive_options;
   /// Slabs per block on the blocked paths (0 = the per-path default:
-  /// 8 for adaptive/streaming, whole-file for the batch path).
+  /// default_block_slabs for adaptive/streaming, whole-file for the
+  /// batch path).
   std::size_t block_slabs = 0;
   /// Worker threads; 0 resolves to every hardware thread. Never
   /// affects the emitted bytes.

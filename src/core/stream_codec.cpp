@@ -43,19 +43,21 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
                             const StreamCompressConfig& config) {
   require(config.slab_dims.size() <= 2,
           "stream_compress: slab rank must be <= 2 (field rank <= 3)");
-  require(config.block_slabs > 0, "stream_compress: zero block size");
   std::size_t slab_elems = 1;
   for (const std::size_t d : config.slab_dims) {
     require(d > 0, "stream_compress: zero slab dimension");
     slab_elems *= d;
   }
-  const std::size_t chunk_elems = config.block_slabs * slab_elems;
+  const std::size_t block_slabs = config.block_slabs > 0
+                                      ? config.block_slabs
+                                      : default_block_slabs(slab_elems);
+  const std::size_t chunk_elems = block_slabs * slab_elems;
   const std::size_t chunk_bytes = chunk_elems * sizeof(float);
 
   // Chunks compress back to back into one pooled buffer; `ends` marks
   // where each block's payload stops, and the builder gets views into
   // the buffer once EOF fixes the shape.
-  PooledBuffer payloads(BufferPool::shared());
+  ScratchLease<std::uint8_t> payloads(ScratchPool<std::uint8_t>::shared());
   ByteSink sink(*payloads);
   std::vector<std::size_t> ends;
   // The lease owns the chunk storage across iterations; compression
@@ -108,7 +110,7 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
     begin = end;
   }
   const Bytes container =
-      build_block_container(stats.shape, config.block_slabs, views);
+      build_block_container(stats.shape, block_slabs, views);
   stats.compressed_bytes = container.size();
   out.write(reinterpret_cast<const char*>(container.data()),
             static_cast<std::streamsize>(container.size()));
@@ -117,7 +119,7 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
 }
 
 StreamStats stream_decompress(std::istream& in, std::ostream& out) {
-  PooledBuffer data(BufferPool::shared());
+  ScratchLease<std::uint8_t> data(ScratchPool<std::uint8_t>::shared());
   {
     // Drain the stream in fixed-size chunks (no istreambuf iterator
     // churn); compressed input is small relative to the raw output.

@@ -33,8 +33,9 @@ struct StreamCompressConfig {
   /// {ny} rank-2 rows, {ny, nx} rank-3 planes. The field shape becomes
   /// (slabs, slab_dims...) with the slab count discovered at EOF.
   std::vector<std::size_t> slab_dims;
-  /// Slabs per compressed block (the chunk size read at a time).
-  std::size_t block_slabs = 8;
+  /// Slabs per compressed block (the chunk size read at a time); 0
+  /// picks default_block_slabs for the slab size.
+  std::size_t block_slabs = 0;
 };
 
 /// Outcome of a streaming run.

@@ -68,7 +68,8 @@ ParallelCompressResult blocked_compress_impl(
   // its bound resolution inside compress(), so both modes' walls
   // measure the same work.
   Timer timer;
-  std::vector<std::vector<PooledBuffer>> block_blobs(fields.size());
+  std::vector<std::vector<ScratchLease<std::uint8_t>>> block_blobs(
+      fields.size());
   std::vector<double> abs_ebs(fields.size());
   std::vector<BlockTask> tasks;
   for (std::size_t f = 0; f < fields.size(); ++f) {
@@ -100,7 +101,7 @@ ParallelCompressResult blocked_compress_impl(
                                  const CompressionConfig& block_config) {
     OCELOT_SPAN("compress.block");
     const BlockTask& task = tasks[t];
-    PooledBuffer blob(BufferPool::shared());
+    ScratchLease<std::uint8_t> blob(ScratchPool<std::uint8_t>::shared());
     ByteSink sink(*blob);
     compress_block_slice(fields[task.field], task.span, block_config, sink);
     OCELOT_COUNT("block.compressed_bytes", blob->size());
@@ -189,7 +190,8 @@ ParallelCompressResult blocked_compress_impl(
           // Keep-best exploration: the challenger's payload replaces
           // the primary's only when strictly smaller, so exploring can
           // never cost ratio (and the comparison is byte-deterministic).
-          PooledBuffer primary = std::move(block_blobs[task.field][task.block]);
+          ScratchLease<std::uint8_t> primary =
+              std::move(block_blobs[task.field][task.block]);
           compress_task(t, decisions[t].challenger);
           outcome.challenger_bytes =
               block_blobs[task.field][task.block]->size();
@@ -219,7 +221,7 @@ ParallelCompressResult blocked_compress_impl(
   std::vector<std::span<const std::uint8_t>> payloads;
   for (std::size_t f = 0; f < fields.size(); ++f) {
     payloads.clear();
-    for (const PooledBuffer& blob : block_blobs[f]) {
+    for (const ScratchLease<std::uint8_t>& blob : block_blobs[f]) {
       payloads.emplace_back(*blob);
     }
     result.blobs[f] =

@@ -37,19 +37,24 @@ void parallel_for(std::size_t n, std::size_t n_threads,
     }
   };
 
-  const std::size_t workers = std::min(n, n_threads);
-  if (workers == 1) {
-    // Inline fast path: a lone worker gains nothing from a spawned
-    // thread, and phase-heavy callers (the policy-driven block codec
-    // runs several parallel_for phases per wave) would otherwise pay
-    // a thread start/join per phase.
-    body();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) threads.emplace_back(body);
-    for (auto& t : threads) t.join();
+  // The caller is always one of the workers, so a lone worker starts
+  // no thread at all. A helper that fails to start (std::system_error
+  // or std::bad_alloc near the process's thread or memory limit) ends
+  // the spawning: the caller and the helpers already running drain
+  // the shared index, so every index still runs exactly once, and
+  // every started helper is joined before anything unwinds.
+  std::vector<std::thread> helpers;
+  const std::size_t n_helpers = std::min(n, n_threads) - 1;
+  helpers.reserve(n_helpers);
+  for (std::size_t t = 0; t < n_helpers; ++t) {
+    try {
+      helpers.emplace_back(body);
+    } catch (...) {
+      break;
+    }
   }
+  body();
+  for (auto& t : helpers) t.join();
   OCELOT_HIST("exec.wave_us", (monotonic_now_ns() - wave_from) / 1000);
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -27,12 +27,6 @@ std::size_t FuncXService::acquire_endpoint(const FuncXEndpointConfig& config) {
   return add_endpoint(config);
 }
 
-std::size_t FuncXService::warm_pool_size(std::size_t id) const {
-  if (id >= endpoints_.size())
-    throw NotFound("FuncXService: unknown endpoint id");
-  return endpoints_[id].warm.size();
-}
-
 void FuncXService::register_function(const std::string& name) {
   require(!name.empty(), "FuncXService: function needs a name");
   functions_[name] = true;
@@ -75,7 +69,6 @@ double FuncXService::container_cost(EndpointState& ep,
       if (jt->second < lru->second) lru = jt;
     }
     ep.warm.erase(lru);
-    ++evictions_;
   }
   return ep.config.cold_start_s;
 }

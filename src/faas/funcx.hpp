@@ -74,10 +74,6 @@ class FuncXService {
   /// Container-pool counters across all endpoints.
   [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
   [[nodiscard]] std::uint64_t warm_hits() const { return warm_hits_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-
-  /// Number of warm containers currently held at `id`.
-  [[nodiscard]] std::size_t warm_pool_size(std::size_t id) const;
 
  private:
   struct EndpointState {
@@ -96,7 +92,6 @@ class FuncXService {
   std::uint64_t completed_ = 0;
   std::uint64_t cold_starts_ = 0;
   std::uint64_t warm_hits_ = 0;
-  std::uint64_t evictions_ = 0;
   std::uint64_t use_seq_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "io/block_container.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/checksum.hpp"
@@ -63,6 +64,13 @@ Shape planned_block_shape(const BlockContainerInfo& info, std::size_t i) {
 }
 
 }  // namespace
+
+std::size_t default_block_slabs(std::size_t slab_values) {
+  require(slab_values > 0, "default_block_slabs: empty slab");
+  constexpr std::size_t kMinSlabs = 8;
+  constexpr std::size_t kMinValues = 4096;
+  return std::max(kMinSlabs, (kMinValues - 1) / slab_values + 1);
+}
 
 std::vector<BlockSpan> plan_blocks(std::size_t dim0,
                                    std::size_t block_slabs) {

@@ -59,6 +59,12 @@ struct BlockSpan {
 std::vector<BlockSpan> plan_blocks(std::size_t dim0,
                                    std::size_t block_slabs);
 
+/// Slabs per block when the caller names none: 8, or as many slabs as
+/// hold 4096 values when a slab holds fewer than 512 (a rank-1
+/// field's slab is one value, and 8-value blocks cost more in headers
+/// than they save).
+[[nodiscard]] std::size_t default_block_slabs(std::size_t slab_values);
+
 /// Shape of one block of `full`: the slab count replaces dim 0, the
 /// rank is preserved.
 Shape block_shape(const Shape& full, const BlockSpan& span);

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if OCELOT_OBS
-
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -234,5 +232,3 @@ void reset_metrics() {
 }
 
 }  // namespace ocelot::obs
-
-#endif  // OCELOT_OBS

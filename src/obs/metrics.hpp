@@ -16,10 +16,6 @@
 // it in a function-local static), so steady-state recording never
 // performs a name lookup. Stage ids (span durations) share the same
 // shard machinery.
-//
-// The whole subsystem compiles out under -DOCELOT_OBS=OFF: the
-// registration and recording entry points become constexpr no-ops and
-// snapshots come back empty, so call sites need no #ifdefs.
 
 #include <array>
 #include <cstdint>
@@ -27,14 +23,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef OCELOT_OBS
-#define OCELOT_OBS 1
-#endif
-
 namespace ocelot::obs {
-
-/// True when the observability subsystem is compiled in.
-constexpr bool compiled() { return OCELOT_OBS != 0; }
 
 /// Dense index into the per-thread shards; one id space per metric
 /// kind (counter / histogram / stage).
@@ -77,8 +66,6 @@ struct MetricsSnapshot {
   std::vector<StageSnapshot> stages;
 };
 
-#if OCELOT_OBS
-
 /// Resolve (registering on first use) the dense id for a metric name.
 /// Names should be stable dotted paths, e.g. "codec.compressed_bytes".
 /// Throws Error when a kind's id space (kMax*) is exhausted.
@@ -106,21 +93,5 @@ void gauge_add(MetricId id, std::int64_t delta);
 /// kept). Tooling/tests only — concurrent writers may contribute to
 /// either side of the reset.
 void reset_metrics();
-
-#else  // OCELOT_OBS == 0: compile-out stubs
-
-inline MetricId counter_id(const std::string&) { return 0; }
-inline MetricId gauge_id(const std::string&) { return 0; }
-inline MetricId histogram_id(const std::string&) { return 0; }
-inline MetricId stage_id(const std::string&) { return 0; }
-inline void counter_add(MetricId, std::uint64_t) {}
-inline void histogram_record(MetricId, std::uint64_t) {}
-inline void stage_add(MetricId, std::uint64_t) {}
-inline void gauge_set(MetricId, std::int64_t) {}
-inline void gauge_add(MetricId, std::int64_t) {}
-inline MetricsSnapshot metrics_snapshot() { return {}; }
-inline void reset_metrics() {}
-
-#endif  // OCELOT_OBS
 
 }  // namespace ocelot::obs

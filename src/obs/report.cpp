@@ -25,10 +25,8 @@ void json_string(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-template <typename V>
-PoolReport pool_report(const std::string& name,
-                       const ::ocelot::detail::VectorPool<V>& pool,
-                       std::size_t elem_size) {
+template <typename T>
+PoolReport pool_report(const std::string& name, const ScratchPool<T>& pool) {
   const auto s = pool.stats();
   PoolReport r;
   r.name = name;
@@ -36,7 +34,7 @@ PoolReport pool_report(const std::string& name,
   r.reused = s.reused;
   r.outstanding = s.outstanding;
   r.free = s.free;
-  r.pooled_capacity_bytes = s.pooled_capacity * elem_size;
+  r.pooled_capacity_bytes = s.pooled_capacity * sizeof(T);
   r.wait_ns = s.wait_ns;
   return r;
 }
@@ -45,12 +43,12 @@ PoolReport pool_report(const std::string& name,
 
 std::vector<PoolReport> shared_pool_reports() {
   std::vector<PoolReport> reports;
-  reports.push_back(pool_report("buffer_pool", BufferPool::shared(), 1));
-  reports.push_back(pool_report("scratch_pool<f32>",
-                                ScratchPool<float>::shared(), sizeof(float)));
-  reports.push_back(pool_report("scratch_pool<u32>",
-                                ScratchPool<std::uint32_t>::shared(),
-                                sizeof(std::uint32_t)));
+  reports.push_back(
+      pool_report("buffer_pool", ScratchPool<std::uint8_t>::shared()));
+  reports.push_back(
+      pool_report("scratch_pool<f32>", ScratchPool<float>::shared()));
+  reports.push_back(
+      pool_report("scratch_pool<u32>", ScratchPool<std::uint32_t>::shared()));
   return reports;
 }
 
@@ -59,8 +57,7 @@ void write_stats_report(std::ostream& os, bool json) {
   const std::vector<PoolReport> pools = shared_pool_reports();
 
   if (json) {
-    os << "{\"obs_compiled\":" << (compiled() ? "true" : "false")
-       << ",\"stages\":{";
+    os << "{\"stages\":{";
     bool first = true;
     for (const StageSnapshot& s : snap.stages) {
       if (!first) os << ",";
@@ -116,9 +113,6 @@ void write_stats_report(std::ostream& os, bool json) {
     return;
   }
 
-  if (!compiled()) {
-    os << "observability compiled out (-DOCELOT_OBS=OFF); pool stats only\n";
-  }
   if (!snap.stages.empty()) {
     // Widest-total first puts the expensive stages on top.
     std::vector<StageSnapshot> stages = snap.stages;

@@ -4,10 +4,6 @@
 // shared buffer/scratch pool statistics. Backs `ocelot stats`, the
 // `stats=1` CLI flag, and the per-bench stage breakdown stamped by
 // bench_common.
-//
-// Works in every build: under -DOCELOT_OBS=OFF the metric sections
-// are empty but pool stats (which the pools track regardless) still
-// render.
 
 #include <iosfwd>
 

@@ -1,10 +1,7 @@
 #include "obs/trace.hpp"
 
-#if OCELOT_OBS
-
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -66,8 +63,6 @@ struct TraceState {
   std::size_t ring_capacity = 1 << 15;
   std::uint64_t epoch_ns = 0;  ///< ts origin for the real timeline
   std::vector<SimEvent> sim_events;
-  // Interned dynamic names; deque keeps strings at stable addresses.
-  std::deque<std::string> interned;
 };
 
 /// Leaked: thread_local ring holders run during static destruction.
@@ -170,16 +165,6 @@ namespace detail {
 void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t end_ns) {
   t_ring.get()->push(name, start_ns, end_ns);
-}
-
-const char* intern_name(const std::string& name) {
-  TraceState& st = state();
-  const std::scoped_lock lock(st.mu);
-  for (const std::string& s : st.interned) {
-    if (s == name) return s.c_str();
-  }
-  st.interned.push_back(name);
-  return st.interned.back().c_str();
 }
 
 }  // namespace detail
@@ -296,5 +281,3 @@ void write_chrome_trace_file(const std::string& path) {
 }
 
 }  // namespace ocelot::obs
-
-#endif  // OCELOT_OBS

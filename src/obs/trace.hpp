@@ -23,9 +23,9 @@
 // letting orchestrator campaigns render next to (not interleaved
 // with) real wall-time spans.
 //
-// Call sites use the macros at the bottom; under -DOCELOT_OBS=OFF
-// they compile to nothing.
+// Call sites use the macros at the bottom.
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -33,27 +33,16 @@
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
-#if OCELOT_OBS
-#include <atomic>
-#endif
-
 namespace ocelot::obs {
-
-#if OCELOT_OBS
 
 namespace detail {
 extern std::atomic<bool> g_profiling;
 extern std::atomic<bool> g_tracing;
 
 /// Append one completed span to the calling thread's ring. `name`
-/// must outlive the trace (the macros pass string literals; the
-/// orchestrator passes interned campaign names).
+/// must outlive the trace (the macros pass string literals).
 void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t end_ns);
-
-/// Intern a dynamic span name so it outlives the caller (sim tracks,
-/// campaign names). Stable pointer for the life of the process.
-const char* intern_name(const std::string& name);
 }  // namespace detail
 
 [[nodiscard]] inline bool profiling_enabled() {
@@ -118,26 +107,6 @@ class TraceSpan {
   std::uint64_t start_ns_;
 };
 
-#else  // OCELOT_OBS == 0: compile-out stubs
-
-[[nodiscard]] inline bool profiling_enabled() { return false; }
-[[nodiscard]] inline bool tracing_enabled() { return false; }
-inline void set_profiling(bool) {}
-inline void start_tracing(std::size_t = 0) {}
-inline void stop_tracing() {}
-inline void clear_trace() {}
-inline void emit_sim_span(const std::string&, const std::string&, double,
-                          double) {}
-inline void write_chrome_trace(std::ostream&) {}
-inline void write_chrome_trace_file(const std::string&) {}
-
-class TraceSpan {
- public:
-  TraceSpan(const char*, MetricId) {}
-};
-
-#endif  // OCELOT_OBS
-
 }  // namespace ocelot::obs
 
 // --- instrumentation macros ------------------------------------------
@@ -148,19 +117,16 @@ class TraceSpan {
 // Names must be string literals (or otherwise immortal). The dense
 // metric id is resolved once per call site and cached in a
 // function-local static; when profiling is off each macro costs one
-// relaxed load + branch. Under -DOCELOT_OBS=OFF they vanish.
+// relaxed load + branch.
 
-#define OCELOT_OBS_CONCAT2(a, b) a##b
-#define OCELOT_OBS_CONCAT(a, b) OCELOT_OBS_CONCAT2(a, b)
-
-#if OCELOT_OBS
+#define OCELOT_CONCAT2(a, b) a##b
+#define OCELOT_CONCAT(a, b) OCELOT_CONCAT2(a, b)
 
 #define OCELOT_SPAN(name)                                                     \
-  static const ::ocelot::obs::MetricId OCELOT_OBS_CONCAT(                     \
+  static const ::ocelot::obs::MetricId OCELOT_CONCAT(                         \
       ocelot_obs_sid_, __LINE__) = ::ocelot::obs::stage_id(name);             \
-  const ::ocelot::obs::TraceSpan OCELOT_OBS_CONCAT(ocelot_obs_span_,          \
-                                                   __LINE__)(                 \
-      name, OCELOT_OBS_CONCAT(ocelot_obs_sid_, __LINE__))
+  const ::ocelot::obs::TraceSpan OCELOT_CONCAT(ocelot_obs_span_, __LINE__)(   \
+      name, OCELOT_CONCAT(ocelot_obs_sid_, __LINE__))
 
 #define OCELOT_COUNT(name, delta)                                             \
   do {                                                                        \
@@ -191,25 +157,3 @@ class TraceSpan {
                                static_cast<std::int64_t>(delta));             \
     }                                                                         \
   } while (0)
-
-#else  // OCELOT_OBS == 0
-
-// sizeof() marks the operand as used without evaluating it, so values
-// computed only for instrumentation don't warn in obs-off builds.
-#define OCELOT_SPAN(name) \
-  do {                    \
-  } while (0)
-#define OCELOT_COUNT(name, delta) \
-  do {                            \
-    (void)sizeof(delta);          \
-  } while (0)
-#define OCELOT_HIST(name, value) \
-  do {                           \
-    (void)sizeof(value);         \
-  } while (0)
-#define OCELOT_GAUGE_ADD(name, delta) \
-  do {                                \
-    (void)sizeof(delta);              \
-  } while (0)
-
-#endif  // OCELOT_OBS

@@ -51,16 +51,6 @@ class QualityModel {
   [[nodiscard]] QualityPrediction predict(const FeatureVector& features,
                                           std::size_t n_elements) const;
 
-  [[nodiscard]] const DecisionTreeRegressor& ratio_tree() const {
-    return ratio_tree_;
-  }
-  [[nodiscard]] const DecisionTreeRegressor& time_tree() const {
-    return time_tree_;
-  }
-  [[nodiscard]] const DecisionTreeRegressor& psnr_tree() const {
-    return psnr_tree_;
-  }
-
   /// Serializes all three trees (train once, ship to campaigns).
   [[nodiscard]] Bytes to_bytes() const;
 

@@ -15,9 +15,10 @@
 //           -> worker pool (Engine compress/decompress, respond)
 //
 // Readers only do framed I/O and admission; all compression runs on
-// the fixed worker pool, whose long-lived threads keep thread-local
-// BufferPool/ScratchArena leases warm — the daemon's connection
-// pooling is pool reuse across requests, not per-connection state.
+// the fixed worker pool, whose long-lived threads keep the shared
+// ScratchPools and their ScratchArena leases warm — the daemon's
+// connection pooling is pool reuse across requests, not
+// per-connection state.
 // Responses are written under a per-connection mutex, so several
 // workers can finish requests from one connection without interleaving
 // frames (responses may be reordered; the frame id says which request
@@ -28,8 +29,7 @@
 // in-flight request, flush the responses, then close connections.
 //
 // Obs: spans daemon.request/daemon.compress/daemon.decompress and
-// counters/histograms along accept -> admit -> compress -> respond
-// (all compiled out under OCELOT_OBS=OFF).
+// counters/histograms along accept -> admit -> compress -> respond.
 
 #include <atomic>
 #include <cstdint>

@@ -15,6 +15,7 @@
 #include "compressor/backend.hpp"
 #include "compressor/compressor.hpp"
 #include "core/adaptive.hpp"
+#include "core/engine.hpp"
 #include "core/local_pipeline.hpp"
 #include "datagen/datasets.hpp"
 #include "exec/parallel_codec.hpp"
@@ -384,13 +385,37 @@ TEST(BlockPolicyContract, PolicyRequiresBlockMode) {
       InvalidArgument);
 }
 
+TEST(DefaultBlockSlabs, EightSlabsUnlessSlabsHoldUnder512Values) {
+  EXPECT_EQ(default_block_slabs(1), 4096u);
+  EXPECT_EQ(default_block_slabs(511), 9u);
+  EXPECT_EQ(default_block_slabs(512), 8u);
+  EXPECT_EQ(default_block_slabs(1260), 8u);
+  EXPECT_THROW((void)default_block_slabs(0), InvalidArgument);
+}
+
+TEST(DefaultBlockSlabs, AdaptiveRankOneFieldIsNotCutIntoEightValueBlocks) {
+  // A rank-1 slab is one value. Eight-value blocks cost more in block
+  // headers than the codec saves: 12,500 blocks and a container larger
+  // than the raw field.
+  const FloatArray field = smooth_field(Shape(100000), 29);
+  EngineRequest request;
+  request.config = rel_config();
+  request.adaptive = true;
+  request.workers = 2;
+  Bytes out;
+  const EngineResult r = Engine().compress(field, request, out);
+  EXPECT_LE(r.blocks, 25u);
+  EXPECT_GT(r.ratio(), 1.0);
+  EXPECT_EQ(read_block_index(out).block_slabs, 4096u);
+}
+
 TEST(LocalPipeline, AdaptiveModeRunsEndToEndAndReportsMix) {
   std::vector<std::string> names{"a", "b"};
   std::vector<FloatArray> fields = mixed_fields();
   LocalPipelineConfig config;
   config.compression = rel_config();
   config.workers = 2;
-  config.adaptive = true;  // block_slabs defaults to 8
+  config.adaptive = true;  // block_slabs takes default_block_slabs
 
   const LocalPipelineResult result =
       run_local_pipeline(names, fields, config);

@@ -12,15 +12,15 @@
 namespace ocelot {
 namespace {
 
-TEST(BufferPool, AcquireReleasePreservesCapacity) {
-  BufferPool pool;
-  Bytes a = pool.acquire(1024);
+TEST(ScratchPool, AcquireReleasePreservesCapacity) {
+  ScratchPool<std::uint8_t> pool;
+  std::vector<std::uint8_t> a = pool.acquire(1024);
   EXPECT_GE(a.capacity(), 1024u);
   a.resize(600);
   pool.release(std::move(a));
 
   // The same storage comes back cleared but with capacity intact.
-  Bytes b = pool.acquire();
+  std::vector<std::uint8_t> b = pool.acquire();
   EXPECT_TRUE(b.empty());
   EXPECT_GE(b.capacity(), 1024u);
 
@@ -30,10 +30,10 @@ TEST(BufferPool, AcquireReleasePreservesCapacity) {
   EXPECT_EQ(stats.outstanding, 1u);
 }
 
-TEST(BufferPool, StatsTrackOutstandingAndFree) {
-  BufferPool pool;
-  Bytes a = pool.acquire();
-  Bytes b = pool.acquire();
+TEST(ScratchPool, StatsTrackOutstandingAndFree) {
+  ScratchPool<std::uint8_t> pool;
+  std::vector<std::uint8_t> a = pool.acquire();
+  std::vector<std::uint8_t> b = pool.acquire();
   EXPECT_EQ(pool.stats().outstanding, 2u);
   pool.release(std::move(a));
   EXPECT_EQ(pool.stats().outstanding, 1u);
@@ -43,10 +43,10 @@ TEST(BufferPool, StatsTrackOutstandingAndFree) {
   EXPECT_EQ(pool.stats().outstanding, 0u);
 }
 
-TEST(BufferPool, PooledBufferReleasesOnDestruction) {
-  BufferPool pool;
+TEST(ScratchPool, LeaseReleasesOnDestruction) {
+  ScratchPool<std::uint8_t> pool;
   {
-    PooledBuffer lease(pool, 64);
+    ScratchLease<std::uint8_t> lease(pool, 64);
     lease->push_back(7);
     EXPECT_EQ(pool.stats().outstanding, 1u);
   }
@@ -54,10 +54,10 @@ TEST(BufferPool, PooledBufferReleasesOnDestruction) {
   EXPECT_EQ(pool.stats().free, 1u);
 }
 
-TEST(BufferPool, PooledBufferReleasesWhenOwnerThrows) {
-  BufferPool pool;
+TEST(ScratchPool, LeaseReleasesWhenOwnerThrows) {
+  ScratchPool<std::uint8_t> pool;
   const auto throwing_stage = [&] {
-    PooledBuffer lease(pool, 128);
+    ScratchLease<std::uint8_t> lease(pool, 128);
     lease->assign(100, 1);
     throw std::runtime_error("stage failure");
   };
@@ -67,40 +67,42 @@ TEST(BufferPool, PooledBufferReleasesWhenOwnerThrows) {
   EXPECT_EQ(pool.stats().free, 1u);
 }
 
-TEST(BufferPool, PooledBufferMoveTransfersTheLease) {
-  BufferPool pool;
-  PooledBuffer a(pool);
+TEST(ScratchPool, LeaseMoveTransfersTheLease) {
+  ScratchPool<std::uint8_t> pool;
+  ScratchLease<std::uint8_t> a(pool);
   a->push_back(42);
-  PooledBuffer b = std::move(a);
-  EXPECT_FALSE(a.leased());
-  EXPECT_TRUE(b.leased());
+  ScratchLease<std::uint8_t> b = std::move(a);
+  // The moved-from lease no longer owns the buffer: resetting it
+  // returns nothing to the pool.
+  a.reset();
+  EXPECT_EQ(pool.stats().outstanding, 1u);
   EXPECT_EQ((*b)[0], 42);
   b.reset();
   EXPECT_EQ(pool.stats().outstanding, 0u);
+  EXPECT_EQ(pool.stats().free, 1u);
 }
 
-TEST(ScratchPool, LeaseRoundTripAndTake) {
+TEST(ScratchPool, ElementLeaseRoundTrip) {
   ScratchPool<float> pool;
   {
     ScratchLease<float> lease(pool, 32);
+    EXPECT_GE(lease->capacity(), 32u);
     lease->assign(10, 1.5f);
-    std::vector<float> taken = lease.take();  // disarms the lease
-    EXPECT_EQ(taken.size(), 10u);
-    pool.release(std::move(taken));
   }
   EXPECT_EQ(pool.stats().outstanding, 0u);
   EXPECT_EQ(pool.stats().free, 1u);
   EXPECT_EQ(pool.stats().created, 1u);
+  EXPECT_GE(pool.stats().pooled_capacity, 32u);
 }
 
-TEST(BufferPool, SteadyStateReusesAcrossParallelForBatches) {
+TEST(ScratchPool, SteadyStateReusesAcrossParallelForBatches) {
   // The executor's worker threads are created per parallel_for call;
   // a process-wide pool is what carries capacity across calls. After
   // a warm-up batch, later batches must be served from the free list.
-  BufferPool pool;
+  ScratchPool<std::uint8_t> pool;
   const auto batch = [&] {
     parallel_for(64, 4, [&](std::size_t) {
-      PooledBuffer lease(pool, 256);
+      ScratchLease<std::uint8_t> lease(pool, 256);
       lease->assign(200, 9);
     });
   };
@@ -116,13 +118,14 @@ TEST(BufferPool, SteadyStateReusesAcrossParallelForBatches) {
   EXPECT_EQ(after.outstanding, 0u);
 }
 
-TEST(BufferPool, SharedIsOneProcessWidePool) {
-  EXPECT_EQ(&BufferPool::shared(), &BufferPool::shared());
+TEST(ScratchPool, SharedIsOneProcessWidePool) {
+  EXPECT_EQ(&ScratchPool<std::uint8_t>::shared(),
+            &ScratchPool<std::uint8_t>::shared());
 }
 
-TEST(BufferPool, FreeListIsBounded) {
-  BufferPool pool;
-  std::vector<Bytes> leased;
+TEST(ScratchPool, FreeListIsBounded) {
+  ScratchPool<std::uint8_t> pool;
+  std::vector<std::vector<std::uint8_t>> leased;
   for (int i = 0; i < 200; ++i) leased.push_back(pool.acquire(16));
   for (auto& b : leased) pool.release(std::move(b));
   // Releases beyond the cap destroy buffers instead of hoarding them.

@@ -3,10 +3,6 @@
 // threads exit), histogram bucketing and quantiles, trace-ring
 // wraparound, Chrome trace-event JSON structure, the stats report, and
 // the guarantee that observation never changes compressed bytes.
-//
-// The suite passes in both build modes: under -DOCELOT_OBS=OFF the
-// value assertions skip and the determinism/report tests exercise the
-// compile-out stubs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,7 +120,6 @@ bool json_balanced(const std::string& text) {
 }
 
 TEST_F(ObsTest, ConcurrentHammeringMergesExactly) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::set_profiling(true);
   const obs::MetricId c = obs::counter_id("test.hammer");
   const obs::MetricId h = obs::histogram_id("test.hammer_hist");
@@ -155,7 +150,6 @@ TEST_F(ObsTest, ConcurrentHammeringMergesExactly) {
 }
 
 TEST_F(ObsTest, HistogramBucketsAndQuantiles) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::set_profiling(true);
   const obs::MetricId h = obs::histogram_id("test.buckets");
   obs::histogram_record(h, 0);  // bucket 0: exactly zero
@@ -180,7 +174,6 @@ TEST_F(ObsTest, HistogramBucketsAndQuantiles) {
 }
 
 TEST_F(ObsTest, GaugesTrackLastValue) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::set_profiling(true);
   const obs::MetricId g = obs::gauge_id("test.level");
   obs::gauge_set(g, 10);
@@ -192,7 +185,6 @@ TEST_F(ObsTest, GaugesTrackLastValue) {
 }
 
 TEST_F(ObsTest, SpansAccumulateOnlyWhileProfiling) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   {
     OCELOT_SPAN("test.idle_span");  // profiling off: must not record
   }
@@ -209,7 +201,6 @@ TEST_F(ObsTest, SpansAccumulateOnlyWhileProfiling) {
 }
 
 TEST_F(ObsTest, RingWrapsAroundKeepingNewestEvents) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::start_tracing(/*events_per_thread=*/16);
   for (int i = 0; i < 100; ++i) {
     OCELOT_SPAN("test.wrap");
@@ -229,7 +220,6 @@ TEST_F(ObsTest, RingWrapsAroundKeepingNewestEvents) {
 }
 
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::start_tracing(1 << 10);
   {
     OCELOT_SPAN("test.real_span");
@@ -259,7 +249,6 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
 }
 
 TEST_F(ObsTest, ClearTraceDropsEvents) {
-  if (!obs::compiled()) GTEST_SKIP() << "observability compiled out";
   obs::start_tracing(1 << 10);
   {
     OCELOT_SPAN("test.dropped");
@@ -278,7 +267,7 @@ TEST_F(ObsTest, ClearTraceDropsEvents) {
 TEST_F(ObsTest, ObservationNeverChangesBytes) {
   // The core contract: profiling/tracing may watch the pipeline but
   // the compressed bytes must be identical with observation on or
-  // off, in both build modes.
+  // off.
   const FloatArray field = smooth_field(Shape(24, 10, 7), 17);
   CompressionConfig config;
   config.backend = "sz3-interp";
@@ -305,29 +294,17 @@ TEST_F(ObsTest, StatsReportRendersInBothModes) {
   obs::write_stats_report(json_os, /*json=*/true);
   const std::string json = json_os.str();
   EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_NE(json.find("\"obs_compiled\""), std::string::npos);
   EXPECT_NE(json.find("\"pools\""), std::string::npos);
-  if (obs::compiled()) {
-    EXPECT_NE(json.find("test.report_span"), std::string::npos);
-    EXPECT_NE(json.find("test.report_counter"), std::string::npos);
-  }
+  // The pool rows keep their names; the byte pool is "buffer_pool".
+  EXPECT_NE(json.find("\"buffer_pool\""), std::string::npos);
+  EXPECT_NE(json.find("\"scratch_pool<f32>\""), std::string::npos);
+  EXPECT_NE(json.find("\"scratch_pool<u32>\""), std::string::npos);
+  EXPECT_NE(json.find("test.report_span"), std::string::npos);
+  EXPECT_NE(json.find("test.report_counter"), std::string::npos);
 
   std::ostringstream human_os;
   obs::write_stats_report(human_os, /*json=*/false);
   EXPECT_NE(human_os.str().find("shared pools:"), std::string::npos);
-}
-
-TEST_F(ObsTest, CompiledOutBuildStaysEmpty) {
-  if (obs::compiled()) GTEST_SKIP() << "only meaningful with OCELOT_OBS=OFF";
-  obs::set_profiling(true);
-  OCELOT_COUNT("test.never", 1);
-  {
-    OCELOT_SPAN("test.never_span");
-  }
-  EXPECT_FALSE(obs::profiling_enabled());
-  const obs::MetricsSnapshot snap = obs::metrics_snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.stages.empty());
 }
 
 }  // namespace

@@ -170,6 +170,18 @@ TEST(StreamCodec, MalformedInputRejected) {
   }
 }
 
+TEST(StreamCodec, DefaultBlocksOfAFlatStreamHoldThousandsOfValues) {
+  // block_slabs = 0 takes default_block_slabs: a flat stream's slab is
+  // one value, so its blocks hold 4096 values, not 8.
+  const FloatArray field = walk_field(Shape(100000), 53);
+  std::stringstream raw = raw_stream(field);
+  std::stringstream compressed;
+  const StreamStats stats =
+      stream_compress(raw, compressed, abs_config({}, 0));
+  EXPECT_EQ(stats.blocks, 25u);
+  EXPECT_GT(stats.ratio(), 1.0);
+}
+
 TEST(StreamCodec, RelativeBoundResolvesPerChunk) {
   // With a value-range-relative bound, each chunk honors eb x its own
   // range (the full field is never resident).

@@ -151,10 +151,10 @@ int cmd_compress(const std::vector<std::string>& args) {
     std::cerr << "usage: ocelot compress <in.ocf> <out.ocz> [eb=1e-3] "
                  "[mode=rel|abs] [backend=sz3]\n"
               << "       ocelot compress <in.ocf> <out.ocb> policy=adaptive "
-                 "[block_slabs=8] [backends=a,b] [entropy_stages=a,b] "
+                 "[block_slabs=N] [backends=a,b] [entropy_stages=a,b] "
                  "[eb_scales=1,0.5] [min_psnr=60] [workers=N]\n"
               << "       ocelot compress - <out.ocb|-> slab=AxB "
-                 "[block_slabs=8] [eb=...] [mode=...] [backend=...]\n"
+                 "[block_slabs=N] [eb=...] [mode=...] [backend=...]\n"
               << "       trailing options also accept key=value form, "
                  "e.g. backend=multigrid eb=1e-4\n"
               << "       `-` streams raw float32 from stdin in block-sized "
@@ -359,7 +359,7 @@ int cmd_advise(const std::vector<std::string>& args) {
         << "usage: ocelot advise <in.ocb>   (decision table from the "
            "container index)\n"
         << "       ocelot advise <in.ocf> [eb=1e-3] [mode=rel|abs] "
-           "[block_slabs=8] [backends=a,b] [entropy_stages=a,b] "
+           "[block_slabs=N] [backends=a,b] [entropy_stages=a,b] "
            "[eb_scales=1,0.5] [min_psnr=60] [stride=50] [workers=N]\n"
         << "       runs the online advisor and prints every block's "
            "backend / entropy-stage / error-bound choice\n";
@@ -610,7 +610,7 @@ int cmd_stats(const std::vector<std::string>& args) {
   if (args.empty()) {
     std::cerr << "usage: ocelot stats <in.ocf> [json=1] [trace=out.json] "
                  "[eb=1e-3] [mode=rel|abs] [backend=sz3] [policy=adaptive] "
-                 "[block_slabs=8] [workers=N] [backends=a,b] "
+                 "[block_slabs=N] [workers=N] [backends=a,b] "
                  "[eb_scales=1,0.5] [min_psnr=60] [stride=50]\n"
               << "       ocelot stats <in.ocz|in.ocb> [json=1] "
                  "[trace=out.json] [workers=N]\n"
