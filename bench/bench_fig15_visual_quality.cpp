@@ -58,7 +58,7 @@ int main() {
     config.eb_mode = EbMode::kValueRangeRel;
     config.eb = c.eb;
     const Bytes blob = compress(original, config);
-    const FloatArray recon = decompress<float>(blob);
+    const FloatArray recon = decompress(blob);
     const double quality = psnr<float>(original.values(), recon.values());
 
     std::cout << "--- " << c.field << " (PSNR "

@@ -152,7 +152,7 @@ void BM_PipelineDecompress(benchmark::State& state) {
   config.eb = 1e-3;
   const Bytes blob = compress(data, config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decompress<float>(blob));
+    benchmark::DoNotOptimize(decompress(blob));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.byte_size()));

@@ -35,7 +35,7 @@ int main() {
             << "  (ratio " << fmt_double(ratio, 2) << "x)\n";
 
   // 4. Decompress and verify the error-bound contract.
-  const FloatArray recon = decompress<float>(blob);
+  const FloatArray recon = decompress(blob);
   const double abs_eb = resolve_abs_eb(field, config);
   const double max_err = max_abs_error<float>(field.values(), recon.values());
   const double quality = psnr<float>(field.values(), recon.values());

@@ -3,10 +3,11 @@
 //
 // Every stage of the compression pipeline needs transient byte or
 // element scratch (Huffman output before the lossless stage, per-block
-// blob buffers, slab slices). Allocating those per call dominated the
-// allocation profile of the block-parallel executor; the pools here
-// hand out cleared-but-capacity-preserving vectors so steady-state
-// traffic runs allocation-free.
+// blob buffers, stream chunks, decoded code and raw-value streams).
+// Allocating those per call dominated the allocation profile of the
+// block-parallel executor; the pools here hand out
+// cleared-but-capacity-preserving vectors so steady-state traffic runs
+// allocation-free.
 //
 // Thread model: every pool method is mutex-protected, so one pool can
 // be shared across the executor's worker threads (the workers are

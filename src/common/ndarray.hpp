@@ -2,9 +2,11 @@
 // Dense N-dimensional array of floating-point samples.
 //
 // Scientific fields in this repo are 1-, 2- or 3-dimensional grids of
-// float/double values. NdArray owns its storage and carries the grid
-// shape; it is the unit the compressors, feature extractors, and
-// dataset generators exchange.
+// f32 values. FloatArray owns its storage and carries the grid shape;
+// it is the unit the dataset generators, the file formats and decode
+// produce. FieldView is the read-only view of one that the compressor,
+// the feature extractors and the advisors take, so a block of a field
+// compresses from the field's own storage.
 //
 // Dimension order is row-major with dims()[0] slowest-varying, matching
 // the "nz x ny x nx" convention the paper uses (e.g. RTM 449x449x235).
@@ -49,7 +51,7 @@ class Shape {
   int rank_;
 };
 
-/// Owning dense array with shape. T is float or double.
+/// Owning dense array with shape.
 template <typename T>
 class NdArray {
  public:
@@ -72,14 +74,6 @@ class NdArray {
   [[nodiscard]] std::span<const T> values() const { return data_; }
   [[nodiscard]] std::span<T> values() { return data_; }
   [[nodiscard]] const std::vector<T>& vector() const { return data_; }
-
-  /// Moves the storage out, leaving the array empty. Lets the pooled
-  /// block codec hand scratch vectors back to their ScratchPool after
-  /// wrapping them in a temporary array.
-  [[nodiscard]] std::vector<T> release() {
-    shape_ = Shape();
-    return std::move(data_);
-  }
 
   [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
@@ -106,6 +100,29 @@ class NdArray {
 };
 
 using FloatArray = NdArray<float>;
-using DoubleArray = NdArray<double>;
+
+/// Read-only view of an f32 field: a shape plus values the caller
+/// keeps alive. A whole FloatArray converts implicitly; a block of one
+/// is its slab range with the block's shape.
+class FieldView {
+ public:
+  FieldView(const Shape& shape, std::span<const float> values)
+      : shape_(shape), values_(values) {
+    require(values_.size() == shape_.size(),
+            "FieldView: value count does not match the shape");
+  }
+  /// The whole array. Implicit, so compress(field, config) reads the
+  /// same for an owned field as for a view.
+  FieldView(const FloatArray& array)  // NOLINT(google-explicit-constructor)
+      : FieldView(array.shape(), array.values()) {}
+
+  [[nodiscard]] const Shape& shape() const { return shape_; }
+  [[nodiscard]] std::span<const float> values() const { return values_; }
+  [[nodiscard]] std::size_t size() const { return values_.size(); }
+
+ private:
+  Shape shape_;
+  std::span<const float> values_;
+};
 
 }  // namespace ocelot

@@ -1,13 +1,14 @@
 #pragma once
 // The compressor backends: one fixed table, indexed by wire id.
 //
-// compress<T>/decompress<T>/decompress_into<T>/inspect_blob resolve a
-// backend by name (when writing) or by the wire id stored in the OCZ
-// header (when reading), and the backend's codec owns the payload
+// compress/decompress/decompress_into/inspect_blob resolve a backend
+// by name (when writing) or by the wire id stored in the OCZ header
+// (when reading), and the backend's codec owns the payload
 // encode/decode against the shared section container, the uniform
 // quantizer, and the entropy stage (codec/entropy.hpp, "huffman" by
-// default). Decode writes into a span the caller owns, so a block
-// lands directly in its slab of the output field.
+// default). Encode reads a FieldView and decode writes into a span the
+// caller owns, so a block compresses from, and decodes into, its slab
+// of the field.
 //
 // The set is closed by the wire format: an id, once written, names
 // the same family forever, and the quality model keys its
@@ -17,8 +18,8 @@
 //   0 lorenzo   1 sz2   2 sz3-interp   3 lorenzo2   4 multigrid
 //
 // Ids 0-3 are the legacy Pipeline enum values. Adding a family =
-// implement CompressorBackend (usually via TypedBackend, to get both
-// dtypes from one template) and append a row at the next wire id. The
+// implement CompressorBackend's encode and decode and append a row at
+// the next wire id. The
 // advisor, the CLI and the benches enumerate the table. See
 // CONTRIBUTING.md for the full recipe.
 
@@ -41,12 +42,12 @@ namespace ocelot {
 
 /// Parsed blob header, handed to backend decode. Layout (unchanged
 /// since the enum era, so old blobs parse bit-exactly): magic "OCZ1",
-/// dtype u8, backend wire id u8, resolved absolute eb f64, then the
+/// dtype u8 (0, f32; the reader refuses any other value, so it is not
+/// kept here), backend wire id u8, resolved absolute eb f64, then the
 /// varint parameter block and the shape. Blobs written with a
 /// non-default entropy stage use magic "OCZ2" and carry the stage's
 /// wire id in one extra byte between the backend id and the eb.
 struct BlobHeader {
-  std::uint8_t dtype = 0;
   std::uint8_t backend_id = 0;
   /// Entropy-stage wire id (0 for OCZ1 blobs — the legacy chain).
   std::uint8_t entropy_id = 0;
@@ -172,7 +173,7 @@ template <typename T>
 void unpack_raw_values_into(std::span<const std::uint8_t> packed,
                             std::size_t max_values, std::vector<T>& out);
 
-/// A compression family: encodes an array into payload sections under
+/// A compression family: encodes a field into payload sections under
 /// a resolved absolute error bound and decodes them back. The encode
 /// and decode sides must reconstruct identical values (the quantizer
 /// contract), and every backend honors max|x - x^| <= abs_eb.
@@ -180,10 +181,7 @@ class CompressorBackend {
  public:
   virtual ~CompressorBackend() = default;
 
-  virtual void encode(const NdArray<float>& data, double abs_eb,
-                      const CompressionConfig& config,
-                      SectionWriter& out) const = 0;
-  virtual void encode(const NdArray<double>& data, double abs_eb,
+  virtual void encode(const FieldView& data, double abs_eb,
                       const CompressionConfig& config,
                       SectionWriter& out) const = 0;
 
@@ -191,42 +189,6 @@ class CompressorBackend {
   /// header.shape.size() elements (a whole field or one block's slab).
   virtual void decode(const BlobHeader& header, const SectionReader& in,
                       std::span<float> out) const = 0;
-  virtual void decode(const BlobHeader& header, const SectionReader& in,
-                      std::span<double> out) const = 0;
-};
-
-/// CRTP helper: implement
-///   template <typename T> void encode_impl(const NdArray<T>&, double,
-///       const CompressionConfig&, SectionWriter&) const;
-///   template <typename T> void decode_impl(const BlobHeader&,
-///       const SectionReader&, std::span<T> out) const;
-/// once and get both dtype overloads.
-template <typename Derived>
-class TypedBackend : public CompressorBackend {
- public:
-  void encode(const NdArray<float>& data, double abs_eb,
-              const CompressionConfig& config,
-              SectionWriter& out) const final {
-    self().template encode_impl<float>(data, abs_eb, config, out);
-  }
-  void encode(const NdArray<double>& data, double abs_eb,
-              const CompressionConfig& config,
-              SectionWriter& out) const final {
-    self().template encode_impl<double>(data, abs_eb, config, out);
-  }
-  void decode(const BlobHeader& header, const SectionReader& in,
-              std::span<float> out) const final {
-    self().template decode_impl<float>(header, in, out);
-  }
-  void decode(const BlobHeader& header, const SectionReader& in,
-              std::span<double> out) const final {
-    self().template decode_impl<double>(header, in, out);
-  }
-
- private:
-  [[nodiscard]] const Derived& self() const {
-    return static_cast<const Derived&>(*this);
-  }
 };
 
 /// One row of the backend table. Its index in backends() is its

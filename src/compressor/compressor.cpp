@@ -19,18 +19,22 @@ constexpr std::uint8_t kMagic[4] = {'O', 'C', 'Z', '1'};
 // default-path blobs keep the exact OCZ1 bytes.
 constexpr std::uint8_t kMagic2[4] = {'O', 'C', 'Z', '2'};
 
-template <typename T>
-constexpr std::uint8_t dtype_id() {
-  return sizeof(T) == 8 ? 1 : 0;
-}
+// The header's dtype byte: 0 is f32, the only sample type. 1 was f64,
+// whose codec path is gone; it and every other value are refused.
+constexpr std::uint8_t kDtypeF32 = 0;
+constexpr std::uint8_t kRetiredDtypeF64 = 1;
 
 BlobHeader read_header(BytesReader& in) {
   const auto magic = in.get_bytes(4);
   const bool v2 = std::memcmp(magic.data(), kMagic2, 4) == 0;
   if (!v2 && std::memcmp(magic.data(), kMagic, 4) != 0)
     throw CorruptStream("blob: bad magic");
+  const std::uint8_t dtype = in.get<std::uint8_t>();
+  if (dtype == kRetiredDtypeF64)
+    throw CorruptStream("blob: dtype 1 (f64) is no longer supported");
+  if (dtype != kDtypeF32)
+    throw CorruptStream("blob: unknown dtype " + std::to_string(dtype));
   BlobHeader h;
-  h.dtype = in.get<std::uint8_t>();
   h.backend_id = in.get<std::uint8_t>();
   if (v2) h.entropy_id = in.get<std::uint8_t>();
   h.abs_eb = in.get<double>();
@@ -43,19 +47,17 @@ BlobHeader read_header(BytesReader& in) {
   return h;
 }
 
-/// The one decode path: header, dtype and backend checks and the
-/// section index come first; `destination(declared_shape)` then
-/// returns the span the backend decodes into.
-template <typename T, typename Destination>
+/// The one decode path: header and backend checks and the section
+/// index come first; `destination(declared_shape)` then returns the
+/// span the backend decodes into.
+template <typename Destination>
 void decode_blob(std::span<const std::uint8_t> blob,
                  Destination&& destination) {
   BytesReader in(blob);
   const BlobHeader h = read_header(in);
-  if (h.dtype != dtype_id<T>())
-    throw InvalidArgument("decompress: dtype mismatch");
   const CompressorBackend& backend = backend_by_id(h.backend_id).codec;
   SectionReader sections(in);
-  const std::span<T> out = destination(h.shape);
+  const std::span<float> out = destination(h.shape);
   backend.decode(h, sections, out);
 }
 
@@ -82,9 +84,7 @@ Shape read_shape(BytesReader& in, int rank) {
   return Shape(dims[0], dims[1], dims[2]);
 }
 
-template <typename T>
-double resolve_abs_eb(const NdArray<T>& data,
-                      const CompressionConfig& config) {
+double resolve_abs_eb(const FieldView& data, const CompressionConfig& config) {
   require(config.eb > 0.0, "compress: error bound must be positive");
   if (config.eb_mode == EbMode::kAbsolute) return config.eb;
   const double range =
@@ -94,15 +94,8 @@ double resolve_abs_eb(const NdArray<T>& data,
   return config.eb * (range > 0.0 ? range : 1.0);
 }
 
-template double resolve_abs_eb<float>(const NdArray<float>&,
-                                      const CompressionConfig&);
-template double resolve_abs_eb<double>(const NdArray<double>&,
-                                       const CompressionConfig&);
-
-template <typename T>
-void compress_into(const NdArray<T>& data, const CompressionConfig& config,
+void compress_into(const FieldView& data, const CompressionConfig& config,
                    ByteSink& out) {
-  require(data.size() > 0, "compress: empty array");
   const BackendEntry& backend = backend_by_name(config.backend);
   const double abs_eb = resolve_abs_eb(data, config);
   const std::uint8_t entropy_id =
@@ -113,7 +106,7 @@ void compress_into(const NdArray<T>& data, const CompressionConfig& config,
   } else {
     out.put_bytes(kMagic2);
   }
-  out.put(dtype_id<T>());
+  out.put(kDtypeF32);
   out.put(backend.wire_id);
   if (entropy_id != kEntropyHuffmanId) out.put(entropy_id);
   out.put(abs_eb);
@@ -130,28 +123,16 @@ void compress_into(const NdArray<T>& data, const CompressionConfig& config,
   sections.finish();
 }
 
-template void compress_into<float>(const NdArray<float>&,
-                                   const CompressionConfig&, ByteSink&);
-template void compress_into<double>(const NdArray<double>&,
-                                    const CompressionConfig&, ByteSink&);
-
-template <typename T>
-Bytes compress(const NdArray<T>& data, const CompressionConfig& config) {
+Bytes compress(const FieldView& data, const CompressionConfig& config) {
   BytesWriter out;
   compress_into(data, config, out);
   return out.take();
 }
 
-template Bytes compress<float>(const NdArray<float>&,
-                               const CompressionConfig&);
-template Bytes compress<double>(const NdArray<double>&,
-                                const CompressionConfig&);
-
 BlobInfo inspect_blob(std::span<const std::uint8_t> blob) {
   BytesReader in(blob);
   const BlobHeader h = read_header(in);
   BlobInfo info;
-  info.is_double = h.dtype == 1;
   info.backend = backend_by_id(h.backend_id).name;
   info.backend_id = h.backend_id;
   info.entropy = entropy_stage_by_id(h.entropy_id).name;
@@ -159,42 +140,31 @@ BlobInfo inspect_blob(std::span<const std::uint8_t> blob) {
   info.abs_eb = h.abs_eb;
   info.shape = h.shape;
   info.compressed_bytes = blob.size();
-  info.raw_bytes = h.shape.size() * (info.is_double ? 8 : 4);
+  info.raw_bytes = h.shape.size() * sizeof(float);
   return info;
 }
 
-template <typename T>
-NdArray<T> decompress(std::span<const std::uint8_t> blob) {
-  NdArray<T> out;
-  decode_blob<T>(blob, [&](const Shape& shape) {
-    out = NdArray<T>(shape);
+FloatArray decompress(std::span<const std::uint8_t> blob) {
+  FloatArray out;
+  decode_blob(blob, [&](const Shape& shape) {
+    out = FloatArray(shape);
     return out.values();
   });
   return out;
 }
 
-template NdArray<float> decompress<float>(std::span<const std::uint8_t>);
-template NdArray<double> decompress<double>(std::span<const std::uint8_t>);
-
-template <typename T>
 void decompress_into(std::span<const std::uint8_t> blob, const Shape& shape,
-                     std::span<T> out) {
+                     std::span<float> out) {
   require(out.size() == shape.size(),
           "decompress_into: storage does not match the shape");
-  decode_blob<T>(blob, [&](const Shape& declared) {
+  decode_blob(blob, [&](const Shape& declared) {
     if (!(declared == shape))
       throw CorruptStream("blob: declared shape does not match the storage");
     return out;
   });
 }
 
-template void decompress_into<float>(std::span<const std::uint8_t>,
-                                     const Shape&, std::span<float>);
-template void decompress_into<double>(std::span<const std::uint8_t>,
-                                      const Shape&, std::span<double>);
-
-template <typename T>
-RoundTripStats measure_roundtrip(const NdArray<T>& data,
+RoundTripStats measure_roundtrip(const FieldView& data,
                                  const CompressionConfig& config) {
   RoundTripStats stats;
   Timer ct;
@@ -202,21 +172,16 @@ RoundTripStats measure_roundtrip(const NdArray<T>& data,
   stats.compress_seconds = ct.seconds();
 
   Timer dt;
-  const NdArray<T> recon = decompress<T>(blob);
+  const FloatArray recon = decompress(blob);
   stats.decompress_seconds = dt.seconds();
 
   stats.compressed_bytes = blob.size();
-  stats.compression_ratio =
-      static_cast<double>(data.byte_size()) / static_cast<double>(blob.size());
-  stats.psnr_db = psnr<T>(data.values(), recon.values());
-  stats.max_error = max_abs_error<T>(data.values(), recon.values());
+  stats.compression_ratio = static_cast<double>(data.values().size_bytes()) /
+                            static_cast<double>(blob.size());
+  stats.psnr_db = psnr<float>(data.values(), recon.values());
+  stats.max_error = max_abs_error<float>(data.values(), recon.values());
   stats.abs_eb = resolve_abs_eb(data, config);
   return stats;
 }
-
-template RoundTripStats measure_roundtrip<float>(const NdArray<float>&,
-                                                 const CompressionConfig&);
-template RoundTripStats measure_roundtrip<double>(const NdArray<double>&,
-                                                  const CompressionConfig&);
 
 }  // namespace ocelot

@@ -1,9 +1,10 @@
 #pragma once
 // Error-bounded lossy compression of scientific arrays.
 //
-// Public entry points of the compressor library: compress an NdArray
-// into a self-describing blob and decompress it back, either into a
-// fresh array (decompress) or into storage the caller owns
+// Public entry points of the compressor library: compress a read-only
+// f32 field view (a whole FloatArray, or one block's slab range of
+// one) into a self-describing blob and decompress it back, either into
+// a fresh array (decompress) or into storage the caller owns
 // (decompress_into, which the OCB1 block decoder uses to decode each
 // block straight into its slab). The contract is the error-bound
 // invariant: for the resolved absolute bound e,
@@ -12,7 +13,8 @@
 // Dispatch goes through the backend table (see backend.hpp): the blob
 // header names the backend by wire id, compress resolves
 // config.backend by name, and the backend owns the payload. Blob
-// layout: magic "OCZ1", dtype, backend wire id, resolved absolute eb,
+// layout: magic "OCZ1", dtype (always 0, f32: read_header refuses any
+// other value), backend wire id, resolved absolute eb,
 // the varint parameter block (quantizer radius, anchor-stride cap,
 // SZ2 block edge: the constants in config.hpp on write, the header's
 // values on read), shape, then the backend's named sections. Blobs
@@ -34,33 +36,29 @@ namespace ocelot {
 /// Compresses `data` under `config`, streaming header and payload
 /// sections straight into `out` — the zero-copy path: pointing the
 /// sink at a pooled buffer produces the blob with no intermediate
-/// vectors. Throws InvalidArgument for empty arrays or
-/// non-positive error bounds.
-template <typename T>
-void compress_into(const NdArray<T>& data, const CompressionConfig& config,
+/// vectors. Throws InvalidArgument for non-positive error bounds (an
+/// empty FloatArray is already refused when its view is built: a view
+/// holds exactly its shape's values, at least one).
+void compress_into(const FieldView& data, const CompressionConfig& config,
                    ByteSink& out);
 
 /// Convenience wrapper returning a fresh buffer.
-template <typename T>
-Bytes compress(const NdArray<T>& data, const CompressionConfig& config);
+Bytes compress(const FieldView& data, const CompressionConfig& config);
 
-/// Decompresses a blob produced by compress<T>: allocates an array of
-/// the blob's shape, then decodes into it. Throws CorruptStream on
-/// malformed input and InvalidArgument if the blob's dtype is not T.
-template <typename T>
-NdArray<T> decompress(std::span<const std::uint8_t> blob);
+/// Decompresses a blob produced by compress: allocates an array of the
+/// blob's shape, then decodes into it. Throws CorruptStream on
+/// malformed input, including a dtype byte other than 0 (f32).
+FloatArray decompress(std::span<const std::uint8_t> blob);
 
 /// Decodes a blob into `out`, storage the caller owns and sized for
 /// `shape` (e.g. one block's slab of a field). Throws CorruptStream,
 /// before anything is decoded into `out`, when the blob's header
 /// declares a shape other than `shape`; otherwise as decompress.
-template <typename T>
 void decompress_into(std::span<const std::uint8_t> blob, const Shape& shape,
-                     std::span<T> out);
+                     std::span<float> out);
 
 /// Metadata recovered from a blob without decompressing the payload.
 struct BlobInfo {
-  bool is_double = false;
   std::string backend;          ///< table name resolved from the wire id
   std::uint8_t backend_id = 0;  ///< raw wire id from the header
   std::string entropy;          ///< entropy-stage name ("huffman" for OCZ1)
@@ -72,8 +70,8 @@ struct BlobInfo {
 };
 
 /// Parses header fields only; resolves the backend and entropy-stage
-/// names through their tables and throws CorruptStream for unknown
-/// wire ids and implausible shapes.
+/// names through their tables and throws CorruptStream for a dtype
+/// other than f32, unknown wire ids and implausible shapes.
 BlobInfo inspect_blob(std::span<const std::uint8_t> blob);
 
 /// Ceiling on the elements of a shape read from untrusted bytes (2^40
@@ -103,12 +101,10 @@ struct RoundTripStats {
   std::size_t compressed_bytes = 0;
 };
 
-template <typename T>
-RoundTripStats measure_roundtrip(const NdArray<T>& data,
+RoundTripStats measure_roundtrip(const FieldView& data,
                                  const CompressionConfig& config);
 
 /// Resolves a possibly-relative error bound against the data range.
-template <typename T>
-double resolve_abs_eb(const NdArray<T>& data, const CompressionConfig& config);
+double resolve_abs_eb(const FieldView& data, const CompressionConfig& config);
 
 }  // namespace ocelot

@@ -43,6 +43,5 @@ void u32_min_max(const std::uint32_t* v, std::size_t n, std::uint32_t& lo,
 /// summarize(values).range: a NaN first element yields NaN, later NaNs
 /// are skipped. n == 0 yields 0.
 double value_range(const float* v, std::size_t n);
-double value_range(const double* v, std::size_t n);
 
 }  // namespace ocelot::kernels

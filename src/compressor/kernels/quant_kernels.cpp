@@ -9,29 +9,24 @@ namespace ocelot::kernels {
 
 namespace {
 
-template <typename T>
-using EncodeLineFn = void (*)(const T*, T*, std::size_t, std::size_t,
-                              std::size_t, std::size_t, int, FusedQuant<T>&);
-template <typename T>
-using DecodeLineFn = void (*)(T*, std::size_t, std::size_t, std::size_t,
-                              std::size_t, int, QuantDecoder<T>&);
+using EncodeLineFn = void (*)(const float*, float*, std::size_t, std::size_t,
+                              std::size_t, std::size_t, int,
+                              FusedQuant<float>&);
+using DecodeLineFn = void (*)(float*, std::size_t, std::size_t, std::size_t,
+                              std::size_t, int, QuantDecoder<float>&);
 
-template <typename T>
-EncodeLineFn<T> pick_encode_line() {
+EncodeLineFn pick_encode_line() {
 #ifdef OCELOT_HAVE_AVX2_TU
-  if (active_simd_level() == SimdLevel::kAvx2)
-    return static_cast<EncodeLineFn<T>>(&avx2::encode_line);
+  if (active_simd_level() == SimdLevel::kAvx2) return &avx2::encode_line;
 #endif
-  return static_cast<EncodeLineFn<T>>(&scalar::encode_line);
+  return &scalar::encode_line;
 }
 
-template <typename T>
-DecodeLineFn<T> pick_decode_line() {
+DecodeLineFn pick_decode_line() {
 #ifdef OCELOT_HAVE_AVX2_TU
-  if (active_simd_level() == SimdLevel::kAvx2)
-    return static_cast<DecodeLineFn<T>>(&avx2::decode_line);
+  if (active_simd_level() == SimdLevel::kAvx2) return &avx2::decode_line;
 #endif
-  return static_cast<DecodeLineFn<T>>(&scalar::decode_line);
+  return &scalar::decode_line;
 }
 
 /// The hierarchy_traverse visit order, shared by encode and decode.
@@ -41,8 +36,8 @@ DecodeLineFn<T> pick_decode_line() {
 /// mode. Q is the per-level quantizer state (FusedQuant on encode,
 /// QuantDecoder on decode): stride-1 passes (and stride-1 anchors) use
 /// `fine`, coarser levels `coarse` when given, else `fine`.
-template <typename T, typename Q, typename Anchor, typename Line>
-void hierarchy_walk(const Shape& shape, const T* rec,
+template <typename Q, typename Anchor, typename Line>
+void hierarchy_walk(const Shape& shape, const float* rec,
                     std::size_t anchor_stride, bool cubic, Q& fine, Q* coarse,
                     Anchor&& anchor, Line&& line) {
   const int rank = shape.rank();
@@ -185,60 +180,37 @@ double value_range(const float* v, std::size_t n) {
   return scalar::value_range(v, n);
 }
 
-double value_range(const double* v, std::size_t n) {
-#ifdef OCELOT_HAVE_AVX2_TU
-  if (active_simd_level() == SimdLevel::kAvx2) return avx2::value_range(v, n);
-#endif
-  return scalar::value_range(v, n);
-}
-
-template <typename T>
-void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
-                      std::size_t anchor_stride, bool cubic,
-                      FusedQuant<T>& fine, FusedQuant<T>* coarse) {
-  T* rec = recon.data();
-  const EncodeLineFn<T> encode_line = pick_encode_line<T>();
+void hierarchy_encode(const Shape& shape, const float* orig,
+                      std::span<float> recon, std::size_t anchor_stride,
+                      bool cubic, FusedQuant<float>& fine,
+                      FusedQuant<float>* coarse) {
+  float* rec = recon.data();
+  const EncodeLineFn encode_line = pick_encode_line();
   hierarchy_walk(
       shape, rec, anchor_stride, cubic, fine, coarse,
-      [&](FusedQuant<T>& q, std::size_t idx, double pred) {
+      [&](FusedQuant<float>& q, std::size_t idx, double pred) {
         rec[idx] = q.encode1(pred, orig[idx]);
       },
-      [&](FusedQuant<T>& q, std::size_t base, std::size_t estep,
+      [&](FusedQuant<float>& q, std::size_t base, std::size_t estep,
           std::size_t cnt, std::size_t eoff, int mode) {
         encode_line(orig, rec, base, estep, cnt, eoff, mode, q);
       });
 }
 
-template <typename T>
-void hierarchy_decode(const Shape& shape, std::span<T> recon,
+void hierarchy_decode(const Shape& shape, std::span<float> recon,
                       std::size_t anchor_stride, bool cubic,
-                      QuantDecoder<T>& fine, QuantDecoder<T>* coarse) {
-  T* rec = recon.data();
-  const DecodeLineFn<T> decode_line = pick_decode_line<T>();
+                      QuantDecoder<float>& fine, QuantDecoder<float>* coarse) {
+  float* rec = recon.data();
+  const DecodeLineFn decode_line = pick_decode_line();
   hierarchy_walk(
       shape, rec, anchor_stride, cubic, fine, coarse,
-      [&](QuantDecoder<T>& q, std::size_t idx, double pred) {
+      [&](QuantDecoder<float>& q, std::size_t idx, double pred) {
         rec[idx] = q.decode(pred);
       },
-      [&](QuantDecoder<T>& q, std::size_t base, std::size_t estep,
+      [&](QuantDecoder<float>& q, std::size_t base, std::size_t estep,
           std::size_t cnt, std::size_t eoff, int mode) {
         decode_line(rec, base, estep, cnt, eoff, mode, q);
       });
 }
-
-template void hierarchy_encode<float>(const Shape&, const float*,
-                                      std::span<float>, std::size_t, bool,
-                                      FusedQuant<float>&, FusedQuant<float>*);
-template void hierarchy_encode<double>(const Shape&, const double*,
-                                       std::span<double>, std::size_t, bool,
-                                       FusedQuant<double>&,
-                                       FusedQuant<double>*);
-template void hierarchy_decode<float>(const Shape&, std::span<float>,
-                                      std::size_t, bool, QuantDecoder<float>&,
-                                      QuantDecoder<float>*);
-template void hierarchy_decode<double>(const Shape&, std::span<double>,
-                                       std::size_t, bool,
-                                       QuantDecoder<double>&,
-                                       QuantDecoder<double>*);
 
 }  // namespace ocelot::kernels

@@ -62,10 +62,10 @@ namespace ocelot::kernels {
 /// stride-1 anchors) quantize through `fine`; coarser levels through
 /// `coarse` when given, else `fine`. Bit-identical to the reference
 /// traversal + QuantEncoder composition on every dispatch level.
-template <typename T>
-void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
-                      std::size_t anchor_stride, bool cubic,
-                      FusedQuant<T>& fine, FusedQuant<T>* coarse = nullptr);
+void hierarchy_encode(const Shape& shape, const float* orig,
+                      std::span<float> recon, std::size_t anchor_stride,
+                      bool cubic, FusedQuant<float>& fine,
+                      FusedQuant<float>* coarse = nullptr);
 
 /// Fused multilevel hierarchy decode: replays the code/raw streams of
 /// `fine` (and `coarse`, split by level exactly as in
@@ -73,9 +73,9 @@ void hierarchy_encode(const Shape& shape, const T* orig, std::span<T> recon,
 /// Bit-identical to the reference traversal + QuantDecoder on every
 /// dispatch level, including which hostile streams throw: running out
 /// of codes or raw values raises CorruptStream.
-template <typename T>
-void hierarchy_decode(const Shape& shape, std::span<T> recon,
+void hierarchy_decode(const Shape& shape, std::span<float> recon,
                       std::size_t anchor_stride, bool cubic,
-                      QuantDecoder<T>& fine, QuantDecoder<T>* coarse = nullptr);
+                      QuantDecoder<float>& fine,
+                      QuantDecoder<float>* coarse = nullptr);
 
 }  // namespace ocelot::kernels

@@ -33,9 +33,8 @@ struct BlockRegion {
 
 /// Fits the separable least-squares hyperplane to `data` restricted to
 /// `region` (tensor-grid separability makes each slope independent).
-template <typename T>
-BlockCoeffs fit_block_regression(const NdArray<T>& data,
-                                 const BlockRegion& region) {
+inline BlockCoeffs fit_block_regression(const FieldView& data,
+                                        const BlockRegion& region) {
   const Shape& shape = data.shape();
   const std::size_t sn1 = shape.rank() >= 2 ? shape.dim(1) : 1;
   const std::size_t sn2 = shape.rank() >= 3 ? shape.dim(2) : 1;

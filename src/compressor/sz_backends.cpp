@@ -25,10 +25,9 @@ using kernels::FusedQuant;
 /// compresses thousands of blocks per run, and per-block vectors were
 /// the largest allocation source on that path. The arena span reuses
 /// the worker's chunks, so steady-state blocks touch no heap at all.
-template <typename T>
-std::span<T> recon_scratch(ScratchArena& arena, std::size_t n) {
-  std::span<T> recon = arena.alloc<T>(n);
-  std::fill(recon.begin(), recon.end(), T{});
+std::span<float> recon_scratch(ScratchArena& arena, std::size_t n) {
+  std::span<float> recon = arena.alloc<float>(n);
+  std::fill(recon.begin(), recon.end(), 0.0f);
   return recon;
 }
 
@@ -36,20 +35,20 @@ std::span<T> recon_scratch(ScratchArena& arena, std::size_t n) {
 /// the shared "codes"/"raw" sections — the common tail of every
 /// SZ-style family. The quantizer's inline histogram feeds the entropy
 /// stage directly, so no separate counting pass runs.
-template <typename T, typename Run>
-void quantized_encode(const NdArray<T>& data, double abs_eb,
+template <typename Run>
+void quantized_encode(const FieldView& data, double abs_eb,
                       const CompressionConfig& config, SectionWriter& out,
                       Run&& run) {
   ArenaScope scope;
-  std::span<T> recon = recon_scratch<T>(scope.arena(), data.size());
-  FusedQuant<T> quant =
-      FusedQuant<T>::make(abs_eb, kDefaultQuantRadius, data.size(),
-                          scope.arena(), ScratchArena::Slot::kHistA);
+  std::span<float> recon = recon_scratch(scope.arena(), data.size());
+  FusedQuant<float> quant =
+      FusedQuant<float>::make(abs_eb, kDefaultQuantRadius, data.size(),
+                              scope.arena(), ScratchArena::Slot::kHistA);
   {
     OCELOT_SPAN("codec.predict_quantize");
     run(recon, quant);
   }
-  OCELOT_COUNT("codec.raw_bytes", data.size() * sizeof(T));
+  OCELOT_COUNT("codec.raw_bytes", data.values().size_bytes());
   const auto hist = quant.hist_view(scope.arena());
   out.add_streamed("codes", [&](ByteSink& sink) {
     pack_codes_hist(quant.codes_view(), hist, config, sink);
@@ -63,38 +62,38 @@ void quantized_encode(const NdArray<T>& data, double abs_eb,
 /// checks the code count against the shape, and hands a QuantDecoder
 /// over them to `run(quant)` — the common head of every SZ-style
 /// decode.
-template <typename T, typename Run>
+template <typename Run>
 void quantized_decode(const BlobHeader& header, const SectionReader& in,
                       Run&& run) {
   ScratchLease<std::uint32_t> codes(ScratchPool<std::uint32_t>::shared());
   unpack_codes_into(in.get("codes"), header.shape.size(), *codes);
-  ScratchLease<T> raw(ScratchPool<T>::shared());
+  ScratchLease<float> raw(ScratchPool<float>::shared());
   unpack_raw_values_into(in.get("raw"), header.shape.size(), *raw);
   if (codes->size() != header.shape.size())
     throw CorruptStream("blob: code count does not match shape");
-  QuantDecoder<T> quant(header.abs_eb, header.quant_radius, *codes, *raw);
+  QuantDecoder<float> quant(header.abs_eb, header.quant_radius, *codes, *raw);
   run(quant);
 }
 
 /// Decode through a serial traversal `traverse(values, fn)` (the
 /// Lorenzo family and SZ2, whose predictions feed on each other).
-template <typename T, typename Traverse>
+template <typename Traverse>
 void traversal_decode(const BlobHeader& header, const SectionReader& in,
-                      std::span<T> out, Traverse&& traverse) {
-  quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
+                      std::span<float> out, Traverse&& traverse) {
+  quantized_decode(header, in, [&](QuantDecoder<float>& quant) {
     traverse(out, [&](std::size_t, double pred) { return quant.decode(pred); });
   });
 }
 
-class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
+class LorenzoBackend final : public CompressorBackend {
  public:
-  template <typename T>
-  void encode_impl(const NdArray<T>& data, double abs_eb,
-                   const CompressionConfig& config, SectionWriter& out) const {
+  void encode(const FieldView& data, double abs_eb,
+              const CompressionConfig& config,
+              SectionWriter& out) const override {
     const auto original = data.values();
     quantized_encode(data, abs_eb, config, out,
-                     [&](std::span<T> recon, FusedQuant<T>& quant) {
-                       lorenzo_traverse<T>(
+                     [&](std::span<float> recon, FusedQuant<float>& quant) {
+                       lorenzo_traverse<float>(
                            data.shape(), recon,
                            [&](std::size_t idx, double pred) {
                              return quant.encode1(pred, original[idx]);
@@ -102,24 +101,23 @@ class LorenzoBackend final : public TypedBackend<LorenzoBackend> {
                      });
   }
 
-  template <typename T>
-  void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   std::span<T> out) const {
-    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
-      lorenzo_traverse<T>(header.shape, values, fn);
+  void decode(const BlobHeader& header, const SectionReader& in,
+              std::span<float> out) const override {
+    traversal_decode(header, in, out, [&](std::span<float> values, auto&& fn) {
+      lorenzo_traverse<float>(header.shape, values, fn);
     });
   }
 };
 
-class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
+class Lorenzo2Backend final : public CompressorBackend {
  public:
-  template <typename T>
-  void encode_impl(const NdArray<T>& data, double abs_eb,
-                   const CompressionConfig& config, SectionWriter& out) const {
+  void encode(const FieldView& data, double abs_eb,
+              const CompressionConfig& config,
+              SectionWriter& out) const override {
     const auto original = data.values();
     quantized_encode(data, abs_eb, config, out,
-                     [&](std::span<T> recon, FusedQuant<T>& quant) {
-                       lorenzo2_traverse<T>(
+                     [&](std::span<float> recon, FusedQuant<float>& quant) {
+                       lorenzo2_traverse<float>(
                            data.shape(), recon,
                            [&](std::size_t idx, double pred) {
                              return quant.encode1(pred, original[idx]);
@@ -127,38 +125,35 @@ class Lorenzo2Backend final : public TypedBackend<Lorenzo2Backend> {
                      });
   }
 
-  template <typename T>
-  void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   std::span<T> out) const {
-    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
-      lorenzo2_traverse<T>(header.shape, values, fn);
+  void decode(const BlobHeader& header, const SectionReader& in,
+              std::span<float> out) const override {
+    traversal_decode(header, in, out, [&](std::span<float> values, auto&& fn) {
+      lorenzo2_traverse<float>(header.shape, values, fn);
     });
   }
 };
 
-class Sz3InterpBackend final : public TypedBackend<Sz3InterpBackend> {
+class Sz3InterpBackend final : public CompressorBackend {
  public:
-  template <typename T>
-  void encode_impl(const NdArray<T>& data, double abs_eb,
-                   const CompressionConfig& config, SectionWriter& out) const {
+  void encode(const FieldView& data, double abs_eb,
+              const CompressionConfig& config,
+              SectionWriter& out) const override {
     const std::size_t stride = choose_anchor_stride(data.shape());
     quantized_encode(data, abs_eb, config, out,
-                     [&](std::span<T> recon, FusedQuant<T>& quant) {
-                       kernels::hierarchy_encode<T>(data.shape(),
-                                                    data.values().data(), recon,
-                                                    stride, /*cubic=*/true,
-                                                    quant);
+                     [&](std::span<float> recon, FusedQuant<float>& quant) {
+                       kernels::hierarchy_encode(data.shape(),
+                                                 data.values().data(), recon,
+                                                 stride, /*cubic=*/true, quant);
                      });
   }
 
-  template <typename T>
-  void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   std::span<T> out) const {
+  void decode(const BlobHeader& header, const SectionReader& in,
+              std::span<float> out) const override {
     const std::size_t stride =
         choose_anchor_stride(header.shape, header.anchor_stride);
-    quantized_decode<T>(header, in, [&](QuantDecoder<T>& quant) {
-      kernels::hierarchy_decode<T>(header.shape, out, stride, /*cubic=*/true,
-                                   quant);
+    quantized_decode(header, in, [&](QuantDecoder<float>& quant) {
+      kernels::hierarchy_decode(header.shape, out, stride, /*cubic=*/true,
+                                quant);
     });
   }
 };
@@ -205,8 +200,7 @@ struct CoeffPredictor {
 /// Estimated block SSE for regression (with fitted coefficients) vs
 /// Lorenzo (with original-value neighbors), both on original data; used
 /// only for predictor selection, mirroring SZ2's sampling heuristic.
-template <typename T>
-std::pair<double, double> block_sse(const NdArray<T>& data,
+std::pair<double, double> block_sse(const FieldView& data,
                                     const BlockRegion& region,
                                     const BlockCoeffs& coeffs) {
   const Shape& shape = data.shape();
@@ -254,16 +248,16 @@ std::pair<double, double> block_sse(const NdArray<T>& data,
   return {sse_reg, sse_lor};
 }
 
-class Sz2Backend final : public TypedBackend<Sz2Backend> {
+class Sz2Backend final : public CompressorBackend {
  public:
-  template <typename T>
-  void encode_impl(const NdArray<T>& data, double abs_eb,
-                   const CompressionConfig& config, SectionWriter& out) const {
+  void encode(const FieldView& data, double abs_eb,
+              const CompressionConfig& config,
+              SectionWriter& out) const override {
     ArenaScope scope;
-    std::span<T> recon = recon_scratch<T>(scope.arena(), data.size());
-    FusedQuant<T> quant =
-        FusedQuant<T>::make(abs_eb, kDefaultQuantRadius, data.size(),
-                            scope.arena(), ScratchArena::Slot::kHistA);
+    std::span<float> recon = recon_scratch(scope.arena(), data.size());
+    FusedQuant<float> quant =
+        FusedQuant<float>::make(abs_eb, kDefaultQuantRadius, data.size(),
+                                scope.arena(), ScratchArena::Slot::kHistA);
     const auto original = data.values();
 
     const Shape& shape = data.shape();
@@ -297,12 +291,12 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
     };
     {
       OCELOT_SPAN("codec.predict_quantize");
-      block_traverse<T>(shape, recon, kSz2BlockSize, oracle,
-                        [&](std::size_t idx, double pred) {
-                          return quant.encode1(pred, original[idx]);
-                        });
+      block_traverse<float>(shape, recon, kSz2BlockSize, oracle,
+                            [&](std::size_t idx, double pred) {
+                              return quant.encode1(pred, original[idx]);
+                            });
     }
-    OCELOT_COUNT("codec.raw_bytes", data.size() * sizeof(T));
+    OCELOT_COUNT("codec.raw_bytes", original.size_bytes());
 
     const auto coef_hist = coef_quant.hist_view(scope.arena());
     const auto hist = quant.hist_view(scope.arena());
@@ -323,9 +317,8 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
     });
   }
 
-  template <typename T>
-  void decode_impl(const BlobHeader& header, const SectionReader& in,
-                   std::span<T> out) const {
+  void decode(const BlobHeader& header, const SectionReader& in,
+              std::span<float> out) const override {
     // One choice byte and at most kMaxCoeffsPerBlock coefficients per
     // regression block.
     const std::size_t n_blocks =
@@ -360,8 +353,9 @@ class Sz2Backend final : public TypedBackend<Sz2Backend> {
       coef_pred.update(c);
       return {true, c};
     };
-    traversal_decode(header, in, out, [&](std::span<T> values, auto&& fn) {
-      block_traverse<T>(header.shape, values, header.block_size, oracle, fn);
+    traversal_decode(header, in, out, [&](std::span<float> values, auto&& fn) {
+      block_traverse<float>(header.shape, values, header.block_size, oracle,
+                            fn);
     });
   }
 };

@@ -113,8 +113,7 @@ void lorenzo2_traverse(const Shape& shape, std::span<T> recon, Fn&& fn) {
 /// Average absolute first-order Lorenzo residual computed on the
 /// *original* values (the paper's avg-Lorenzo-error data feature;
 /// Section VI notes features use real values, not reconstructed ones).
-template <typename T>
-double average_lorenzo_error(const NdArray<T>& data) {
+inline double average_lorenzo_error(const FieldView& data) {
   const Shape& shape = data.shape();
   const std::size_t n0 = shape.dim(0);
   const std::size_t n1 = shape.rank() >= 2 ? shape.dim(1) : 1;

@@ -64,7 +64,7 @@ double clamp_log2_ratio(double log2_ratio) {
 
 /// Strided min/max of the block (the analytic PSNR estimate only
 /// needs the value range, so it shares the feature sampling stride).
-double sampled_range_of(const FloatArray& block, std::size_t stride) {
+double sampled_range_of(const FieldView& block, std::size_t stride) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   const auto vals = block.values();
@@ -76,10 +76,9 @@ double sampled_range_of(const FloatArray& block, std::size_t stride) {
 }
 
 /// First kProbeSlabs slowest-dimension slabs of the block
-/// (row-truncated to at most kProbeMaxElements), copied out for the
-/// calibration probe. Always a contiguous prefix of the block's
-/// storage.
-FloatArray slab_prefix(const FloatArray& block) {
+/// (row-truncated to at most kProbeMaxElements) for the calibration
+/// probe: a view of a contiguous prefix of the block's storage.
+FieldView slab_prefix(const FieldView& block) {
   const Shape& shape = block.shape();
   std::size_t keep = std::min(kProbeSlabs, shape.dim(0));
   Shape prefix_shape =
@@ -101,11 +100,7 @@ FloatArray slab_prefix(const FloatArray& block) {
       prefix_shape = Shape(1, std::min(shape.dim(1), rows), shape.dim(2));
     }
   }
-  std::vector<float> data(
-      block.values().begin(),
-      block.values().begin() +
-          static_cast<std::ptrdiff_t>(prefix_shape.size()));
-  return FloatArray(prefix_shape, std::move(data));
+  return FieldView(prefix_shape, block.values().first(prefix_shape.size()));
 }
 
 }  // namespace
@@ -192,7 +187,7 @@ bool AdvisorPolicy::wants_probe(const BlockContext& ctx) const {
   return needs_block_features() || ctx.block == 0;
 }
 
-void AdvisorPolicy::probe(const BlockContext& ctx, const FloatArray& block) {
+void AdvisorPolicy::probe(const BlockContext& ctx, const FieldView& block) {
   TaskProbe& probe = probes_[ctx.task];
   probe.elements = block.size();
   if (needs_block_features()) {
@@ -222,8 +217,8 @@ void AdvisorPolicy::probe(const BlockContext& ctx, const FloatArray& block) {
     FieldCalibration& calib = calibrations_[ctx.field];
     calib.ran = true;
     calib.obs_log2.assign(candidates_.size(), 0.0);
-    const FloatArray prefix = slab_prefix(block);
-    const double raw = static_cast<double>(prefix.byte_size());
+    const FieldView prefix = slab_prefix(block);
+    const double raw = static_cast<double>(prefix.values().size_bytes());
     for (std::size_t c = 0; c < candidates_.size(); ++c) {
       CompressionConfig config = base_;
       config.backend = candidates_[c].name;

@@ -123,7 +123,7 @@ class AdvisorPolicy final : public BlockPolicy {
   void begin(std::size_t n_fields, std::size_t n_tasks,
              const CompressionConfig& base) override;
   [[nodiscard]] bool wants_probe(const BlockContext& ctx) const override;
-  void probe(const BlockContext& ctx, const FloatArray& block) override;
+  void probe(const BlockContext& ctx, const FieldView& block) override;
   BlockDecision decide(const BlockContext& ctx) override;
   void observe(const BlockContext& ctx, const BlockDecision& decision,
                const BlockOutcome& outcome) override;

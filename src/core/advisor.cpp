@@ -6,8 +6,7 @@
 
 namespace ocelot {
 
-template <typename T>
-Advice advise(const QualityModel& model, const NdArray<T>& data,
+Advice advise(const QualityModel& model, const FieldView& data,
               const std::vector<CompressionConfig>& candidates,
               const QualityConstraints& constraints,
               std::size_t sample_stride) {
@@ -44,13 +43,6 @@ Advice advise(const QualityModel& model, const NdArray<T>& data,
   }
   return advice;
 }
-
-template Advice advise<float>(const QualityModel&, const NdArray<float>&,
-                              const std::vector<CompressionConfig>&,
-                              const QualityConstraints&, std::size_t);
-template Advice advise<double>(const QualityModel&, const NdArray<double>&,
-                               const std::vector<CompressionConfig>&,
-                               const QualityConstraints&, std::size_t);
 
 std::vector<CompressionConfig> enumerate_candidates(
     const std::vector<double>& ebs, EbMode eb_mode) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/ndarray.hpp"
 #include "compressor/config.hpp"
 #include "predictor/quality_model.hpp"
 
@@ -37,8 +38,7 @@ struct Advice {
 
 /// Scores `candidates` for `data` and picks the feasible option with
 /// the highest predicted compression ratio.
-template <typename T>
-Advice advise(const QualityModel& model, const NdArray<T>& data,
+Advice advise(const QualityModel& model, const FieldView& data,
               const std::vector<CompressionConfig>& candidates,
               const QualityConstraints& constraints,
               std::size_t sample_stride = 100);

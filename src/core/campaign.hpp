@@ -65,8 +65,7 @@ struct CampaignConfig {
   /// Ocelot keeps campaign containers warm (Section III-C), so the
   /// default cold-start charge is the warm-pool replenishment cost.
   FuncXEndpointConfig faas{/*name=*/"", /*dispatch_latency_s=*/0.12,
-                           /*cold_start_s=*/0.5, /*warm_overhead_s=*/0.01,
-                           /*batch_latency_s=*/0.02};
+                           /*cold_start_s=*/0.5, /*warm_overhead_s=*/0.01};
 };
 
 /// Timing breakdown of one campaign.

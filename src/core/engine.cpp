@@ -160,7 +160,7 @@ FloatArray Engine::decompress(std::span<const std::uint8_t> blob,
   if (is_block_container(blob)) {
     return block_decompress(blob, resolve_workers(workers)).field;
   }
-  return ocelot::decompress<float>(blob);
+  return ocelot::decompress(blob);
 }
 
 ParallelCompressResult Engine::compress_fields(

@@ -21,42 +21,6 @@ GroupPlan plan_groups_by_world_size(std::size_t n_files,
   return plan;
 }
 
-GroupPlan plan_groups_by_count(std::size_t n_files, std::size_t n_groups) {
-  require(n_files > 0, "plan_groups: no files");
-  require(n_groups > 0, "plan_groups: zero groups");
-  n_groups = std::min(n_groups, n_files);
-  GroupPlan plan(n_groups);
-  // Distribute remainders across the leading groups.
-  const std::size_t base = n_files / n_groups;
-  const std::size_t extra = n_files % n_groups;
-  std::size_t next = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const std::size_t count = base + (g < extra ? 1 : 0);
-    for (std::size_t i = 0; i < count; ++i) plan[g].push_back(next++);
-  }
-  return plan;
-}
-
-GroupPlan plan_groups_by_target_bytes(std::span<const double> file_bytes,
-                                      double target_bytes) {
-  require(!file_bytes.empty(), "plan_groups: no files");
-  require(target_bytes > 0.0, "plan_groups: non-positive target");
-  GroupPlan plan;
-  std::vector<std::size_t> current;
-  double current_bytes = 0.0;
-  for (std::size_t i = 0; i < file_bytes.size(); ++i) {
-    current.push_back(i);
-    current_bytes += file_bytes[i];
-    if (current_bytes >= target_bytes) {
-      plan.push_back(std::move(current));
-      current = {};
-      current_bytes = 0.0;
-    }
-  }
-  if (!current.empty()) plan.push_back(std::move(current));
-  return plan;
-}
-
 std::vector<double> group_sizes(const GroupPlan& plan,
                                 std::span<const double> file_bytes) {
   std::vector<double> sizes;

@@ -5,9 +5,8 @@
 // transfer throughput (Table II), but over-grouping starves the
 // transfer service's concurrency (the paper's Miranda case: 8 groups
 // could not fill the available concurrent threads). The planner
-// supports the paper's default ("group by world size": each group
-// holds the files one compression wave produced) plus count- and
-// byte-targeted strategies for the ablation benches.
+// implements the paper's default, "group by world size": each group
+// holds the files one compression wave produced.
 
 #include <cstddef>
 #include <span>
@@ -24,14 +23,6 @@ using GroupPlan = std::vector<std::vector<std::size_t>>;
 /// number of cores for compression".
 GroupPlan plan_groups_by_world_size(std::size_t n_files,
                                     std::size_t world_size);
-
-/// Groups into exactly `n_groups` near-equal-count groups.
-GroupPlan plan_groups_by_count(std::size_t n_files, std::size_t n_groups);
-
-/// Greedily packs consecutive files until each group reaches
-/// `target_bytes` (profiling-informed preferred transfer size).
-GroupPlan plan_groups_by_target_bytes(std::span<const double> file_bytes,
-                                      double target_bytes);
 
 /// Aggregate per-group byte sizes under a plan.
 std::vector<double> group_sizes(const GroupPlan& plan,

@@ -33,8 +33,9 @@ struct LocalPipelineConfig {
   std::size_t block_slabs = 0;
   /// Online adaptive advisor: pick each block's backend / error bound
   /// through an AdvisorPolicy instead of compressing every block with
-  /// `compression`. Implies block mode (block_slabs defaults to 8 when
-  /// left at 0).
+  /// `compression`. Implies block mode: block_slabs left at 0 takes
+  /// default_block_slabs of the field with the smallest slabs (see
+  /// Engine::compress_fields).
   bool adaptive = false;
   AdaptiveOptions adaptive_options;
 };

@@ -60,9 +60,8 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
   ScratchLease<std::uint8_t> payloads(ScratchPool<std::uint8_t>::shared());
   ByteSink sink(*payloads);
   std::vector<std::size_t> ends;
-  // The lease owns the chunk storage across iterations; compression
-  // borrows it via the array wrapper and hands it back (also on
-  // throw), so a malformed stream cannot bleed capacity from the pool.
+  // The lease owns the chunk storage across iterations, also when a
+  // malformed stream throws; each chunk compresses from it in place.
   ScratchLease<float> chunk(ScratchPool<float>::shared(), chunk_elems);
   std::size_t total_slabs = 0;
 
@@ -78,19 +77,11 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
       throw CorruptStream("stream: input ends mid-slab");
     const std::size_t slabs = elems / slab_elems;
     chunk->resize(elems);
-
-    // Wrap the pooled chunk, compress it onto the payload buffer, then
-    // take the storage back for the next chunk.
-    FloatArray block(chunk_shape(slabs, config.slab_dims),
-                     std::move(*chunk));
-    try {
+    {
       OCELOT_SPAN("stream.chunk");
-      compress_into(block, config.compression, sink);
-    } catch (...) {
-      *chunk = block.release();
-      throw;
+      compress_into(FieldView(chunk_shape(slabs, config.slab_dims), *chunk),
+                    config.compression, sink);
     }
-    *chunk = block.release();
     ends.push_back(payloads->size());
 
     total_slabs += slabs;
@@ -104,6 +95,7 @@ StreamStats stream_compress(std::istream& in, std::ostream& out,
   stats.raw_bytes = total_slabs * slab_elems * sizeof(float);
 
   std::vector<std::span<const std::uint8_t>> views;
+  views.reserve(ends.size());
   std::size_t begin = 0;
   for (const std::size_t end : ends) {
     views.emplace_back(payloads->data() + begin, end - begin);
@@ -139,7 +131,7 @@ StreamStats stream_decompress(std::istream& in, std::ostream& out) {
   stats.compressed_bytes = data->size();
   if (!is_block_container(*data)) {
     // Bare OCZ1 blob: decode whole (there is no block structure).
-    const FloatArray field = decompress<float>(*data);
+    const FloatArray field = decompress(*data);
     stats.shape = field.shape();
     stats.blocks = 1;
     stats.raw_bytes = field.byte_size();

@@ -105,16 +105,17 @@ class BlockPolicy {
                      const CompressionConfig& base) = 0;
 
   /// Whether probe() should run for this block. Returning false lets
-  /// the executor skip materializing the block a first time when the
-  /// policy has nothing to measure on it (e.g. no constraint or model
-  /// consumes the features). Must be deterministic in ctx alone.
+  /// the executor skip the probe pass when the policy has nothing to
+  /// measure on the block (e.g. no constraint or model consumes the
+  /// features). Must be deterministic in ctx alone.
   [[nodiscard]] virtual bool wants_probe(const BlockContext& ctx) const {
     (void)ctx;
     return true;
   }
 
   /// Concurrent feature sampling for one block (store by ctx.task).
-  virtual void probe(const BlockContext& ctx, const FloatArray& block) = 0;
+  /// `block` views the block's slab range of the field's own storage.
+  virtual void probe(const BlockContext& ctx, const FieldView& block) = 0;
 
   /// Sequential decision for one block (calibration-first order; see
   /// the file comment).

@@ -22,38 +22,14 @@ struct BlockTask {
   BlockSpan span;
 };
 
-/// Runs `fn` against a pooled copy of the block's contiguous slab
-/// range. The slice storage returns to the pool even when `fn` throws.
-template <typename Fn>
-void with_block_copy(const FloatArray& field, const BlockSpan& span,
-                     Fn&& fn) {
+/// The block's contiguous slab range of the field, with its block
+/// shape: what the policy probes and the codec compresses, read in
+/// place.
+FieldView block_view(const FloatArray& field, const BlockSpan& span) {
   const Shape shape = block_shape(field.shape(), span);
-  const std::size_t slab_elems =
-      field.shape().dim(1) * field.shape().dim(2);
-  const std::size_t begin = span.slab_begin * slab_elems;
-  auto& pool = ScratchPool<float>::shared();
-  std::vector<float> data = pool.acquire(shape.size());
-  data.assign(
-      field.values().begin() + static_cast<std::ptrdiff_t>(begin),
-      field.values().begin() +
-          static_cast<std::ptrdiff_t>(begin + shape.size()));
-  FloatArray block(shape, std::move(data));
-  try {
-    fn(block);
-  } catch (...) {
-    pool.release(block.release());
-    throw;
-  }
-  pool.release(block.release());
-}
-
-/// Compresses the block's contiguous slab range through pooled slice
-/// scratch, streaming the blob into `sink`.
-void compress_block_slice(const FloatArray& field, const BlockSpan& span,
-                          const CompressionConfig& config, ByteSink& sink) {
-  with_block_copy(field, span, [&](const FloatArray& block) {
-    compress_into(block, config, sink);
-  });
+  const std::size_t slab_elems = field.shape().dim(1) * field.shape().dim(2);
+  return FieldView(shape, field.values().subspan(
+                              span.slab_begin * slab_elems, shape.size()));
 }
 
 ParallelCompressResult blocked_compress_impl(
@@ -83,10 +59,10 @@ ParallelCompressResult blocked_compress_impl(
   }
   result.task_count = tasks.size();
 
-  // Workers compress slabs into pooled buffers: slab scratch and blob
-  // storage both cycle through the shared pools, so steady state runs
-  // with no fresh allocation per block. The RAII lease keeps a
-  // throwing task from stranding its buffer.
+  // Workers compress each block from its slab range of the field into
+  // a pooled blob buffer, so steady state runs with no fresh
+  // allocation per block. The RAII lease keeps a throwing task from
+  // stranding its buffer.
   const auto context_of = [&](std::size_t t) {
     const FloatArray& field = fields[tasks[t].field];
     const std::size_t slab_elems = field.shape().dim(1) * field.shape().dim(2);
@@ -103,7 +79,8 @@ ParallelCompressResult blocked_compress_impl(
     const BlockTask& task = tasks[t];
     ScratchLease<std::uint8_t> blob(ScratchPool<std::uint8_t>::shared());
     ByteSink sink(*blob);
-    compress_block_slice(fields[task.field], task.span, block_config, sink);
+    compress_into(block_view(fields[task.field], task.span), block_config,
+                  sink);
     OCELOT_COUNT("block.compressed_bytes", blob->size());
     OCELOT_HIST("block.compressed_bytes", blob->size());
     block_blobs[task.field][task.block] = std::move(blob);
@@ -158,9 +135,7 @@ ParallelCompressResult blocked_compress_impl(
         if (!policy->wants_probe(ctx)) return;
         OCELOT_SPAN("advisor.probe");
         OCELOT_COUNT("advisor.probes", 1);
-        with_block_copy(
-            fields[tasks[t].field], tasks[t].span,
-            [&](const FloatArray& block) { policy->probe(ctx, block); });
+        policy->probe(ctx, block_view(fields[tasks[t].field], tasks[t].span));
       });
       {
         OCELOT_SPAN("advisor.decide");
@@ -221,6 +196,7 @@ ParallelCompressResult blocked_compress_impl(
   std::vector<std::span<const std::uint8_t>> payloads;
   for (std::size_t f = 0; f < fields.size(); ++f) {
     payloads.clear();
+    payloads.reserve(block_blobs[f].size());
     for (const ScratchLease<std::uint8_t>& blob : block_blobs[f]) {
       payloads.emplace_back(*blob);
     }
@@ -309,7 +285,7 @@ ParallelDecompressResult parallel_decompress(
           field.values().subspan(task.span.slab_begin * slab_elems,
                                  task.span.slab_count * slab_elems));
     } else {
-      result.fields[task.blob] = decompress<float>(blobs[task.blob]);
+      result.fields[task.blob] = decompress(blobs[task.blob]);
     }
   });
   result.wall_seconds = timer.seconds();

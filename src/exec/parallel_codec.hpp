@@ -9,7 +9,9 @@
 //   * block-parallel: each file is split into fixed-size blocks along
 //     its slowest dimension and every (file, block) pair is an
 //     independent task, so a single large field keeps all cores busy.
-//     Each field's pooled block payloads go to build_block_container
+//     Each block is compressed (and probed) in place, as a FieldView
+//     of its slab range of the field, with no copy. Each field's
+//     pooled block payloads go to build_block_container
 //     as views (one copy each), and decompression is block-parallel
 //     too: every block decodes through decode_block_into straight
 //     into its slab of the output field (see io/block_container.hpp).

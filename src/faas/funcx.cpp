@@ -18,7 +18,6 @@ std::size_t FuncXService::acquire_endpoint(const FuncXEndpointConfig& config) {
     require(existing.dispatch_latency_s == config.dispatch_latency_s &&
                 existing.cold_start_s == config.cold_start_s &&
                 existing.warm_overhead_s == config.warm_overhead_s &&
-                existing.batch_latency_s == config.batch_latency_s &&
                 existing.max_warm_containers == config.max_warm_containers,
             "FuncXService: endpoint " + config.name +
                 " already registered with a different config");
@@ -84,28 +83,6 @@ void FuncXService::submit(std::size_t endpoint, const std::string& function,
     ++completed_;
     if (cb) cb();
   });
-}
-
-void FuncXService::submit_batch(std::size_t endpoint,
-                                const std::string& function,
-                                std::vector<FuncXTask> tasks) {
-  check_function(function);
-  require(!tasks.empty(), "FuncXService: empty batch");
-  EndpointState& ep = endpoint_state(endpoint);
-  // Dispatch is paid once for the whole batch (executor batching);
-  // the container warms once; tasks then run concurrently.
-  const double base = ep.config.dispatch_latency_s +
-                      container_cost(ep, function);
-  double marginal = 0.0;
-  for (auto& task : tasks) {
-    marginal += ep.config.batch_latency_s;
-    const double latency = base + marginal + task.compute_seconds;
-    auto cb = std::move(task.on_complete);
-    sim_.schedule_in(latency, [this, cb = std::move(cb)]() mutable {
-      ++completed_;
-      if (cb) cb();
-    });
-  }
 }
 
 }  // namespace ocelot

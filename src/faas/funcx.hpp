@@ -6,8 +6,7 @@
 // run on the target machines, and each invocation pays a cloud
 // dispatch latency plus a container cost (cold start on first use of a
 // function at an endpoint, warm afterwards — the paper's "container
-// warming" optimization). Batched submission amortizes dispatch
-// across many tasks ("executor/user batching").
+// warming" optimization).
 
 #include <cstdint>
 #include <map>
@@ -27,7 +26,6 @@ struct FuncXEndpointConfig {
   double dispatch_latency_s = 0.12;   ///< user -> cloud -> endpoint hop
   double cold_start_s = 2.5;          ///< container instantiation
   double warm_overhead_s = 0.01;      ///< per-task overhead when warm
-  double batch_latency_s = 0.02;      ///< marginal dispatch per batched task
   /// Warm-container pool size: how many distinct functions stay warm
   /// at once (0 = unbounded). When the pool overflows, the least
   /// recently used container is evicted and its next invocation pays a
@@ -62,11 +60,6 @@ class FuncXService {
   /// compute time. Throws NotFound for unknown endpoint/function.
   void submit(std::size_t endpoint, const std::string& function,
               FuncXTask task);
-
-  /// Submits a batch: dispatch latency is paid once plus a small
-  /// marginal cost per task; tasks run concurrently on the endpoint.
-  void submit_batch(std::size_t endpoint, const std::string& function,
-                    std::vector<FuncXTask> tasks);
 
   [[nodiscard]] std::uint64_t completed_tasks() const { return completed_; }
   [[nodiscard]] const FuncXEndpointConfig& endpoint(std::size_t id) const;

@@ -12,8 +12,7 @@
 
 namespace ocelot {
 
-template <typename T>
-DataFeatures extract_data_features(const NdArray<T>& data) {
+DataFeatures extract_data_features(const FieldView& data) {
   DataFeatures f;
   const ValueSummary s = summarize(data.values());
   f.min = s.min;
@@ -24,14 +23,10 @@ DataFeatures extract_data_features(const NdArray<T>& data) {
   return f;
 }
 
-template DataFeatures extract_data_features<float>(const NdArray<float>&);
-template DataFeatures extract_data_features<double>(const NdArray<double>&);
-
 namespace {
 
 /// Lorenzo prediction from *original* neighbors at (i, j, k).
-template <typename T>
-double lorenzo_pred_original(const NdArray<T>& data, std::size_t i,
+double lorenzo_pred_original(const FieldView& data, std::size_t i,
                              std::size_t j, std::size_t k) {
   const Shape& shape = data.shape();
   const int rank = shape.rank();
@@ -59,8 +54,7 @@ double lorenzo_pred_original(const NdArray<T>& data, std::size_t i,
 
 }  // namespace
 
-template <typename T>
-CompressorFeatures extract_compressor_features(const NdArray<T>& data,
+CompressorFeatures extract_compressor_features(const FieldView& data,
                                                double abs_eb,
                                                std::size_t sample_stride) {
   require(abs_eb > 0.0, "extract_compressor_features: eb must be positive");
@@ -127,11 +121,6 @@ CompressorFeatures extract_compressor_features(const NdArray<T>& data,
   return f;
 }
 
-template CompressorFeatures extract_compressor_features<float>(
-    const NdArray<float>&, double, std::size_t);
-template CompressorFeatures extract_compressor_features<double>(
-    const NdArray<double>&, double, std::size_t);
-
 FeatureVector assemble_feature_vector(double abs_eb, std::uint8_t backend_id,
                                       const DataFeatures& df,
                                       const CompressorFeatures& cf) {
@@ -150,8 +139,7 @@ FeatureVector assemble_feature_vector(double abs_eb, std::uint8_t backend_id,
   return v;
 }
 
-template <typename T>
-FeatureVector make_feature_vector(const NdArray<T>& data,
+FeatureVector make_feature_vector(const FieldView& data,
                                   const CompressionConfig& config,
                                   std::size_t sample_stride) {
   const double abs_eb = resolve_abs_eb(data, config);
@@ -161,12 +149,5 @@ FeatureVector make_feature_vector(const NdArray<T>& data,
       extract_compressor_features(data, abs_eb, sample_stride);
   return assemble_feature_vector(abs_eb, backend_id, df, cf);
 }
-
-template FeatureVector make_feature_vector<float>(const NdArray<float>&,
-                                                  const CompressionConfig&,
-                                                  std::size_t);
-template FeatureVector make_feature_vector<double>(const NdArray<double>&,
-                                                   const CompressionConfig&,
-                                                   std::size_t);
 
 }  // namespace ocelot

@@ -56,8 +56,7 @@ struct CompressorFeatures {
 };
 
 /// Extracts data-based features (full-pass; cheap single sweep).
-template <typename T>
-DataFeatures extract_data_features(const NdArray<T>& data);
+DataFeatures extract_data_features(const FieldView& data);
 
 /// Extracts quantization-bin features on a subsample.
 ///
@@ -65,14 +64,12 @@ DataFeatures extract_data_features(const NdArray<T>& data);
 /// 1% sampling). Predictions use original values, matching the paper's
 /// note that features are computed with real data rather than
 /// reconstructed values.
-template <typename T>
-CompressorFeatures extract_compressor_features(const NdArray<T>& data,
+CompressorFeatures extract_compressor_features(const FieldView& data,
                                                double abs_eb,
                                                std::size_t sample_stride = 100);
 
 /// Assembles the full 11-feature vector for a (dataset, config) pair.
-template <typename T>
-FeatureVector make_feature_vector(const NdArray<T>& data,
+FeatureVector make_feature_vector(const FieldView& data,
                                   const CompressionConfig& config,
                                   std::size_t sample_stride = 100);
 

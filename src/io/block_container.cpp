@@ -55,8 +55,8 @@ std::uint8_t sniff_entropy_id(std::span<const std::uint8_t> payload) {
 }
 
 /// Shape of block `i` under the index's plan, computed arithmetically
-/// (like read_block_index's count check) so random access never
-/// materializes the whole plan.
+/// (like block_count) so random access never materializes the whole
+/// plan.
 Shape planned_block_shape(const BlockContainerInfo& info, std::size_t i) {
   const std::size_t dim0 = info.shape.dim(0);
   const std::size_t bs = std::min(info.block_slabs, dim0);
@@ -72,15 +72,20 @@ std::size_t default_block_slabs(std::size_t slab_values) {
   return std::max(kMinSlabs, (kMinValues - 1) / slab_values + 1);
 }
 
-std::vector<BlockSpan> plan_blocks(std::size_t dim0,
-                                   std::size_t block_slabs) {
+std::size_t block_count(std::size_t dim0, std::size_t block_slabs) {
   require(dim0 > 0, "plan_blocks: empty dimension");
   require(block_slabs > 0, "plan_blocks: zero block size");
+  const std::size_t bs = std::min(block_slabs, dim0);
+  return dim0 / bs + (dim0 % bs != 0 ? 1 : 0);
+}
+
+std::vector<BlockSpan> plan_blocks(std::size_t dim0,
+                                   std::size_t block_slabs) {
+  std::vector<BlockSpan> spans;
+  spans.reserve(block_count(dim0, block_slabs));
   // Clamping preserves the single-block semantics of oversized blocks
   // and keeps `begin += block_slabs` from ever wrapping.
   block_slabs = std::min(block_slabs, dim0);
-  std::vector<BlockSpan> spans;
-  spans.reserve(dim0 / block_slabs + (dim0 % block_slabs != 0 ? 1 : 0));
   for (std::size_t begin = 0; begin < dim0; begin += block_slabs) {
     spans.push_back({begin, std::min(block_slabs, dim0 - begin)});
   }
@@ -105,8 +110,7 @@ bool is_block_container(std::span<const std::uint8_t> data) {
 Bytes build_block_container(
     const Shape& shape, std::size_t block_slabs,
     const std::vector<std::span<const std::uint8_t>>& payloads) {
-  const auto spans = plan_blocks(shape.dim(0), block_slabs);
-  require(payloads.size() == spans.size(),
+  require(payloads.size() == block_count(shape.dim(0), block_slabs),
           "build_block_container: block count does not match the plan");
   // v1.2 is only worth its extra index bytes when some block actually
   // carries a non-default entropy stage; all-default (and non-OCZ)
@@ -162,12 +166,7 @@ BlockContainerInfo read_block_index(
   if (info.block_slabs == 0)
     throw CorruptStream("block container: zero block size");
   const std::uint64_t count = in.get_varint();
-  // Expected block count, computed arithmetically so implausible dims
-  // never materialize a plan; bs is clamped like plan_blocks does.
-  const std::size_t dim0 = info.shape.dim(0);
-  const std::size_t bs = std::min(info.block_slabs, dim0);
-  const std::uint64_t expected = dim0 / bs + (dim0 % bs != 0 ? 1 : 0);
-  if (count != expected)
+  if (count != block_count(info.shape.dim(0), info.block_slabs))
     throw CorruptStream("block container: block count does not match shape");
   if (count > container.size())  // every block carries >= 1 payload byte
     throw CorruptStream("block container: more blocks than bytes");
@@ -232,7 +231,7 @@ void decode_block_into(std::span<const std::uint8_t> container,
   // size).
   if (!(inspect_blob(payload).shape == planned))
     throw CorruptStream("block container: block shape does not match the plan");
-  decompress_into<float>(payload, planned, out);
+  decompress_into(payload, planned, out);
 }
 
 FloatArray decompress_block(std::span<const std::uint8_t> container,

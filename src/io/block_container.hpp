@@ -59,6 +59,12 @@ struct BlockSpan {
 std::vector<BlockSpan> plan_blocks(std::size_t dim0,
                                    std::size_t block_slabs);
 
+/// plan_blocks(dim0, block_slabs).size(), computed without building
+/// the plan (so a container reader never materializes one for
+/// implausible dims).
+[[nodiscard]] std::size_t block_count(std::size_t dim0,
+                                      std::size_t block_slabs);
+
 /// Slabs per block when the caller names none: 8, or as many slabs as
 /// hold 4096 values when a slab holds fewer than 512 (a rank-1
 /// field's slab is one value, and 8-value blocks cost more in headers

@@ -2,9 +2,10 @@
 // Self-describing on-"disk" format for scientific arrays.
 //
 // The paper's data loader handles binary/HDF5/NetCDF files; here a
-// single compact container ("OCF1") carries name, dtype, and shape so
-// fields survive round trips through the file store and the grouped
-// archives without external metadata.
+// single compact container ("OCF1") carries a name, a shape and f32
+// samples (it has no dtype field: every field is f32), so fields
+// survive round trips through the file store and the grouped archives
+// without external metadata.
 
 #include <string>
 

@@ -1,10 +1,8 @@
 #include "io/group_archive.hpp"
 
 #include <cstring>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/str.hpp"
 
 namespace ocelot {
 
@@ -36,6 +34,11 @@ std::vector<GroupIndexEntry> read_group_index(
     throw CorruptStream("group archive: bad magic");
   const std::uint64_t count = in.get_varint();
   if (count == 0) throw CorruptStream("group archive: zero members");
+  // Every header entry takes at least two bytes (name length and size
+  // varints), so a count the rest of the archive cannot hold is
+  // refused before anything is reserved for it.
+  if (count > in.remaining() / 2)
+    throw CorruptStream("group archive: more members than bytes");
 
   std::vector<GroupIndexEntry> index;
   index.reserve(count);
@@ -45,63 +48,19 @@ std::vector<GroupIndexEntry> read_group_index(
     e.size = in.get_varint();
     index.push_back(std::move(e));
   }
-  // Offsets start where the header ends.
+  // Offsets start where the header ends. Each size is checked against
+  // the body left before it is added, so crafted sizes can neither wrap
+  // the sum nor point a member past the buffer.
   std::size_t offset = archive.size() - in.remaining();
   for (auto& e : index) {
     e.offset = offset;
+    if (e.size > archive.size() - offset)
+      throw CorruptStream("group archive: member overruns the archive");
     offset += e.size;
   }
   if (offset != archive.size())
     throw CorruptStream("group archive: body size mismatch");
   return index;
-}
-
-std::vector<GroupMember> parse_group(std::span<const std::uint8_t> archive) {
-  const auto index = read_group_index(archive);
-  std::vector<GroupMember> members;
-  members.reserve(index.size());
-  for (const auto& e : index) {
-    GroupMember m;
-    m.name = e.name;
-    m.data.assign(archive.begin() + static_cast<std::ptrdiff_t>(e.offset),
-                  archive.begin() +
-                      static_cast<std::ptrdiff_t>(e.offset + e.size));
-    members.push_back(std::move(m));
-  }
-  return members;
-}
-
-std::string render_group_metadata(
-    const std::vector<std::vector<std::string>>& group_names,
-    const std::string& strategy) {
-  std::ostringstream os;
-  os << "# ocelot group metadata v1\n";
-  os << "strategy: " << strategy << "\n";
-  os << "groups: " << group_names.size() << "\n";
-  for (std::size_t g = 0; g < group_names.size(); ++g) {
-    os << "group " << g << " files " << group_names[g].size() << "\n";
-    for (const auto& name : group_names[g]) {
-      os << "  " << name << "\n";
-    }
-  }
-  return os.str();
-}
-
-std::vector<std::vector<std::string>> parse_group_metadata(
-    const std::string& text) {
-  std::vector<std::vector<std::string>> groups;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (starts_with(line, "group ")) {
-      groups.emplace_back();
-    } else if (starts_with(line, "  ") && !groups.empty()) {
-      groups.back().push_back(line.substr(2));
-    }
-  }
-  if (groups.empty())
-    throw CorruptStream("group metadata: no groups found");
-  return groups;
 }
 
 }  // namespace ocelot

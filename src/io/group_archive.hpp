@@ -2,11 +2,11 @@
 // Grouped-file archive for transfer optimization (Fig. 11).
 //
 // Many small compressed files transfer slowly (Table II), so Ocelot
-// concatenates them into grouped files: each group has a binary header
-// (member count, per-member name/offset/size) followed by the
-// concatenated member payloads. A separate human-readable metadata
-// text file records the grouping strategy and original filenames so
-// the receiver can ungroup and decompress.
+// concatenates them into grouped files ("OCG1"): each group has a
+// binary header (member count, per-member name and size; offsets
+// follow from the sizes) followed by the concatenated member payloads.
+// read_group_index is the one reader: it treats the archive as
+// untrusted and views the payloads in place.
 
 #include <string>
 #include <vector>
@@ -24,27 +24,20 @@ struct GroupMember {
 /// Builds a grouped archive from members (header + body).
 Bytes build_group(const std::vector<GroupMember>& members);
 
-/// Parses a grouped archive back into members.
-/// Throws CorruptStream on malformed input.
-std::vector<GroupMember> parse_group(std::span<const std::uint8_t> archive);
-
-/// Reads only the member names/sizes without copying payloads.
+/// One member of a parsed archive: its name and where its payload
+/// sits in the archive.
 struct GroupIndexEntry {
   std::string name;
   std::size_t offset;
   std::size_t size;
 };
+
+/// Reads the member names, offsets and sizes without copying payloads.
+/// Throws CorruptStream on malformed input: a bad magic, no members, a
+/// member count the archive's bytes cannot hold, a member that runs
+/// past the archive, or a body whose size the members do not cover
+/// exactly.
 std::vector<GroupIndexEntry> read_group_index(
     std::span<const std::uint8_t> archive);
-
-/// Renders the human-readable metadata file for a set of groups:
-/// member counts, strategy note, and original filenames per group.
-std::string render_group_metadata(
-    const std::vector<std::vector<std::string>>& group_names,
-    const std::string& strategy);
-
-/// Parses the metadata text back into per-group filename lists.
-std::vector<std::vector<std::string>> parse_group_metadata(
-    const std::string& text);
 
 }  // namespace ocelot

@@ -102,10 +102,6 @@ void FairShareChannel::set_capacity(double capacity) {
   reallocate();
 }
 
-bool FairShareChannel::flow_active(FlowId id) const {
-  return flow_ref(id).active;
-}
-
 const FairShareChannel::Flow& FairShareChannel::flow_ref(FlowId id) const {
   require(id < flows_.size(), "FairShareChannel: unknown flow");
   return flows_[id];
@@ -211,7 +207,6 @@ void FairShareChannel::remove_active(FlowId id, double demand) {
 
 void FairShareChannel::reallocate() {
   const double now = engine_.now();
-  ++reallocs_;
   OCELOT_COUNT("sim.fairshare.reallocs", 1);
   OCELOT_HIST("sim.fairshare.flows", static_cast<double>(active_.size()));
 

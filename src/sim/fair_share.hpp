@@ -80,8 +80,6 @@ class FairShareChannel {
   /// (e.g. a link degrading or recovering); rates reallocate at once.
   void set_capacity(double capacity);
 
-  [[nodiscard]] bool flow_active(FlowId id) const;
-
   /// Solo-service seconds delivered to `id` by wall time `t`.
   [[nodiscard]] double progress_at(FlowId id, double t) const;
 
@@ -91,9 +89,7 @@ class FairShareChannel {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t active_flows() const { return active_.size(); }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t reallocations() const { return reallocs_; }
 
  private:
   /// One constant-rate stretch of a flow's service history.
@@ -163,7 +159,6 @@ class FairShareChannel {
   EventHandle next_completion_;
   double last_update_ = 0.0;
   ChannelStats stats_;
-  std::uint64_t reallocs_ = 0;
 };
 
 }  // namespace ocelot::sim

@@ -353,7 +353,7 @@ class LooseningPolicy final : public BlockPolicy {
     base_ = base;
   }
   bool wants_probe(const BlockContext&) const override { return false; }
-  void probe(const BlockContext&, const FloatArray&) override {}
+  void probe(const BlockContext&, const FieldView&) override {}
   BlockDecision decide(const BlockContext& ctx) override {
     BlockDecision decision;
     decision.config = base_;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <iterator>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,9 @@
 #include "compressor/multigrid.hpp"
 #include "core/advisor.hpp"
 #include "core/local_pipeline.hpp"
+#include "core/stream_codec.hpp"
 #include "features/features.hpp"
+#include "io/block_container.hpp"
 
 #include "golden_blobs.inc"
 
@@ -28,13 +31,12 @@ namespace {
 constexpr const char* kBuiltinNames[] = {"lorenzo", "sz2", "sz3-interp",
                                          "lorenzo2", "multigrid"};
 
-template <typename T>
-NdArray<T> smooth_field(const Shape& shape) {
-  NdArray<T> data(shape);
+FloatArray smooth_field(const Shape& shape) {
+  FloatArray data(shape);
   auto v = data.values();
   for (std::size_t i = 0; i < v.size(); ++i) {
     const double x = static_cast<double>(i);
-    v[i] = static_cast<T>(std::sin(0.05 * x) + 0.3 * std::cos(0.013 * x));
+    v[i] = static_cast<float>(std::sin(0.05 * x) + 0.3 * std::cos(0.013 * x));
   }
   return data;
 }
@@ -80,45 +82,42 @@ TEST(BackendTable, UnknownNameThrowsListingTheNames) {
   }
   CompressionConfig config;
   config.backend = "zfp";
-  const FloatArray data = smooth_field<float>(Shape(16, 16));
+  const FloatArray data = smooth_field(Shape(16, 16));
   EXPECT_THROW((void)compress(data, config), InvalidArgument);
 }
 
 /// Cross-backend property: every registered backend honors the
-/// error-bound invariant for both dtypes across 1-D/2-D/3-D shapes,
-/// and inspect_blob agrees with what the writer produced.
+/// error-bound invariant across 1-D/2-D/3-D shapes, and inspect_blob
+/// agrees with what the writer produced.
 class BackendRoundTrip : public ::testing::TestWithParam<std::string> {};
 
-template <typename T>
 void roundtrip_case(const std::string& backend, const Shape& shape) {
-  const NdArray<T> data = smooth_field<T>(shape);
+  const FloatArray data = smooth_field(shape);
   CompressionConfig config;
   config.backend = backend;
   config.eb_mode = EbMode::kAbsolute;
   config.eb = 1e-3;
 
   const Bytes blob = compress(data, config);
-  const NdArray<T> recon = decompress<T>(blob);
+  const FloatArray recon = decompress(blob);
   ASSERT_EQ(recon.shape(), shape);
-  EXPECT_LE(max_abs_error<T>(data.values(), recon.values()), config.eb)
+  EXPECT_LE(max_abs_error<float>(data.values(), recon.values()), config.eb)
       << backend << " rank " << shape.rank();
 
   const BlobInfo info = inspect_blob(blob);
   EXPECT_EQ(info.backend, backend);
   EXPECT_EQ(info.backend_id, backend_by_name(backend).wire_id);
-  EXPECT_EQ(info.is_double, sizeof(T) == 8);
   EXPECT_EQ(info.shape, shape);
   EXPECT_DOUBLE_EQ(info.abs_eb, config.eb);
   EXPECT_EQ(info.compressed_bytes, blob.size());
-  EXPECT_EQ(info.raw_bytes, shape.size() * sizeof(T));
+  EXPECT_EQ(info.raw_bytes, shape.size() * sizeof(float));
 }
 
-TEST_P(BackendRoundTrip, BoundHoldsAndInspectAgreesEveryDtypeAndRank) {
+TEST_P(BackendRoundTrip, BoundHoldsAndInspectAgreesEveryRank) {
   const std::string backend = GetParam();
   for (const Shape& shape :
        {Shape(257), Shape(23, 31), Shape(9, 12, 11)}) {
-    roundtrip_case<float>(backend, shape);
-    roundtrip_case<double>(backend, shape);
+    roundtrip_case(backend, shape);
   }
 }
 
@@ -126,20 +125,20 @@ INSTANTIATE_TEST_SUITE_P(AllRegistered, BackendRoundTrip,
                          ::testing::ValuesIn(registered_backend_names()));
 
 TEST(BackendTable, UnknownBackendIdThrowsCorruptStream) {
-  const FloatArray data = smooth_field<float>(Shape(12, 12));
+  const FloatArray data = smooth_field(Shape(12, 12));
   Bytes blob = compress(data, CompressionConfig{});
   // Header layout: magic[4], dtype u8, backend id u8.
   blob[5] = 0xee;
-  EXPECT_THROW((void)decompress<float>(blob), CorruptStream);
+  EXPECT_THROW((void)decompress(blob), CorruptStream);
   EXPECT_THROW((void)inspect_blob(blob), CorruptStream);
 }
 
 TEST(BackendTable, TruncatedHeaderThrowsCorruptStream) {
-  const FloatArray data = smooth_field<float>(Shape(12, 12));
+  const FloatArray data = smooth_field(Shape(12, 12));
   Bytes blob = compress(data, CompressionConfig{});
   blob.resize(5);
   EXPECT_THROW((void)inspect_blob(blob), CorruptStream);
-  EXPECT_THROW((void)decompress<float>(blob), CorruptStream);
+  EXPECT_THROW((void)decompress(blob), CorruptStream);
 }
 
 /// Bit-exact backward compatibility: blobs written by the
@@ -163,7 +162,7 @@ TEST(BackendTable, PreRegistryBlobsDecodeBitExactly) {
         reinterpret_cast<const std::uint8_t*>(c.blob.data()), c.blob.size()};
 
     // Old blob decodes and honors the recorded bound.
-    const FloatArray recon = decompress<float>(golden);
+    const FloatArray recon = decompress(golden);
     EXPECT_LE(max_abs_error<float>(data.values(), recon.values()), 1e-3)
         << c.backend;
     const BlobInfo info = inspect_blob(golden);
@@ -181,10 +180,50 @@ TEST(BackendTable, PreRegistryBlobsDecodeBitExactly) {
   }
 }
 
+/// Every reader of an OCZ blob, bare or as an OCB1 block, refuses a
+/// dtype byte other than 0 (f32) as CorruptStream. 1 was f64, whose
+/// codec path is gone; 7 was never written.
+TEST(BlobDtype, AnyDtypeButF32IsCorruptInEveryReader) {
+  const Shape shape(6, 7, 5);
+  for (const std::uint8_t dtype : {std::uint8_t{1}, std::uint8_t{7}}) {
+    Bytes blob(std::begin(kGoldenLorenzo), std::end(kGoldenLorenzo));
+    ASSERT_EQ(blob[4], 0);  // magic[4], then the dtype byte
+    blob[4] = dtype;
+    const std::string tag = "dtype " + std::to_string(int{dtype});
+    EXPECT_THROW((void)inspect_blob(blob), CorruptStream) << tag;
+    EXPECT_THROW((void)decompress(blob), CorruptStream) << tag;
+    std::vector<float> out(shape.size(), -1.0f);
+    EXPECT_THROW(decompress_into(blob, shape, out), CorruptStream) << tag;
+    EXPECT_EQ(out, std::vector<float>(shape.size(), -1.0f)) << tag;
+
+    // The same blob as the one block of an OCB1 container, whose
+    // index CRC is computed over the rewritten bytes.
+    const Bytes container = build_block_container(shape, 6, {blob});
+    const BlockContainerInfo info = read_block_index(container);
+    EXPECT_THROW(decode_block_into(container, info, 0, out), CorruptStream)
+        << tag;
+    EXPECT_THROW((void)decompress_block(container, 0), CorruptStream) << tag;
+    std::istringstream in(std::string(container.begin(), container.end()));
+    std::ostringstream sink;
+    EXPECT_THROW((void)stream_decompress(in, sink), CorruptStream) << tag;
+  }
+
+  // The retired f64 id fails by name.
+  Bytes f64(std::begin(kGoldenLorenzo), std::end(kGoldenLorenzo));
+  f64[4] = 1;
+  try {
+    (void)decompress(f64);
+    FAIL() << "expected CorruptStream";
+  } catch (const CorruptStream& e) {
+    EXPECT_NE(std::string(e.what()).find("f64"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Multigrid, EndToEndThroughLocalPipeline) {
   std::vector<FloatArray> fields;
-  fields.push_back(smooth_field<float>(Shape(24, 20, 18)));
-  fields.push_back(smooth_field<float>(Shape(30, 25)));
+  fields.push_back(smooth_field(Shape(24, 20, 18)));
+  fields.push_back(smooth_field(Shape(30, 25)));
 
   LocalPipelineConfig config;
   config.compression.backend = "multigrid";
@@ -207,14 +246,14 @@ TEST(Multigrid, TightensCoarseLevels) {
   // The coarse quantizer uses eb/2, so coarse nodes must individually
   // sit within half the bound; spot-check via a pure-coarse recon: a
   // stride-aligned grid where every node is coarse.
-  const FloatArray data = smooth_field<float>(Shape(17, 17));
+  const FloatArray data = smooth_field(Shape(17, 17));
   CompressionConfig config;
   config.backend = "multigrid";
   config.eb_mode = EbMode::kAbsolute;
   config.eb = 1e-2;
   ASSERT_EQ(choose_anchor_stride(data.shape()), 16u);
   const Bytes blob = compress(data, config);
-  const FloatArray recon = decompress<float>(blob);
+  const FloatArray recon = decompress(blob);
   for (std::size_t i = 0; i < 17; i += 16) {
     for (std::size_t j = 0; j < 17; j += 16) {
       EXPECT_LE(std::abs(data.at(i, j) - recon.at(i, j)),
@@ -224,7 +263,7 @@ TEST(Multigrid, TightensCoarseLevels) {
 }
 
 TEST(Advisor, TableCandidatesIncludeMultigridAndItCanWin) {
-  const FloatArray data = smooth_field<float>(Shape(40, 40));
+  const FloatArray data = smooth_field(Shape(40, 40));
 
   // Candidates enumerated from the backend table: one entry per
   // backend per bound.

@@ -3,9 +3,11 @@
 // across thread counts, checksum rejection, and random block access.
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "compressor/compressor.hpp"
+#include "core/adaptive.hpp"
 #include "core/local_pipeline.hpp"
 #include "datagen/datasets.hpp"
 #include "exec/cluster_model.hpp"
@@ -49,13 +51,10 @@ std::vector<Bytes> serial_block_blobs(const FloatArray& field,
   for (const BlockSpan& span :
        plan_blocks(field.shape().dim(0), block_slabs)) {
     const Shape shape = block_shape(field.shape(), span);
-    std::vector<float> data(
-        field.values().begin() +
-            static_cast<std::ptrdiff_t>(span.slab_begin * slab_elems),
-        field.values().begin() +
-            static_cast<std::ptrdiff_t>(span.slab_begin * slab_elems +
-                                        shape.size()));
-    blobs.push_back(compress(FloatArray(shape, std::move(data)), abs_config));
+    blobs.push_back(compress(
+        FieldView(shape, field.values().subspan(span.slab_begin * slab_elems,
+                                                shape.size())),
+        abs_config));
   }
   return blobs;
 }
@@ -103,7 +102,7 @@ TEST(BlockCodec, RoundTripMatchesSerialCodecAtSeveralBlockSizes) {
     ASSERT_EQ(decoded.field.shape(), field.shape());
     std::size_t offset = 0;
     for (const auto& blob : reference) {
-      const FloatArray block = decompress<float>(blob);
+      const FloatArray block = decompress(blob);
       for (std::size_t i = 0; i < block.size(); ++i) {
         ASSERT_EQ(decoded.field[offset + i], block[i]);
       }
@@ -126,7 +125,7 @@ TEST(BlockCodec, SingleBlockEqualsSingleShotCodec) {
   const auto payload = block_payload(r.container, info, 0);
   EXPECT_EQ(Bytes(payload.begin(), payload.end()), single);
 
-  const FloatArray serial = decompress<float>(single);
+  const FloatArray serial = decompress(single);
   const BlockDecompressResult blocked = block_decompress(r.container, 4);
   EXPECT_EQ(blocked.field.vector(), serial.vector());
 }
@@ -150,6 +149,26 @@ TEST(BlockCodec, ContainerBytesDeterministicAcrossThreadCounts) {
     const BlockCompressResult r = block_compress(field, config, workers, 3);
     EXPECT_EQ(r.container, base.container) << "workers=" << workers;
   }
+}
+
+TEST(BlockCodec, CompressesBlocksInPlaceWithoutFloatScratch) {
+  // Every block compresses (and, under a policy, probes) from its slab
+  // range of the field, so no f32 scratch vector is leased for it.
+  const FloatArray field = smooth_field(Shape(40, 12, 10), 31);
+  const auto float_leases = [] {
+    const auto stats = ScratchPool<float>::shared().stats();
+    return stats.created + stats.reused;
+  };
+  const std::size_t before = float_leases();
+  const BlockCompressResult fixed = block_compress(field, test_config(), 3, 4);
+  EXPECT_EQ(fixed.n_blocks, 10u);
+  EXPECT_EQ(float_leases(), before) << "fixed policy";
+
+  AdvisorPolicy policy;
+  const BlockCompressResult adaptive =
+      block_compress(field, test_config(), 3, 4, &policy);
+  EXPECT_EQ(adaptive.n_blocks, 10u);
+  EXPECT_EQ(float_leases(), before) << "advisor policy";
 }
 
 TEST(BlockCodec, HonorsFullFieldErrorBound) {
@@ -252,7 +271,7 @@ TEST(ParallelCodec, MixedBlobKindsDecodeTogether) {
   blobs.push_back(block_compress(b, config, 2, 4).container);
   const ParallelDecompressResult decoded = parallel_decompress(blobs, 3);
   ASSERT_EQ(decoded.fields.size(), 2u);
-  EXPECT_EQ(decoded.fields[0].vector(), decompress<float>(blobs[0]).vector());
+  EXPECT_EQ(decoded.fields[0].vector(), decompress(blobs[0]).vector());
   EXPECT_EQ(decoded.fields[1].shape(), b.shape());
   EXPECT_LE(max_abs_error<float>(b.values(), decoded.fields[1].values()),
             resolve_abs_eb(b, config) + 1e-12);

@@ -53,7 +53,7 @@ TEST_P(ErrorBoundSweep, BoundHoldsAndRoundTrips) {
   config.eb = eb;
 
   const Bytes blob = compress(data, config);
-  const FloatArray recon = decompress<float>(blob);
+  const FloatArray recon = decompress(blob);
 
   ASSERT_EQ(recon.shape(), data.shape());
   const double max_err = max_abs_error<float>(data.values(), recon.values());
@@ -106,7 +106,7 @@ TEST(Compressor, RelativeErrorBoundScalesWithRange) {
   EXPECT_NEAR(abs_eb, 1e-4 * s.range, 1e-9);
 
   const Bytes blob = compress(data, config);
-  const FloatArray recon = decompress<float>(blob);
+  const FloatArray recon = decompress(blob);
   EXPECT_LE(max_abs_error<float>(data.values(), recon.values()), abs_eb);
 }
 
@@ -145,24 +145,6 @@ TEST(Compressor, PsnrImprovesWithTighterBound) {
   EXPECT_GT(psnr_tight, psnr_loose);
 }
 
-TEST(Compressor, DoubleTypeRoundTrip) {
-  DoubleArray data(Shape(30, 30));
-  Rng rng(9);
-  for (double& v : data.values()) v = rng.normal(100.0, 5.0);
-  CompressionConfig config;
-  config.eb = 1e-4;
-  const Bytes blob = compress(data, config);
-  const DoubleArray recon = decompress<double>(blob);
-  EXPECT_LE(max_abs_error<double>(data.values(), recon.values()), 1e-4);
-}
-
-TEST(Compressor, DtypeMismatchThrows) {
-  const FloatArray data = smooth_test_field(Shape(16, 16), 10);
-  CompressionConfig config;
-  const Bytes blob = compress(data, config);
-  EXPECT_THROW((void)decompress<double>(blob), InvalidArgument);
-}
-
 TEST(Compressor, InspectBlobReportsHeader) {
   const FloatArray data = smooth_test_field(Shape(20, 30), 11);
   CompressionConfig config;
@@ -170,7 +152,6 @@ TEST(Compressor, InspectBlobReportsHeader) {
   config.eb = 1e-3;
   const Bytes blob = compress(data, config);
   const BlobInfo info = inspect_blob(blob);
-  EXPECT_FALSE(info.is_double);
   EXPECT_EQ(info.backend, "sz2");
   EXPECT_EQ(info.backend_id, 1);
   EXPECT_DOUBLE_EQ(info.abs_eb, 1e-3);
@@ -183,7 +164,7 @@ TEST(Compressor, CorruptMagicThrows) {
   const FloatArray data = smooth_test_field(Shape(16, 16), 12);
   Bytes blob = compress(data, CompressionConfig{});
   blob[0] = 'X';
-  EXPECT_THROW((void)decompress<float>(blob), CorruptStream);
+  EXPECT_THROW((void)decompress(blob), CorruptStream);
   EXPECT_THROW((void)inspect_blob(blob), CorruptStream);
 }
 
@@ -191,7 +172,7 @@ TEST(Compressor, TruncatedBlobThrows) {
   const FloatArray data = smooth_test_field(Shape(16, 16), 13);
   Bytes blob = compress(data, CompressionConfig{});
   blob.resize(blob.size() / 2);
-  EXPECT_THROW((void)decompress<float>(blob), CorruptStream);
+  EXPECT_THROW((void)decompress(blob), CorruptStream);
 }
 
 TEST(Compressor, EmptyArrayThrows) {
@@ -239,7 +220,7 @@ TEST_P(DatasetErrorBound, HoldsOnGeneratedFields) {
     const auto& field = fields[i];
     const double abs_eb = resolve_abs_eb(field.data, config);
     const Bytes blob = compress(field.data, config);
-    const FloatArray recon = decompress<float>(blob);
+    const FloatArray recon = decompress(blob);
     EXPECT_LE(max_abs_error<float>(field.data.values(), recon.values()),
               abs_eb)
         << app << "/" << field.name;
@@ -281,21 +262,21 @@ TEST(StreamingBlobPath, DecompressIntoMatchesDecompress) {
   config.eb = 1e-3;
   const Bytes blob = compress(data, config);
 
-  const FloatArray fresh = decompress<float>(blob);
+  const FloatArray fresh = decompress(blob);
   // Dirty caller storage is overwritten with exactly decompress's values.
   std::vector<float> storage(data.size(), -1.0f);
-  decompress_into<float>(blob, data.shape(), storage);
+  decompress_into(blob, data.shape(), storage);
   EXPECT_EQ(storage, fresh.vector());
 
   // A shape other than the declared one is rejected before decoding,
   // even when the element counts agree: the storage stays untouched.
   std::vector<float> other(data.size(), -1.0f);
-  EXPECT_THROW(decompress_into<float>(blob, Shape(11, 21), other),
+  EXPECT_THROW(decompress_into(blob, Shape(11, 21), other),
                CorruptStream);
   EXPECT_EQ(other, std::vector<float>(data.size(), -1.0f));
   // Storage that does not fit the shape is a caller error.
   std::vector<float> short_storage(data.size() - 1);
-  EXPECT_THROW(decompress_into<float>(blob, data.shape(), short_storage),
+  EXPECT_THROW(decompress_into(blob, data.shape(), short_storage),
                InvalidArgument);
 }
 

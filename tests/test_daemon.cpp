@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -512,6 +513,35 @@ TEST(Daemon, WrappingFieldShapeAnswersBadRequest) {
   EXPECT_EQ(reply.options, error_code::kBadRequest);
   daemon.shutdown();
   EXPECT_EQ(daemon.stats().requests_error, 1u);
+}
+
+TEST(Daemon, DtypeOtherThanF32AnswersBadRequest) {
+  // A decompress request whose OCZ dtype byte is not 0 (f32), bare and
+  // as the one block of an OCB1 container (whose index CRC covers the
+  // rewritten byte), is a corrupt request: bad-request, not internal.
+  Bytes blob = engine_reference_compress(small_field_bytes(),
+                                         "eb=1e-3 backend=sz3");
+  const Shape shape = inspect_blob(blob).shape;
+
+  const std::string path = test_socket_path("dtype");
+  DaemonConfig config;
+  config.unix_path = path;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+  for (const std::uint8_t dtype : {std::uint8_t{1}, std::uint8_t{7}}) {
+    blob[4] = dtype;  // magic[4], then the dtype byte
+    const Bytes container =
+        build_block_container(shape, shape.dim(0), {blob});
+    for (const Bytes* request : {&std::as_const(blob), &container}) {
+      const Frame reply =
+          call_raw(path, FrameType::kDecompress, "", *request);
+      EXPECT_EQ(reply.type, FrameType::kError) << int{dtype};
+      EXPECT_EQ(reply.options, error_code::kBadRequest) << int{dtype};
+    }
+  }
+  daemon.shutdown();
+  EXPECT_EQ(daemon.stats().requests_error, 4u);
 }
 
 TEST(Daemon, WorkersAboveTheHostLimitAnswersBadRequest) {

@@ -257,56 +257,50 @@ TEST(EntropyStage, RejectsCorruptStreams) {
 // ---------------------------------------------------------------------
 // Compressor / container / advisor integration.
 
-template <typename T>
-NdArray<T> wavy_array(const Shape& shape, std::uint64_t seed) {
+FloatArray wavy_array(const Shape& shape, std::uint64_t seed) {
   Rng rng(seed);
-  NdArray<T> data(shape);
+  FloatArray data(shape);
   std::size_t i = 0;
-  for (T& v : data.values()) {
-    v = static_cast<T>(std::sin(static_cast<double>(i++) * 0.21) +
-                       rng.normal(0.0, 0.05));
+  for (float& v : data.values()) {
+    v = static_cast<float>(std::sin(static_cast<double>(i++) * 0.21) +
+                           rng.normal(0.0, 0.05));
   }
   return data;
 }
 
-TEST(EntropyCompressor, BackendStageDtypeSweepHoldsBoundAndInspects) {
+TEST(EntropyCompressor, BackendStageSweepHoldsBoundAndInspects) {
   const std::vector<std::string> backends = {"lorenzo", "sz3-interp",
                                              "multigrid"};
-  const auto sweep = [&](auto tag) {
-    using T = decltype(tag);
-    const NdArray<T> data = wavy_array<T>(Shape(12, 9, 5), 0xD7);
-    for (const std::string& backend : backends) {
-      for (const EntropyStageEntry* stage : entropy_stages()) {
-        CompressionConfig config;
-        config.backend = backend;
-        config.eb_mode = EbMode::kAbsolute;
-        config.eb = 1e-3;
-        config.entropy = stage->name;
-        const Bytes blob = compress(data, config);
-        // The default stage keeps the OCZ1 magic (bit-compatible with
-        // every pre-registry reader); anything else switches to OCZ2.
-        ASSERT_GE(blob.size(), 7u);
-        EXPECT_EQ(std::memcmp(blob.data(),
-                              stage->wire_id == 0 ? "OCZ1" : "OCZ2", 4),
-                  0)
-            << backend << "/" << stage->name;
-        const BlobInfo info = inspect_blob(blob);
-        EXPECT_EQ(info.backend, backend);
-        EXPECT_EQ(info.entropy, stage->name);
-        EXPECT_EQ(info.entropy_id, stage->wire_id);
-        const NdArray<T> back = decompress<T>(blob);
-        ASSERT_EQ(back.size(), data.size());
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          ASSERT_LE(std::abs(static_cast<double>(data[i]) -
-                             static_cast<double>(back[i])),
-                    1e-3 + 1e-12)
-              << backend << "/" << stage->name << " element " << i;
-        }
+  const FloatArray data = wavy_array(Shape(12, 9, 5), 0xD7);
+  for (const std::string& backend : backends) {
+    for (const EntropyStageEntry* stage : entropy_stages()) {
+      CompressionConfig config;
+      config.backend = backend;
+      config.eb_mode = EbMode::kAbsolute;
+      config.eb = 1e-3;
+      config.entropy = stage->name;
+      const Bytes blob = compress(data, config);
+      // The default stage keeps the OCZ1 magic (bit-compatible with
+      // every pre-registry reader); anything else switches to OCZ2.
+      ASSERT_GE(blob.size(), 7u);
+      EXPECT_EQ(std::memcmp(blob.data(),
+                            stage->wire_id == 0 ? "OCZ1" : "OCZ2", 4),
+                0)
+          << backend << "/" << stage->name;
+      const BlobInfo info = inspect_blob(blob);
+      EXPECT_EQ(info.backend, backend);
+      EXPECT_EQ(info.entropy, stage->name);
+      EXPECT_EQ(info.entropy_id, stage->wire_id);
+      const FloatArray back = decompress(blob);
+      ASSERT_EQ(back.size(), data.size());
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        ASSERT_LE(std::abs(static_cast<double>(data[i]) -
+                           static_cast<double>(back[i])),
+                  1e-3 + 1e-12)
+            << backend << "/" << stage->name << " element " << i;
       }
     }
-  };
-  sweep(float{});
-  sweep(double{});
+  }
 }
 
 /// Byte length of the varint encoding ByteSink::put_varint emits, used
@@ -508,7 +502,7 @@ TEST(EntropyTable, RetiredIdsFailByName) {
       config.entropy = "ans";
       Bytes blob = compress(field, config);
       restamp_entropy_id(blob, id);
-      expect_names_removed_stage([&] { (void)decompress<float>(blob); }, name,
+      expect_names_removed_stage([&] { (void)decompress(blob); }, name,
                                  backend + " decompress");
       expect_names_removed_stage([&] { (void)inspect_blob(blob); }, name,
                                  backend + " inspect_blob");

@@ -12,7 +12,6 @@ FuncXEndpointConfig test_endpoint() {
   config.dispatch_latency_s = 0.1;
   config.cold_start_s = 2.0;
   config.warm_overhead_s = 0.01;
-  config.batch_latency_s = 0.02;
   return config;
 }
 
@@ -55,31 +54,6 @@ TEST(FuncX, ContainerWarmthIsPerFunctionPerEndpoint) {
   EXPECT_NEAR(t3 - t2, 2.1, 1e-9);
 }
 
-TEST(FuncX, BatchAmortizesDispatch) {
-  sim::Engine sim;
-  FuncXService faas(sim);
-  const std::size_t ep = faas.add_endpoint(test_endpoint());
-  faas.register_function("compress");
-
-  // 50 tasks individually (after warm-up) vs 50 batched.
-  faas.submit(ep, "compress", {0.0, nullptr});
-  sim.run();
-  const double warm_start = sim.now();
-
-  std::vector<FuncXTask> batch;
-  double last_done = 0.0;
-  for (int i = 0; i < 50; ++i) {
-    batch.push_back({0.5, [&] { last_done = sim.now(); }});
-  }
-  faas.submit_batch(ep, "compress", std::move(batch));
-  sim.run();
-  const double batched = last_done - warm_start;
-  // Batched: 0.1 dispatch + 0.01 warm + 50*0.02 marginal + 0.5 compute.
-  EXPECT_NEAR(batched, 0.1 + 0.01 + 50 * 0.02 + 0.5, 1e-6);
-  // Individual warm submissions would cost 50 * (0.1 + 0.01 + 0.5).
-  EXPECT_LT(batched, 50 * 0.61);
-}
-
 TEST(FuncX, CompletedCounterTracksTasks) {
   sim::Engine sim;
   FuncXService faas(sim);
@@ -98,7 +72,6 @@ TEST(FuncX, UnknownEntitiesThrow) {
   faas.register_function("f");
   EXPECT_THROW(faas.submit(99, "f", {0.1, nullptr}), NotFound);
   EXPECT_THROW((void)faas.endpoint(5), NotFound);
-  EXPECT_THROW(faas.submit_batch(ep, "f", {}), InvalidArgument);
 }
 
 }  // namespace

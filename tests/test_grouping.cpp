@@ -22,32 +22,6 @@ TEST(Grouping, WorldSizeWithRemainder) {
   EXPECT_TRUE(plan_is_partition(plan, 100));
 }
 
-TEST(Grouping, ByCountBalances) {
-  const GroupPlan plan = plan_groups_by_count(10, 3);
-  EXPECT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0].size(), 4u);
-  EXPECT_EQ(plan[1].size(), 3u);
-  EXPECT_EQ(plan[2].size(), 3u);
-  EXPECT_TRUE(plan_is_partition(plan, 10));
-}
-
-TEST(Grouping, ByCountMoreGroupsThanFiles) {
-  const GroupPlan plan = plan_groups_by_count(3, 10);
-  EXPECT_EQ(plan.size(), 3u);
-  EXPECT_TRUE(plan_is_partition(plan, 3));
-}
-
-TEST(Grouping, ByTargetBytesPacksGreedily) {
-  const std::vector<double> sizes = {5, 5, 5, 5, 12, 1, 1, 1};
-  const GroupPlan plan = plan_groups_by_target_bytes(sizes, 10.0);
-  EXPECT_TRUE(plan_is_partition(plan, sizes.size()));
-  const auto gsizes = group_sizes(plan, sizes);
-  // All but the final group must reach the target.
-  for (std::size_t g = 0; g + 1 < gsizes.size(); ++g) {
-    EXPECT_GE(gsizes[g], 10.0);
-  }
-}
-
 TEST(Grouping, GroupSizesSumToTotal) {
   const std::vector<double> sizes = {1, 2, 3, 4, 5, 6, 7};
   const GroupPlan plan = plan_groups_by_world_size(sizes.size(), 3);
@@ -69,10 +43,6 @@ TEST(Grouping, PartitionDetectsDuplicatesAndGaps) {
 TEST(Grouping, InvalidArgsThrow) {
   EXPECT_THROW((void)plan_groups_by_world_size(0, 4), InvalidArgument);
   EXPECT_THROW((void)plan_groups_by_world_size(4, 0), InvalidArgument);
-  EXPECT_THROW((void)plan_groups_by_count(0, 3), InvalidArgument);
-  const std::vector<double> sizes = {1.0};
-  EXPECT_THROW((void)plan_groups_by_target_bytes(sizes, 0.0),
-               InvalidArgument);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // OCB1 container robustness against truncation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/rng.hpp"
 #include "io/block_container.hpp"
 #include "io/dataset_file.hpp"
@@ -76,11 +79,16 @@ TEST(GroupArchive, RoundTripPreservesMembersBitExactly) {
     members.push_back(std::move(m));
   }
   const Bytes archive = build_group(members);
-  const auto parsed = parse_group(archive);
-  ASSERT_EQ(parsed.size(), members.size());
+  const auto index = read_group_index(archive);
+  ASSERT_EQ(index.size(), members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    EXPECT_EQ(parsed[i].name, members[i].name);
-    EXPECT_EQ(parsed[i].data, members[i].data);
+    EXPECT_EQ(index[i].name, members[i].name);
+    const auto payload =
+        std::span<const std::uint8_t>(archive).subspan(index[i].offset,
+                                                       index[i].size);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           members[i].data.begin(), members[i].data.end()))
+        << members[i].name;
   }
 }
 
@@ -114,27 +122,47 @@ TEST(GroupArchive, HeaderSizeIsModest) {
 TEST(GroupArchive, MalformedArchiveThrows) {
   EXPECT_THROW((void)build_group({}), InvalidArgument);
   Bytes bad = {1, 2, 3, 4, 5};
-  EXPECT_THROW((void)parse_group(bad), CorruptStream);
+  EXPECT_THROW((void)read_group_index(bad), CorruptStream);
 
   std::vector<GroupMember> members = {{"a", {1, 2, 3}}};
   Bytes truncated = build_group(members);
   truncated.pop_back();
-  EXPECT_THROW((void)parse_group(truncated), CorruptStream);
+  EXPECT_THROW((void)read_group_index(truncated), CorruptStream);
 }
 
-TEST(GroupMetadata, RenderParseRoundTrip) {
-  const std::vector<std::vector<std::string>> groups = {
-      {"cesm/TMQ.sz", "cesm/PSL.sz"},
-      {"cesm/TS.sz"},
-  };
-  const std::string text = render_group_metadata(groups, "world-size=2");
-  const auto parsed = parse_group_metadata(text);
-  EXPECT_EQ(parsed, groups);
-  EXPECT_NE(text.find("strategy: world-size=2"), std::string::npos);
+TEST(GroupArchive, MemberSizesThatWrapToTheBodyAreRejected) {
+  // A 23-byte archive: two members of sizes 2^64 - 1 and 4, whose sum
+  // wraps to the 3-byte body. Each size is checked against the body
+  // left before it is added, so no member can point past the buffer.
+  BytesWriter out;
+  const std::uint8_t magic[] = {'O', 'C', 'G', '1'};
+  out.put_bytes(magic);
+  out.put_varint(2);
+  out.put_string("a");
+  out.put_varint(~std::uint64_t{0});
+  out.put_string("b");
+  out.put_varint(4);
+  const std::uint8_t body[3] = {7, 8, 9};
+  out.put_bytes(body);
+  const Bytes archive = out.take();
+  ASSERT_EQ(archive.size(), 23u);
+  EXPECT_THROW((void)read_group_index(archive), CorruptStream);
 }
 
-TEST(GroupMetadata, EmptyTextThrows) {
-  EXPECT_THROW((void)parse_group_metadata("no groups here"), CorruptStream);
+TEST(GroupArchive, MemberCountAboveTheBytesIsRejectedBeforeReserving) {
+  // 2^62 members in a dozen bytes: refused as corrupt, where reserving
+  // the index once threw an untyped std::length_error.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 20, std::uint64_t{5}}) {
+    BytesWriter out;
+    const std::uint8_t magic[] = {'O', 'C', 'G', '1'};
+    out.put_bytes(magic);
+    out.put_varint(count);
+    out.put_string("a");
+    out.put_varint(0);
+    const Bytes archive = out.take();
+    EXPECT_THROW((void)read_group_index(archive), CorruptStream) << count;
+  }
 }
 
 TEST(BlockContainer, EveryTruncationEitherParsesOrThrows) {

@@ -4,8 +4,8 @@
 // every backend must emit an identical blob whether the vectorized or
 // the scalar kernel build runs, including through the non-finite raw
 // path. These tests pin the level with force_simd_level() and compare
-// whole compressed blobs across all registered backends, dtypes, and
-// ranks, then cover the arena and wide-symbol Huffman edges the fused
+// whole compressed blobs across all registered backends and ranks,
+// then cover the arena and wide-symbol Huffman edges the fused
 // path leans on. The hierarchy decode kernel is checked directly
 // against the reference traversal + QuantDecoder, on honest streams
 // and on hostile ones.
@@ -46,29 +46,28 @@ struct ForcedLevel {
 
 /// Smooth field plus noise: exercises both the quantized fast path and
 /// occasional large residuals.
-template <typename T>
-NdArray<T> make_field(const Shape& shape, std::uint64_t seed) {
+FloatArray make_field(const Shape& shape, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<T> values(shape.size());
+  std::vector<float> values(shape.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double x = static_cast<double>(i);
-    values[i] = static_cast<T>(std::sin(x * 0.021) + std::cos(x * 0.0047) +
-                               rng.normal(0.0, 0.05));
+    values[i] = static_cast<float>(std::sin(x * 0.021) +
+                                   std::cos(x * 0.0047) +
+                                   rng.normal(0.0, 0.05));
   }
-  return NdArray<T>(shape, std::move(values));
+  return FloatArray(shape, std::move(values));
 }
 
-template <typename T>
-NdArray<T> with_nonfinite(NdArray<T> field, std::uint64_t seed) {
+FloatArray with_nonfinite(FloatArray field, std::uint64_t seed) {
   Rng rng(seed);
   const auto v = field.values();
   for (int k = 0; k < 17; ++k) {
     const auto i =
         static_cast<std::size_t>(rng.uniform_int(0, v.size() - 1));
     switch (k % 3) {
-      case 0: v[i] = std::numeric_limits<T>::quiet_NaN(); break;
-      case 1: v[i] = std::numeric_limits<T>::infinity(); break;
-      default: v[i] = -std::numeric_limits<T>::infinity(); break;
+      case 0: v[i] = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: v[i] = std::numeric_limits<float>::infinity(); break;
+      default: v[i] = -std::numeric_limits<float>::infinity(); break;
     }
   }
   return field;
@@ -78,8 +77,7 @@ std::vector<Shape> test_shapes() {
   return {Shape(257), Shape(19, 23), Shape(9, 12, 14)};
 }
 
-template <typename T>
-void expect_blobs_match_across_levels(const NdArray<T>& field,
+void expect_blobs_match_across_levels(const FloatArray& field,
                                       const std::string& backend) {
   CompressionConfig config;
   config.backend = backend;
@@ -103,7 +101,7 @@ void expect_blobs_match_across_levels(const NdArray<T>& field,
   // Round-trip: every element is within the bound or reproduced via
   // the raw path (non-finite and failed reconstructions are exact, so
   // the error is 0 or NaN — never greater than eb).
-  const NdArray<T> decoded = decompress<T>(auto_blob);
+  const FloatArray decoded = decompress(auto_blob);
   ASSERT_EQ(decoded.shape().size(), field.shape().size());
   for (std::size_t i = 0; i < field.size(); ++i) {
     const double err = std::abs(static_cast<double>(field.values()[i]) -
@@ -115,10 +113,7 @@ void expect_blobs_match_across_levels(const NdArray<T>& field,
 TEST(Kernels, SimdAndScalarBlobsAreByteIdentical) {
   for (const std::string& backend : registered_backend_names()) {
     for (const Shape& shape : test_shapes()) {
-      expect_blobs_match_across_levels<float>(make_field<float>(shape, 11),
-                                              backend);
-      expect_blobs_match_across_levels<double>(make_field<double>(shape, 23),
-                                               backend);
+      expect_blobs_match_across_levels(make_field(shape, 11), backend);
     }
   }
 }
@@ -126,10 +121,8 @@ TEST(Kernels, SimdAndScalarBlobsAreByteIdentical) {
 TEST(Kernels, NonFiniteValuesTakeTheRawPathIdentically) {
   const Shape shape(9, 12, 14);
   for (const std::string& backend : registered_backend_names()) {
-    expect_blobs_match_across_levels<float>(
-        with_nonfinite(make_field<float>(shape, 31), 5), backend);
-    expect_blobs_match_across_levels<double>(
-        with_nonfinite(make_field<double>(shape, 37), 7), backend);
+    expect_blobs_match_across_levels(
+        with_nonfinite(make_field(shape, 31), 5), backend);
   }
 }
 
@@ -184,10 +177,9 @@ std::uint64_t bits_of(double d) {
   return b;
 }
 
-template <typename T>
-void expect_range_like_summarize(const std::vector<T>& v,
+void expect_range_like_summarize(const std::vector<float>& v,
                                  const std::string& what) {
-  const double want = summarize(std::span<const T>(v)).range;
+  const double want = summarize(std::span<const float>(v)).range;
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     ForcedLevel forced(level);
     EXPECT_EQ(bits_of(kernels::value_range(v.data(), v.size())),
@@ -197,22 +189,21 @@ void expect_range_like_summarize(const std::vector<T>& v,
   }
 }
 
-template <typename T>
-void check_value_range_edges(std::uint64_t seed) {
-  const T nan = std::numeric_limits<T>::quiet_NaN();
-  const T inf = std::numeric_limits<T>::infinity();
-  const T tiny = std::numeric_limits<T>::denorm_min();
-  Rng rng(seed);
-  const auto pick = [&](std::initializer_list<T> pool) {
+TEST(Kernels, ValueRangeIsBitIdenticalToSummarize) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  Rng rng(211);
+  const auto pick = [&](std::initializer_list<float> pool) {
     const auto k = rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1);
     return *(pool.begin() + k);
   };
   for (std::size_t n = 1; n <= 17; ++n) {
-    std::vector<T> v(n);
-    for (auto& x : v) x = static_cast<T>(rng.normal(0.0, 10.0));
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.normal(0.0, 10.0));
     expect_range_like_summarize(v, "normal");
     for (std::size_t at = 0; at < n; ++at) {
-      std::vector<T> w = v;
+      std::vector<float> w = v;
       w[at] = nan;
       expect_range_like_summarize(w, "NaN at " + std::to_string(at));
       w = v;
@@ -221,35 +212,27 @@ void check_value_range_edges(std::uint64_t seed) {
     }
     // Signed zeros as the minimum, the maximum, and every value.
     for (int trial = 0; trial < 8; ++trial) {
-      for (auto& x : v) x = pick({T(0), T(-0.0), T(1), T(2.5)});
+      for (auto& x : v) x = pick({0.0f, -0.0f, 1.0f, 2.5f});
       expect_range_like_summarize(v, "zeros below");
-      for (auto& x : v) x = pick({T(0), T(-0.0), T(-1), T(-2.5)});
+      for (auto& x : v) x = pick({0.0f, -0.0f, -1.0f, -2.5f});
       expect_range_like_summarize(v, "zeros above");
-      for (auto& x : v) x = pick({T(0), T(-0.0)});
+      for (auto& x : v) x = pick({0.0f, -0.0f});
       expect_range_like_summarize(v, "zeros only");
-      for (auto& x : v) x = pick({inf, -inf, T(0), nan});
+      for (auto& x : v) x = pick({inf, -inf, 0.0f, nan});
       expect_range_like_summarize(v, "non-finite mix");
-      for (auto& x : v) x = pick({tiny, -tiny, T(2) * tiny, T(0), T(-0.0)});
+      for (auto& x : v) x = pick({tiny, -tiny, 2.0f * tiny, 0.0f, -0.0f});
       expect_range_like_summarize(v, "denormals");
     }
     std::fill(v.begin(), v.end(), inf);
     expect_range_like_summarize(v, "all +Inf");
   }
-  std::vector<T> longer(4099);
-  for (auto& x : longer) x = static_cast<T>(rng.normal(0.0, 1.0));
+  std::vector<float> longer(4099);
+  for (auto& x : longer) x = static_cast<float>(rng.normal(0.0, 1.0));
   expect_range_like_summarize(longer, "normal");
   longer[4098] = nan;
-  longer[17] = T(-0.0);
+  longer[17] = -0.0f;
   expect_range_like_summarize(longer, "late NaN");
-  EXPECT_EQ(kernels::value_range(static_cast<const T*>(nullptr), 0), 0.0);
-}
-
-TEST(Kernels, ValueRangeIsBitIdenticalToSummarizeFloat) {
-  check_value_range_edges<float>(211);
-}
-
-TEST(Kernels, ValueRangeIsBitIdenticalToSummarizeDouble) {
-  check_value_range_edges<double>(223);
+  EXPECT_EQ(kernels::value_range(nullptr, 0), 0.0);
 }
 
 TEST(Kernels, HuffmanWideSymbolRangeUsesSortedFallback) {
@@ -334,50 +317,46 @@ TEST(Kernels, ArenaScopeComposesWithNestedScopes) {
 // ------------------------------------------------------ hierarchy decode
 
 /// Code and raw streams of one quantizer (the fine or coarse level).
-template <typename T>
 struct Streams {
   std::vector<std::uint32_t> codes;
-  std::vector<T> raw;
+  std::vector<float> raw;
 };
 
 /// One hierarchy stream set: sz3-interp (cubic, fine only) or
 /// multigrid (linear, coarse levels under a tightened bound).
-template <typename T>
 struct HierarchyCase {
   Shape shape;
   std::size_t stride = 2;
   bool multigrid = false;
   double eb = 1e-3;
   std::uint32_t radius = kDefaultQuantRadius;
-  Streams<T> fine;
-  Streams<T> coarse;
+  Streams fine;
+  Streams coarse;
 };
 
-template <typename T>
-double coarse_eb(const HierarchyCase<T>& c) {
+double coarse_eb(const HierarchyCase& c) {
   return c.eb / kMultigridCoarseTighten;
 }
 
 /// Encodes `field` with the fused kernel to get realistic streams.
-template <typename T>
-HierarchyCase<T> encode_case(const Shape& shape, const std::vector<T>& field,
+HierarchyCase encode_case(const Shape& shape, const std::vector<float>& field,
                              std::size_t stride_cap, bool multigrid,
                              std::uint32_t radius) {
-  HierarchyCase<T> c;
+  HierarchyCase c;
   c.shape = shape;
   c.stride = choose_anchor_stride(shape, stride_cap);
   c.multigrid = multigrid;
   c.radius = radius;
   ArenaScope scope;
-  std::span<T> recon = scope.arena().alloc<T>(field.size());
-  std::fill(recon.begin(), recon.end(), T{});
-  auto fine = kernels::FusedQuant<T>::make(c.eb, radius, field.size(),
+  std::span<float> recon = scope.arena().alloc<float>(field.size());
+  std::fill(recon.begin(), recon.end(), 0.0f);
+  auto fine = kernels::FusedQuant<float>::make(c.eb, radius, field.size(),
                                            scope.arena(),
                                            ScratchArena::Slot::kHistA);
-  auto coarse = kernels::FusedQuant<T>::make(coarse_eb(c), radius,
+  auto coarse = kernels::FusedQuant<float>::make(coarse_eb(c), radius,
                                              field.size(), scope.arena(),
                                              ScratchArena::Slot::kHistB);
-  kernels::hierarchy_encode<T>(shape, field.data(), recon, c.stride,
+  kernels::hierarchy_encode(shape, field.data(), recon, c.stride,
                                /*cubic=*/!multigrid, fine,
                                multigrid ? &coarse : nullptr);
   // Drain the persistent histogram windows back to all-zero.
@@ -393,15 +372,14 @@ HierarchyCase<T> encode_case(const Shape& shape, const std::vector<T>& field,
 
 /// Reference decode: the oracle traversal + QuantDecoder. nullopt when
 /// the streams are rejected.
-template <typename T>
-std::optional<std::vector<T>> reference_decode(const HierarchyCase<T>& c) {
-  std::vector<T> out(c.shape.size(), T{});
-  QuantDecoder<T> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
-  QuantDecoder<T> coarse(coarse_eb(c), c.radius, c.coarse.codes,
+std::optional<std::vector<float>> reference_decode(const HierarchyCase& c) {
+  std::vector<float> out(c.shape.size(), 0.0f);
+  QuantDecoder<float> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
+  QuantDecoder<float> coarse(coarse_eb(c), c.radius, c.coarse.codes,
                          c.coarse.raw);
   try {
-    reference::hierarchy_traverse<T>(
-        c.shape, std::span<T>(out), c.stride, /*cubic=*/!c.multigrid,
+    reference::hierarchy_traverse<float>(
+        c.shape, std::span<float>(out), c.stride, /*cubic=*/!c.multigrid,
         [&](std::size_t, double pred, std::size_t level) {
           return (level == 1 || !c.multigrid ? fine : coarse).decode(pred);
         });
@@ -412,16 +390,15 @@ std::optional<std::vector<T>> reference_decode(const HierarchyCase<T>& c) {
 }
 
 /// Kernel decode at a pinned dispatch level; nullopt when rejected.
-template <typename T>
-std::optional<std::vector<T>> kernel_decode(const HierarchyCase<T>& c,
+std::optional<std::vector<float>> kernel_decode(const HierarchyCase& c,
                                             SimdLevel level) {
   ForcedLevel forced(level);
-  std::vector<T> out(c.shape.size(), T{});
-  QuantDecoder<T> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
-  QuantDecoder<T> coarse(coarse_eb(c), c.radius, c.coarse.codes,
+  std::vector<float> out(c.shape.size(), 0.0f);
+  QuantDecoder<float> fine(c.eb, c.radius, c.fine.codes, c.fine.raw);
+  QuantDecoder<float> coarse(coarse_eb(c), c.radius, c.coarse.codes,
                                   c.coarse.raw);
   try {
-    kernels::hierarchy_decode<T>(c.shape, std::span<T>(out), c.stride,
+    kernels::hierarchy_decode(c.shape, std::span<float>(out), c.stride,
                                  /*cubic=*/!c.multigrid, fine,
                                  c.multigrid ? &coarse : nullptr);
   } catch (const CorruptStream&) {
@@ -431,16 +408,14 @@ std::optional<std::vector<T>> kernel_decode(const HierarchyCase<T>& c,
 }
 
 /// Bitwise equality (NaN payloads included).
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /// Both kernel builds agree with the reference: identical arrays, or
 /// all three reject the streams. Returns whether the reference decoded.
-template <typename T>
-bool expect_decoders_agree(const HierarchyCase<T>& c, const char* what) {
+bool expect_decoders_agree(const HierarchyCase& c, const char* what) {
   const auto want = reference_decode(c);
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     const auto got = kernel_decode(c, level);
@@ -471,10 +446,9 @@ std::vector<Shape> decode_shapes() {
   return shapes;
 }
 
-template <typename T>
-std::vector<T> decode_field(const Shape& shape, std::uint64_t seed) {
-  const NdArray<T> smooth = make_field<T>(shape, seed);
-  std::vector<T> v(smooth.values().begin(), smooth.values().end());
+std::vector<float> decode_field(const Shape& shape, std::uint64_t seed) {
+  const FloatArray smooth = make_field(shape, seed);
+  std::vector<float> v(smooth.values().begin(), smooth.values().end());
   // Non-finite islands exercise the raw sweep (including raw values
   // that then feed later predictions).
   Rng rng(seed + 1);
@@ -482,16 +456,15 @@ std::vector<T> decode_field(const Shape& shape, std::uint64_t seed) {
     const auto i = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1));
     switch (k % 4) {
-      case 0: v[i] = std::numeric_limits<T>::quiet_NaN(); break;
-      case 1: v[i] = std::numeric_limits<T>::infinity(); break;
-      case 2: v[i] = -std::numeric_limits<T>::infinity(); break;
-      default: v[i] = static_cast<T>(1e30); break;
+      case 0: v[i] = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: v[i] = std::numeric_limits<float>::infinity(); break;
+      case 2: v[i] = -std::numeric_limits<float>::infinity(); break;
+      default: v[i] = static_cast<float>(1e30); break;
     }
   }
   return v;
 }
 
-template <typename T>
 void sweep_honest_streams() {
   std::uint64_t seed = 500;
   for (const Shape& shape : decode_shapes()) {
@@ -499,9 +472,9 @@ void sweep_honest_streams() {
       for (const std::size_t cap : {std::size_t{4}, std::size_t{64}}) {
         // A tiny radius pushes many residuals onto the raw path.
         for (const std::uint32_t radius : {kDefaultQuantRadius, 3u}) {
-          const std::vector<T> field = decode_field<T>(shape, ++seed);
-          const HierarchyCase<T> c =
-              encode_case<T>(shape, field, cap, multigrid, radius);
+          const std::vector<float> field = decode_field(shape, ++seed);
+          const HierarchyCase c =
+              encode_case(shape, field, cap, multigrid, radius);
           EXPECT_TRUE(expect_decoders_agree(c, multigrid ? "multigrid"
                                                          : "sz3-interp"))
               << "honest streams must decode";
@@ -511,20 +484,13 @@ void sweep_honest_streams() {
   }
 }
 
-TEST(Kernels, HierarchyDecodeMatchesReferenceFloat) {
-  sweep_honest_streams<float>();
-}
-
-TEST(Kernels, HierarchyDecodeMatchesReferenceDouble) {
-  sweep_honest_streams<double>();
-}
+TEST(Kernels, HierarchyDecodeMatchesReference) { sweep_honest_streams(); }
 
 /// Random codes (0, in-range, and >= 2*radius), a raw section that may
 /// run short, and for multigrid a random fine/coarse split.
-template <typename T>
-HierarchyCase<T> hostile_case(const Shape& shape, bool multigrid,
+HierarchyCase hostile_case(const Shape& shape, bool multigrid,
                               Rng& rng) {
-  HierarchyCase<T> c;
+  HierarchyCase c;
   c.shape = shape;
   c.stride = choose_anchor_stride(shape, 8);
   c.multigrid = multigrid;
@@ -543,9 +509,9 @@ HierarchyCase<T> hostile_case(const Shape& shape, bool multigrid,
     }
     zeros += code == 0 ? 1 : 0;
   }
-  std::vector<T> raw(static_cast<std::size_t>(rng.uniform_int(
+  std::vector<float> raw(static_cast<std::size_t>(rng.uniform_int(
       0, static_cast<std::int64_t>(zeros))));
-  for (auto& r : raw) r = static_cast<T>(rng.normal(0.0, 1e3));
+  for (auto& r : raw) r = static_cast<float>(rng.normal(0.0, 1e3));
   const std::size_t split =
       multigrid ? static_cast<std::size_t>(
                       rng.uniform_int(0, static_cast<std::int64_t>(n)))
@@ -564,7 +530,6 @@ HierarchyCase<T> hostile_case(const Shape& shape, bool multigrid,
   return c;
 }
 
-template <typename T>
 void sweep_hostile_streams() {
   Rng rng(0xdec0de);
   int accepted = 0;
@@ -572,7 +537,7 @@ void sweep_hostile_streams() {
   for (int round = 0; round < 4; ++round) {
     for (const Shape& shape : decode_shapes()) {
       for (const bool multigrid : {false, true}) {
-        const HierarchyCase<T> c = hostile_case<T>(shape, multigrid, rng);
+        const HierarchyCase c = hostile_case(shape, multigrid, rng);
         (expect_decoders_agree(c, multigrid ? "hostile multigrid"
                                             : "hostile sz3-interp")
              ? accepted
@@ -585,12 +550,8 @@ void sweep_hostile_streams() {
   EXPECT_GT(rejected, 0);
 }
 
-TEST(Kernels, HierarchyDecodeHostileStreamsMatchOrThrowFloat) {
-  sweep_hostile_streams<float>();
-}
-
-TEST(Kernels, HierarchyDecodeHostileStreamsMatchOrThrowDouble) {
-  sweep_hostile_streams<double>();
+TEST(Kernels, HierarchyDecodeHostileStreamsMatchOrThrow) {
+  sweep_hostile_streams();
 }
 
 }  // namespace

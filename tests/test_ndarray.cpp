@@ -51,12 +51,26 @@ TEST(NdArray, IndexingMatchesRowMajorLayout) {
 }
 
 TEST(NdArray, WrapExistingDataValidatesSize) {
-  std::vector<double> vals(6, 1.0);
-  const DoubleArray ok(Shape(2, 3), std::move(vals));
+  std::vector<float> vals(6, 1.0f);
+  const FloatArray ok(Shape(2, 3), std::move(vals));
   EXPECT_EQ(ok.size(), 6u);
 
-  std::vector<double> wrong(5, 1.0);
-  EXPECT_THROW(DoubleArray(Shape(2, 3), std::move(wrong)), InvalidArgument);
+  std::vector<float> wrong(5, 1.0f);
+  EXPECT_THROW(FloatArray(Shape(2, 3), std::move(wrong)), InvalidArgument);
+}
+
+TEST(FieldView, ViewsStorageInPlaceAndValidatesSize) {
+  const FloatArray field(Shape(4, 3));
+  const FieldView whole = field;
+  EXPECT_EQ(whole.shape(), field.shape());
+  EXPECT_EQ(whole.values().data(), field.values().data());
+  EXPECT_EQ(whole.size(), 12u);
+
+  // A block: slabs 1-2 of the field, read from the field's storage.
+  const FieldView block(Shape(2, 3), field.values().subspan(3, 6));
+  EXPECT_EQ(block.values().data(), field.values().data() + 3);
+  EXPECT_THROW(FieldView(Shape(2, 3), field.values().first(5)),
+               InvalidArgument);
 }
 
 }  // namespace

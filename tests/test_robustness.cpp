@@ -52,7 +52,7 @@ TEST_P(NonFiniteSweep, NonFiniteValuesSurviveVerbatim) {
   config.eb = 1e-3;
 
   const Bytes blob = compress(data, config);
-  const FloatArray recon = decompress<float>(blob);
+  const FloatArray recon = decompress(blob);
   EXPECT_TRUE(std::isnan(recon.at(0, 0)));
   EXPECT_TRUE(std::isnan(recon.at(5, 7)));
   EXPECT_TRUE(std::isinf(recon.at(12, 3)));
@@ -94,7 +94,7 @@ TEST_P(BlobFuzz, MutatedBlobsNeverCrash) {
         rng.uniform_int(0, static_cast<std::int64_t>(blob.size()) - 1));
     mutated[pos] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     try {
-      const FloatArray out = decompress<float>(mutated);
+      const FloatArray out = decompress(mutated);
       ++decoded;  // silently-consistent mutation: acceptable
     } catch (const Error&) {
       ++threw;  // typed rejection: acceptable
@@ -120,7 +120,7 @@ TEST(Robustness, TruncationSweepAlwaysThrowsOrDecodes) {
   for (std::size_t len = 0; len < blob.size(); len += 7) {
     Bytes cut(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
     try {
-      (void)decompress<float>(cut);
+      (void)decompress(cut);
     } catch (const Error&) {
       // expected for most lengths
     }
@@ -163,7 +163,7 @@ TEST(HostileHeader, WrappingShapeRejectedByEveryReader) {
     config.backend = backend;
     const Bytes blob = with_shape(compress(data, config), wrapping);
     EXPECT_THROW((void)inspect_blob(blob), CorruptStream) << backend;
-    EXPECT_THROW((void)decompress<float>(blob), CorruptStream) << backend;
+    EXPECT_THROW((void)decompress(blob), CorruptStream) << backend;
 
     // The same header inside an OCB1 block, sealed with a valid CRC so
     // the block reaches the codec.
@@ -275,7 +275,7 @@ TEST(HostileHeader, CodeCountAboveTheShapeThrowsBeforeDecoding) {
         std::pair<std::uint8_t, const Bytes*>{3, &ans_section}}) {
     const Bytes blob = blob_with_codes(Shape(4), id, *section);
     try {
-      (void)decompress<float>(blob);
+      (void)decompress(blob);
       ADD_FAILURE() << "stage " << int{id} << ": expected CorruptStream";
     } catch (const CorruptStream& e) {
       EXPECT_NE(std::string(e.what()).find("134217728"), std::string::npos)
@@ -302,7 +302,7 @@ TEST(HostileHeader, RawSectionClaimAboveTheShapeThrowsBeforeExpanding) {
 
   const Bytes blob = blob_with_codes(Shape(4), 0, codes_section, raw_section);
   try {
-    (void)decompress<float>(blob);
+    (void)decompress(blob);
     FAIL() << "expected CorruptStream";
   } catch (const CorruptStream& e) {
     const std::string what = e.what();

@@ -577,8 +577,7 @@ int cmd_info(const std::vector<std::string>& args) {
               << ",\"backend_id\":" << static_cast<int>(info.backend_id)
               << ",\"entropy\":" << json_quote(info.entropy)
               << ",\"entropy_id\":" << static_cast<int>(info.entropy_id)
-              << ",\"dtype\":\"" << (info.is_double ? "f64" : "f32")
-              << "\",\"shape\":" << shape_json(info.shape)
+              << ",\"dtype\":\"f32\",\"shape\":" << shape_json(info.shape)
               << ",\"abs_eb\":" << info.abs_eb
               << ",\"compressed_bytes\":" << info.compressed_bytes
               << ",\"raw_bytes\":" << info.raw_bytes << ",\"ratio\":"
@@ -590,8 +589,7 @@ int cmd_info(const std::vector<std::string>& args) {
   std::cout << (ocz2 ? "OCZ2" : "OCZ1")
             << " compressed blob: backend=" << info.backend
             << " entropy=" << info.entropy
-            << " dtype=" << (info.is_double ? "f64" : "f32") << " shape="
-            << shape_label(info.shape) << "\n"
+            << " dtype=f32 shape=" << shape_label(info.shape) << "\n"
             << "  abs eb " << info.abs_eb << ", "
             << fmt_bytes(static_cast<double>(info.compressed_bytes))
             << " compressed / "
